@@ -352,23 +352,9 @@ def algebra_check(x: float, y: float, q: float, alpha: float, fmt: str) -> None:
     if alpha == 0.0:
         raise click.UsageError("alpha must be nonzero")
     q_alpha = dfm.transform(q, alpha)
-    laws = [
-        ("add", lambda: alpha * qa.q_add(x, y, q),
-         lambda: qa.q_add(alpha * x, alpha * y, q_alpha)),
-        ("subtract", lambda: alpha * qa.q_sub(x, y, q),
-         lambda: qa.q_sub(alpha * x, alpha * y, q_alpha)),
-        ("multiply", lambda: qa.q_mul(x, y, q) ** alpha,
-         lambda: qa.q_mul(x**alpha, y**alpha, q_alpha)),
-        ("divide", lambda: qa.q_div(x, y, q) ** alpha,
-         lambda: qa.q_div(x**alpha, y**alpha, q_alpha)),
-        ("exp-scaling", lambda: qa.q_exp(x, q) ** alpha,
-         lambda: qa.q_exp(alpha * x, q_alpha)),
-        ("log-scaling", lambda: alpha * qa.q_log(x, q),
-         lambda: qa.q_log(x**alpha, q_alpha)),
-    ]
     rows = []
     any_failed = False
-    for name, lhs_fn, rhs_fn in laws:
+    for name, (lhs_fn, rhs_fn) in qa.scaling_laws(x, y, q, alpha).items():
         lhs = _try_eval(lhs_fn)
         rhs = _try_eval(rhs_fn)
         if lhs is None and rhs is None:

@@ -7,36 +7,43 @@ subject to normalization and the q-escort energy constraint.  Stationarity,
         - q*Omega*(E_i - <E>_q)/Z_q * p_i^(q-1) = 0,
     Phi = q_alpha/(1-q_alpha) * Z_{q_alpha},
 
-reduces per level to the trinomial 1 - x + b*x^alpha = 0 in
-x = p_i^((q-1)/alpha)/Z_{q_alpha}.  Because the partition sums and the
-escort mean depend on the distribution itself, the solver iterates: solve
-every level's trinomial, recover p_i = (x_i * Z_{q_alpha})^(alpha/(q-1)),
-renormalize, damp, repeat until the sup-norm update stalls; the reported
-residual then certifies the answer against the stationarity equation.
+reduces per level to the trinomial 1 - x + b_i*x^alpha = 0 with
+b_i = lambda*(E_i - m), m the escort mean and lambda = q(1-q)/(q+alpha-1) *
+Z_{q_alpha}^(alpha-1)/Z_q * Omega (times Z_{q_alpha} for the additive entropy
+of ``solve_maxent_renyi``); then p_i ~ x_i^(alpha/(q-1)).  The alpha -> inf
+member ``solve_maxent_shannon_limit`` has p_i ~ exp(-W(b_i)/(q-1)) with the
+principal Lambert W branch, and q within 1e-9 of 1 is the closed-form Gibbs
+kernel.  So every family maps the two scalars (lambda, m) to p, and one
+builder certifies each answer by its stationarity residual:
 
-``solve_maxent_renyi`` does the same for the additive entropy R_{q_alpha}
-(same reduction with b scaled by Z_{q_alpha}); ``solve_maxent_shannon_limit``
-handles the alpha -> infinity member, where the entropy degenerates to the
-Shannon functional and the per-level solve becomes a Lambert-W evaluation.
+* fixed Omega: a damped fixed-point iteration on p that stops once the
+  certified residual is at most 1e-9;
+* target escort mean: m is pinned to the target and one Brent root find in
+  lambda runs over the interval where every level keeps a real root (b_i up
+  to (alpha-1)^(alpha-1)/alpha^alpha for alpha > 1, below 1 at alpha = 1,
+  from -1/e for Lambert W, unbounded otherwise); Omega follows from lambda
+  and the final p.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .deformation import transform
 from .entropy import PartitionSum, as_distribution, _partition_sum_raw
 from .errors import DomainError, NonConvergenceError, NoRealRootError
 from .qalgebra import Q_ONE_THRESHOLD
-from .trinomial import lambert_w, solve_trinomial, trinomial_b
+from .trinomial import lambert_w, series_radius, solve_trinomial, trinomial_b
 
 MAX_ITER = 10_000
 DAMPING = 0.5
-STEP_TOL = 1e-12
-DEFAULT_OMEGA_BRACKET = (-1e3, 1e3)
+# The fixed-omega iteration stops on this certified residual, a margin below
+# the 1e-8 that a caller accepts.
+STOP_RESIDUAL = 1e-9
 
 
 def as_spectrum(levels) -> np.ndarray:
@@ -68,42 +75,40 @@ class MaxEntSolution:
 
 def solve_maxent(energies, q: float, alpha: float, omega: float | None = None, *,
                  target_mean: float | None = None,
-                 omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
-                 max_iter: int = MAX_ITER, damping: float = DAMPING,
-                 step_tol: float = STEP_TOL) -> MaxEntSolution:
+                 max_iter: int = MAX_ITER) -> MaxEntSolution:
     """MaxEnt distribution of S_{q_alpha} under the q-escort energy constraint.
 
     Exactly one of ``omega`` (fixed Lagrange multiplier) or ``target_mean``
-    (outer bisection over omega until the escort mean matches) must be
-    given.  ``alpha`` must be positive; q within 1e-9 of 1 routes to the
+    (the escort mean to reach; omega is solved for) must be given.
+    ``alpha`` must be positive; q within 1e-9 of 1 routes to the
     Shannon/Gibbs closed form.
 
     Raises ``NoRealRootError`` (with the offending level) when some level's
-    trinomial leaves its real-root region, and ``NonConvergenceError``
-    (carrying the last iterate) when ``max_iter`` sweeps do not settle.
+    trinomial leaves its real-root region, ``NonConvergenceError``
+    (carrying the last iterate) when ``max_iter`` iterations do not settle,
+    and ``DomainError`` for a target mean outside the attainable range.
     """
-    return _solve_deformed(energies, q, alpha, omega, target_mean, omega_bracket,
-                           max_iter, damping, step_tol, renyi=False)
+    return _solve_deformed(energies, q, alpha, omega, target_mean, max_iter,
+                           renyi=False)
 
 
 def solve_maxent_renyi(energies, q: float, alpha: float, omega: float | None = None, *,
                        target_mean: float | None = None,
-                       omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
-                       max_iter: int = MAX_ITER, damping: float = DAMPING,
-                       step_tol: float = STEP_TOL) -> MaxEntSolution:
+                       max_iter: int = MAX_ITER) -> MaxEntSolution:
     """MaxEnt distribution of the additive entropy R_{q_alpha}.
 
     The gradient differs from the nonadditive case only by a 1/Z_{q_alpha}
     factor, so the same trinomial reduction applies with b scaled by
     Z_{q_alpha}.  At alpha = 1 both families coincide up to an omega
-    reparametrization.
+    reparametrization, and at one target mean they give the same
+    distribution.
     """
-    return _solve_deformed(energies, q, alpha, omega, target_mean, omega_bracket,
-                           max_iter, damping, step_tol, renyi=True)
+    return _solve_deformed(energies, q, alpha, omega, target_mean, max_iter,
+                           renyi=True)
 
 
-def _solve_deformed(energies, q, alpha, omega, target_mean, omega_bracket,
-                    max_iter, damping, step_tol, *, renyi: bool) -> MaxEntSolution:
+def _solve_deformed(energies, q, alpha, omega, target_mean, max_iter, *,
+                    renyi: bool) -> MaxEntSolution:
     e = as_spectrum(energies)
     q = float(q)
     alpha = float(alpha)
@@ -111,21 +116,13 @@ def _solve_deformed(energies, q, alpha, omega, target_mean, omega_bracket,
         raise DomainError("q and alpha must be finite")
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha:g}")
-
-    def solve_at(w: float) -> MaxEntSolution:
-        if abs(q - 1.0) < Q_ONE_THRESHOLD:
-            return _gibbs_solution(e, w)
-        return _deformed_fixed_point(e, q, alpha, w, max_iter, damping, step_tol,
-                                     renyi=renyi)
-
-    return _dispatch_mode(solve_at, e, omega, target_mean, omega_bracket)
+    fam = _Gibbs(e) if abs(q - 1.0) < Q_ONE_THRESHOLD else _Trinomial(e, q, alpha, renyi)
+    return _solve(fam, omega, target_mean, max_iter)
 
 
 def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *,
                                target_mean: float | None = None,
-                               omega_bracket: tuple[float, float] = DEFAULT_OMEGA_BRACKET,
-                               max_iter: int = MAX_ITER, damping: float = DAMPING,
-                               step_tol: float = STEP_TOL) -> MaxEntSolution:
+                               max_iter: int = MAX_ITER) -> MaxEntSolution:
     """The alpha -> infinity member: Shannon entropy, q-escort constraint.
 
     Stationarity ln p_i + S_1 + q*Omega*DeltaE_i/Z_q * p_i^(q-1) = 0 is
@@ -134,31 +131,115 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
         p_i = exp[-S_1 - W(u_i)/(q-1)],
         u_i = (q-1) * q * exp(-(q-1) S_1) * Omega * DeltaE_i / Z_q,
 
-    iterated to self-consistency in S_1, Z_q and the escort mean.  A level
-    whose W argument falls below -1/e raises ``NoRealRootError`` naming it.
+    iterated to self-consistency in S_1, Z_q and the escort mean (or, with
+    ``target_mean``, found by the root find in the combined multiplier).  A
+    level whose W argument falls below -1/e raises ``NoRealRootError``.
     """
     e = as_spectrum(energies)
     q = float(q)
     if not math.isfinite(q):
         raise DomainError("q must be finite")
-
-    def solve_at(w: float) -> MaxEntSolution:
-        if abs(q - 1.0) < Q_ONE_THRESHOLD:
-            return _gibbs_solution(e, w)
-        return _shannon_limit_fixed_point(e, q, w, max_iter, damping, step_tol)
-
-    return _dispatch_mode(solve_at, e, omega, target_mean, omega_bracket)
+    fam = _Gibbs(e) if abs(q - 1.0) < Q_ONE_THRESHOLD else _Lambert(e, q)
+    return _solve(fam, omega, target_mean, max_iter)
 
 
-def _dispatch_mode(solve_at, e, omega, target_mean, omega_bracket) -> MaxEntSolution:
-    if (omega is None) == (target_mean is None):
-        raise DomainError("exactly one of omega and target_mean must be given")
-    if omega is not None:
-        w = float(omega)
-        if not math.isfinite(w):
-            raise DomainError("omega must be finite")
-        return solve_at(w)
-    return _solve_for_target(solve_at, e, float(target_mean), omega_bracket)
+# --- the families --------------------------------------------------------------
+#
+# A family holds the spectrum and the indices.  ``q`` is the escort index of
+# the constraint, ``b_range`` the interval of b = lambda*(E_i - m) where every
+# level has a real root, ``level_map(b)`` the normalized distribution of the
+# coefficients b, ``per_omega(p, z_q)`` the coupling lambda/Omega of p, and
+# ``free_gradient(p)`` the entropy part of the stationarity condition with the
+# reported phi and Z_{q_alpha}.
+
+class _Trinomial:
+    """Tsallis and Renyi levels: 1 - x + b*x^alpha = 0, p ~ x^(alpha/(q-1))."""
+
+    def __init__(self, e: np.ndarray, q: float, alpha: float, renyi: bool):
+        self.e, self.q, self.alpha, self.renyi = e, q, alpha, renyi
+        self.q_alpha = transform(q, alpha)
+        # q(1-q)/(q+alpha-1), raising at the rescaled-index pole q_alpha = 0
+        self.coupling = trinomial_b(q, alpha, 1.0, 1.0, 1.0, 1.0)
+        # b reaches the double root for alpha > 1 and stays below the pole
+        # of x = 1/(1-b) at alpha = 1
+        b_max = (series_radius(alpha) if alpha > 1.0 else
+                 math.nextafter(1.0, 0.0) if alpha == 1.0 else math.inf)
+        self.b_range = (-math.inf, b_max)
+
+    def level_map(self, b: np.ndarray) -> np.ndarray:
+        x = np.empty(b.size)
+        for i, b_i in enumerate(b):
+            try:
+                x[i] = solve_trinomial(self.alpha, b_i)
+            except NoRealRootError as err:
+                raise NoRealRootError(
+                    f"level {i} (E = {self.e[i]:g}): {err}",
+                    alpha=self.alpha, b=float(b_i), level=i,
+                ) from err
+        return _normalized(self.alpha / (self.q - 1.0) * np.log(x))
+
+    def per_omega(self, p: np.ndarray, z_q: float) -> float:
+        z_qa = _partition(p, self.q_alpha)
+        scale = z_qa if self.renyi else 1.0
+        return self.coupling * z_qa ** (self.alpha - 1.0) / z_q * scale
+
+    def free_gradient(self, p: np.ndarray):
+        z_qa = _partition(p, self.q_alpha)
+        prefactor = self.q_alpha / (1.0 - self.q_alpha)
+        if self.renyi:
+            lead, phi = prefactor / z_qa * p ** (self.q_alpha - 1.0), prefactor
+        else:
+            lead, phi = prefactor * p ** (self.q_alpha - 1.0), prefactor * z_qa
+        return lead - phi, phi, PartitionSum(z_qa, self.q_alpha)
+
+
+class _Lambert:
+    """Shannon-limit levels: p ~ exp(-W(b)/(q-1)), W the principal branch."""
+
+    b_range = (-math.exp(-1.0), math.inf)
+
+    def __init__(self, e: np.ndarray, q: float):
+        self.e, self.q = e, q
+
+    def level_map(self, b: np.ndarray) -> np.ndarray:
+        w = np.empty(b.size)
+        for i, b_i in enumerate(b):
+            try:
+                w[i] = lambert_w(b_i)
+            except DomainError as err:
+                raise NoRealRootError(
+                    f"level {i} (E = {self.e[i]:g}): Lambert W argument "
+                    f"{b_i:g} below -1/e",
+                    b=float(b_i), level=i,
+                ) from err
+        return _normalized(-w / (self.q - 1.0))
+
+    def per_omega(self, p: np.ndarray, z_q: float) -> float:
+        return (self.q - 1.0) * self.q * math.exp(-(self.q - 1.0) * _shannon(p)) / z_q
+
+    def free_gradient(self, p: np.ndarray):
+        s1 = _shannon(p)
+        return -(np.log(p) + s1), s1 - 1.0, PartitionSum(1.0, 1.0)
+
+
+class _Gibbs(_Lambert):
+    """The q -> 1 kernel: p ~ exp(-b), the Boltzmann-Gibbs weights."""
+
+    b_range = (-math.inf, math.inf)
+
+    def __init__(self, e: np.ndarray):
+        super().__init__(e, 1.0)
+
+    def level_map(self, b: np.ndarray) -> np.ndarray:
+        return _normalized(-b)
+
+    def per_omega(self, p: np.ndarray, z_q: float) -> float:
+        return 1.0
+
+
+def _normalized(log_weights: np.ndarray) -> np.ndarray:
+    weights = np.exp(log_weights - log_weights.max())
+    return weights / weights.sum()
 
 
 def _uniform(n: int) -> np.ndarray:
@@ -169,228 +250,125 @@ def _partition(p: np.ndarray, q: float) -> float:
     return float(np.sum(p**q))
 
 
-def _escort_mean_raw(p: np.ndarray, e: np.ndarray, q: float) -> tuple[float, float]:
-    z = _partition(p, q)
-    return float(np.dot(p**q, e)) / z, z
+def _shannon(p: np.ndarray) -> float:
+    return float(-np.sum(p * np.log(p)))
 
 
-def _deformed_fixed_point(e, q, alpha, omega, max_iter, damping, step_tol, *,
-                          renyi: bool) -> MaxEntSolution:
+# --- the core --------------------------------------------------------------------
+
+def _solve(fam, omega, target_mean, max_iter) -> MaxEntSolution:
+    if (omega is None) == (target_mean is None):
+        raise DomainError("exactly one of omega and target_mean must be given")
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
-    n = e.size
-    q_alpha = transform(q, alpha)
-    recovery_exp = alpha / (q - 1.0)
-    p = _uniform(n)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        mean, z_q = _escort_mean_raw(p, e, q)
-        z_qa = _partition(p, q_alpha)
-        scale = z_qa if renyi else 1.0
-        x = np.empty(n)
-        for i in range(n):
-            b_i = trinomial_b(q, alpha, omega, e[i] - mean, z_q, z_qa) * scale
-            try:
-                x[i] = solve_trinomial(alpha, b_i)
-            except NoRealRootError as err:
-                raise NoRealRootError(
-                    f"level {i} (E = {e[i]:g}): {err}",
-                    alpha=alpha, b=b_i, level=i,
-                ) from err
-        raw = (x * z_qa) ** recovery_exp
-        p_new = raw / raw.sum()
-        p_next = (1.0 - damping) * p + damping * p_new
-        delta = float(np.max(np.abs(p_next - p)))
-        p = p_next
-        if delta < step_tol:
-            converged = True
-            break
-    solution = _deformed_solution(p, e, q, alpha, omega, iterations, converged,
-                                  renyi=renyi)
-    if not converged:
-        raise NonConvergenceError(
-            f"no convergence after {max_iter} sweeps (last update {delta:.3g})",
-            solution=solution,
-        )
-    return solution
+    if target_mean is not None:
+        return _solve_for_target(fam, float(target_mean), max_iter)
+    omega = float(omega)
+    if not math.isfinite(omega):
+        raise DomainError("omega must be finite")
+    if isinstance(fam, _Gibbs):
+        return _certify(fam, fam.level_map(omega * fam.e), omega, 0, True)
+    return _fixed_point(fam, omega, max_iter)
 
 
-def _deformed_solution(p, e, q, alpha, omega, iterations, converged, *,
-                       renyi: bool) -> MaxEntSolution:
-    q_alpha = transform(q, alpha)
-    mean, z_q = _escort_mean_raw(p, e, q)
-    z_qa = _partition(p, q_alpha)
-    prefactor = q_alpha / (1.0 - q_alpha)
-    if renyi:
-        lead = prefactor / z_qa * p ** (q_alpha - 1.0)
-        phi = prefactor
-    else:
-        lead = prefactor * p ** (q_alpha - 1.0)
-        phi = prefactor * z_qa
-    grad_constraint = q * omega * (e - mean) / z_q * p ** (q - 1.0)
-    res = float(np.max(np.abs(lead - phi - grad_constraint)))
+def _certify(fam, p: np.ndarray, omega: float, iterations: int,
+             converged: bool) -> MaxEntSolution:
+    """The solution at p with its stationarity residual at this omega."""
+    e = fam.e
+    weights = p**fam.q
+    # Z_1 is the normalization itself.
+    z_q = 1.0 if fam.q == 1.0 else float(np.sum(weights))
+    mean = float(np.dot(weights, e)) / z_q
+    free, phi, z_q_alpha = fam.free_gradient(p)
+    constraint = fam.q * omega * (e - mean) / z_q * p ** (fam.q - 1.0)
     return MaxEntSolution(
         probs=p,
-        z_q=PartitionSum(z_q, q),
-        z_q_alpha=PartitionSum(z_qa, q_alpha),
+        z_q=PartitionSum(z_q, fam.q),
+        z_q_alpha=z_q_alpha,
         phi=phi,
         escort_mean=mean,
-        stationarity_residual=res,
+        stationarity_residual=float(np.max(np.abs(free - constraint))),
         iterations=iterations,
         converged=converged,
         omega=omega,
     )
 
 
-def _shannon_limit_fixed_point(e, q, omega, max_iter, damping,
-                               step_tol) -> MaxEntSolution:
-    if max_iter < 1:
-        raise DomainError("max_iter must be >= 1")
-    n = e.size
-    p = _uniform(n)
-    converged = False
-    iterations = 0
+def _fixed_point(fam, omega: float, max_iter: int) -> MaxEntSolution:
+    """Damped iteration of the level map from the uniform distribution."""
+    sol = _certify(fam, _uniform(fam.e.size), omega, 0, False)
     for iterations in range(1, max_iter + 1):
-        s1 = float(-np.sum(p * np.log(p)))
-        mean, z_q = _escort_mean_raw(p, e, q)
-        u = (q - 1.0) * q * math.exp(-(q - 1.0) * s1) * omega * (e - mean) / z_q
-        w = np.empty(n)
-        for i in range(n):
-            try:
-                w[i] = lambert_w(u[i])
-            except DomainError as err:
-                raise NoRealRootError(
-                    f"level {i} (E = {e[i]:g}): Lambert W argument "
-                    f"{u[i]:g} below -1/e",
-                    b=float(u[i]), level=i,
-                ) from err
-        raw = np.exp(-s1 - w / (q - 1.0))
-        p_new = raw / raw.sum()
-        p_next = (1.0 - damping) * p + damping * p_new
-        delta = float(np.max(np.abs(p_next - p)))
-        p = p_next
-        if delta < step_tol:
-            converged = True
-            break
-    solution = _shannon_limit_solution(p, e, q, omega, iterations, converged)
-    if not converged:
-        raise NonConvergenceError(
-            f"no convergence after {max_iter} sweeps (last update {delta:.3g})",
-            solution=solution,
-        )
-    return solution
-
-
-def _shannon_limit_solution(p, e, q, omega, iterations, converged) -> MaxEntSolution:
-    s1 = float(-np.sum(p * np.log(p)))
-    mean, z_q = _escort_mean_raw(p, e, q)
-    res = float(np.max(np.abs(
-        np.log(p) + s1 + q * omega * (e - mean) / z_q * p ** (q - 1.0)
-    )))
-    return MaxEntSolution(
-        probs=p,
-        z_q=PartitionSum(z_q, q),
-        z_q_alpha=PartitionSum(1.0, 1.0),
-        phi=s1 - 1.0,
-        escort_mean=mean,
-        stationarity_residual=res,
-        iterations=iterations,
-        converged=converged,
-        omega=omega,
+        lam = omega * fam.per_omega(sol.probs, sol.z_q.z)
+        p_map = fam.level_map(lam * (fam.e - sol.escort_mean))
+        p = (1.0 - DAMPING) * sol.probs + DAMPING * p_map
+        sol = _certify(fam, p, omega, iterations, False)
+        if sol.stationarity_residual <= STOP_RESIDUAL:
+            return replace(sol, converged=True)
+    raise NonConvergenceError(
+        f"no convergence after {max_iter} sweeps "
+        f"(residual {sol.stationarity_residual:.3g})",
+        solution=sol,
     )
 
 
-def _gibbs_solution(e: np.ndarray, omega: float) -> MaxEntSolution:
-    """Closed-form Boltzmann-Gibbs solution for the q -> 1 branch."""
-    logits = -omega * e
-    logits -= logits.max()
-    weights = np.exp(logits)
-    p = weights / weights.sum()
-    s1 = float(-np.sum(p * np.log(p)))
-    mean = float(np.dot(p, e))
-    res = float(np.max(np.abs(np.log(p) + s1 + omega * (e - mean))))
-    return MaxEntSolution(
-        probs=p,
-        z_q=PartitionSum(1.0, 1.0),
-        z_q_alpha=PartitionSum(1.0, 1.0),
-        phi=s1 - 1.0,
-        escort_mean=mean,
-        stationarity_residual=res,
-        iterations=0,
-        converged=True,
-        omega=omega,
-    )
-
-
-def _solve_for_target(solve_at, e, target, bracket) -> MaxEntSolution:
-    """Outer bisection over omega until the escort mean hits the target."""
+def _solve_for_target(fam, target: float, max_iter: int) -> MaxEntSolution:
+    """Brent root find in lambda for the escort mean, with m pinned to the target."""
     if not math.isfinite(target):
         raise DomainError("target mean must be finite")
-    if target < e.min() or target > e.max():
+    e = fam.e
+    de = e - target
+    if not np.any(de):
+        return _certify(fam, _uniform(e.size), 0.0, 0, True)
+    if not de.min() < 0.0 < de.max():
         raise DomainError(
-            f"target mean {target:g} outside the spectrum range "
-            f"[{e.min():g}, {e.max():g}]"
+            f"target mean {target:g} outside the attainable range "
+            f"({e.min():g}, {e.max():g}) of the spectrum"
         )
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (lo < hi):
-        raise DomainError(f"invalid omega bracket {bracket!r}")
+    b_min, b_max = fam.b_range
+    lo = max(b_max / de.min(), b_min / de.max())
+    hi = min(b_max / de.max(), b_min / de.min())
+    maps: dict[float, np.ndarray] = {}
 
-    def attempt(w: float) -> MaxEntSolution | None:
-        try:
-            return solve_at(w)
-        except (NoRealRootError, NonConvergenceError):
-            return None
+    def level_map(lam: float) -> np.ndarray:
+        if lam not in maps:
+            maps[lam] = fam.level_map(np.clip(lam * de, b_min, b_max))
+        return maps[lam]
 
-    # Omega = 0 always solves (uniform), so infeasible endpoints are pulled
-    # geometrically toward 0 until the solver succeeds there.
-    sol_lo = attempt(lo)
-    for _ in range(200):
-        if sol_lo is not None or lo == 0.0:
-            break
-        lo *= 0.5
-        sol_lo = attempt(lo)
-    sol_hi = attempt(hi)
-    for _ in range(200):
-        if sol_hi is not None or hi == 0.0:
-            break
-        hi *= 0.5
-        sol_hi = attempt(hi)
-    if sol_lo is None or sol_hi is None:
-        raise NonConvergenceError(
-            "no feasible omega endpoint found while shrinking the bracket toward 0"
-        )
-    g_lo = sol_lo.escort_mean - target
-    g_hi = sol_hi.escort_mean - target
-    if g_lo == 0.0:
-        return sol_lo
-    if g_hi == 0.0:
-        return sol_hi
-    if g_lo * g_hi > 0.0:
-        raise DomainError(
-            f"target mean {target:g} not bracketed: escort mean spans "
-            f"[{min(sol_lo.escort_mean, sol_hi.escort_mean):g}, "
-            f"{max(sol_lo.escort_mean, sol_hi.escort_mean):g}] "
-            f"over omega in [{lo:g}, {hi:g}]"
-        )
-    best = sol_lo if abs(g_lo) < abs(g_hi) else sol_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        sol_mid = solve_at(mid)
-        g_mid = sol_mid.escort_mean - target
-        if abs(g_mid) < abs(best.escort_mean - target):
-            best = sol_mid
-        if g_mid == 0.0:
-            break
-        if g_lo * g_mid < 0.0:
-            hi = mid
+    def gap(lam: float) -> float:
+        weights = level_map(lam) ** fam.q
+        return float(np.dot(weights, de)) / float(np.sum(weights))
+
+    scale = 1.0 / float(np.max(np.abs(de)))
+    unbounded = math.isinf(hi)
+    if unbounded:
+        lo, hi = -scale, scale
+    g_lo, g_hi = gap(lo), gap(hi)
+    # An unbounded interval grows by doubling the end on the target's side
+    # until the gap changes sign, stops moving or overflows.
+    while unbounded and g_lo * g_hi > 0.0 and g_lo != g_hi and math.isfinite(hi - lo):
+        if (g_hi > g_lo) == (g_lo > 0.0):
+            lo *= 2.0
+            g_lo = gap(lo)
         else:
-            lo, g_lo = mid, g_mid
-        if abs(hi - lo) <= 1e-13 * max(1.0, abs(lo), abs(hi)):
-            break
-    return best
+            hi *= 2.0
+            g_hi = gap(hi)
+    if not g_lo * g_hi <= 0.0:
+        raise DomainError(
+            f"target mean {target:g} is not attainable: with every level's root "
+            f"real, the escort mean at this target spans only "
+            f"[{target + min(g_lo, g_hi):.17g}, {target + max(g_lo, g_hi):.17g}]"
+        )
+    lam, info = brentq(gap, lo, hi, xtol=1e-16 * scale, maxiter=max_iter,
+                       full_output=True, disp=False)
+    p = level_map(lam)
+    omega = lam / fam.per_omega(p, _partition(p, fam.q))
+    sol = _certify(fam, p, omega, info.iterations, info.converged)
+    if not info.converged:
+        raise NonConvergenceError(
+            f"no convergence after {max_iter} root-find iterations in lambda",
+            solution=sol,
+        )
+    return sol
 
 
 def partition_bound_check(probs, q: float) -> tuple[float, float]:

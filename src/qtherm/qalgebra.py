@@ -12,8 +12,9 @@ Operators (all reduce to the ordinary ones as q -> 1):
 The operators are not distributive, but each plain identity has a rescaled
 counterpart that trades q for q_alpha = 1 + (q-1)/alpha, e.g.
 alpha*(x (+)_q y) = (alpha*x) (+)_{q_alpha} (alpha*y) and
-(exp_q x)^alpha = exp_{q_alpha}(alpha*x).  The ``dist_*`` and ``*_scaling``
-helpers evaluate both sides of those identities independently.
+(exp_q x)^alpha = exp_{q_alpha}(alpha*x).  ``scaling_laws`` defines both
+sides of the six identities once; the ``dist_*`` and ``*_scaling`` helpers
+and the ``algebra-check`` command evaluate each side independently.
 """
 
 from __future__ import annotations
@@ -147,48 +148,64 @@ def _bracket_power(bracket: float, q: float, *, cutoff: bool, what: str) -> floa
 
 # --- generalized distributive and scaling identities -------------------------
 #
-# Each helper returns (lhs, rhs) evaluated along independent paths; callers
+# Each law is a pair of sides evaluated along independent paths; callers
 # compare them (the library itself asserts nothing, so that a "domain
 # mismatch" on one side can be observed rather than masked).
 
 
+def scaling_laws(x: float, y: float, q: float, alpha: float) -> dict:
+    """The six rescaled laws at one point, as name -> (lhs, rhs) thunks.
+
+    Calling a side evaluates it on its own, so one side may raise while the
+    other returns.  The exp and log laws use x only.
+    """
+    q_alpha = transform(q, alpha)
+    return {
+        "add": (lambda: alpha * q_add(x, y, q),
+                lambda: q_add(alpha * x, alpha * y, q_alpha)),
+        "subtract": (lambda: alpha * q_sub(x, y, q),
+                     lambda: q_sub(alpha * x, alpha * y, q_alpha)),
+        "multiply": (lambda: q_mul(x, y, q) ** alpha,
+                     lambda: q_mul(x**alpha, y**alpha, q_alpha)),
+        "divide": (lambda: q_div(x, y, q) ** alpha,
+                   lambda: q_div(x**alpha, y**alpha, q_alpha)),
+        "exp-scaling": (lambda: q_exp(x, q) ** alpha,
+                        lambda: q_exp(alpha * x, q_alpha)),
+        "log-scaling": (lambda: alpha * q_log(x, q),
+                        lambda: q_log(x**alpha, q_alpha)),
+    }
+
+
+def _both_sides(law: str, *point: float) -> tuple[float, float]:
+    lhs, rhs = scaling_laws(*point)[law]
+    return lhs(), rhs()
+
+
 def dist_add(x: float, y: float, q: float, alpha: float) -> tuple[float, float]:
     """Both sides of alpha*(x (+)_q y) = (alpha*x) (+)_{q_alpha} (alpha*y)."""
-    lhs = alpha * q_add(x, y, q)
-    rhs = q_add(alpha * x, alpha * y, transform(q, alpha))
-    return lhs, rhs
+    return _both_sides("add", x, y, q, alpha)
 
 
 def dist_sub(x: float, y: float, q: float, alpha: float) -> tuple[float, float]:
     """Both sides of alpha*(x (-)_q y) = (alpha*x) (-)_{q_alpha} (alpha*y)."""
-    lhs = alpha * q_sub(x, y, q)
-    rhs = q_sub(alpha * x, alpha * y, transform(q, alpha))
-    return lhs, rhs
+    return _both_sides("subtract", x, y, q, alpha)
 
 
 def dist_mul(x: float, y: float, q: float, alpha: float) -> tuple[float, float]:
     """Both sides of (x (*)_q y)^alpha = (x^alpha) (*)_{q_alpha} (y^alpha)."""
-    lhs = q_mul(x, y, q) ** alpha
-    rhs = q_mul(x**alpha, y**alpha, transform(q, alpha))
-    return lhs, rhs
+    return _both_sides("multiply", x, y, q, alpha)
 
 
 def dist_div(x: float, y: float, q: float, alpha: float) -> tuple[float, float]:
     """Both sides of (x (/)_q y)^alpha = (x^alpha) (/)_{q_alpha} (y^alpha)."""
-    lhs = q_div(x, y, q) ** alpha
-    rhs = q_div(x**alpha, y**alpha, transform(q, alpha))
-    return lhs, rhs
+    return _both_sides("divide", x, y, q, alpha)
 
 
 def exp_scaling(x: float, q: float, alpha: float) -> tuple[float, float]:
     """Both sides of (exp_q x)^alpha = exp_{q_alpha}(alpha*x)."""
-    lhs = q_exp(x, q) ** alpha
-    rhs = q_exp(alpha * x, transform(q, alpha))
-    return lhs, rhs
+    return _both_sides("exp-scaling", x, x, q, alpha)
 
 
 def log_scaling(x: float, q: float, alpha: float) -> tuple[float, float]:
     """Both sides of alpha*log_q(x) = log_{q_alpha}(x^alpha) for x > 0."""
-    lhs = alpha * q_log(x, q)
-    rhs = q_log(x**alpha, transform(q, alpha))
-    return lhs, rhs
+    return _both_sides("log-scaling", x, x, q, alpha)

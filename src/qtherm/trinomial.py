@@ -6,13 +6,15 @@ it carries the probabilities of the rescaled MaxEnt problem.  Dispatch:
 * alpha = 1:    x = 1/(1 - b)                       (geometric series)
 * alpha = 1/2:  quadratic in sqrt(x)
 * alpha = 2:    x = 2/(1 + sqrt(1 - 4b))            (stable minus branch)
-* otherwise:    branch-root power series inside 0.9x its convergence
-                radius, else a safeguarded bracketed solve.
+* otherwise:    a bracketed Brent solve over a closed-form bracket.
 
 For alpha > 1 the branch ends in a double root at x = alpha/(alpha - 1)
 when b reaches (alpha-1)^(alpha-1)/alpha^alpha; beyond that there is no
 real root and ``NoRealRootError`` is raised.  Every returned root is
 polished until |1 - x + b*x^alpha| <= 1e-12.
+
+The branch-root power series (``trinomial_series``) is the paper's result;
+it serves as a test oracle and is not on the solve path.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from scipy.special import gammaln, gammasgn
 from .errors import DivergentSeriesError, DomainError, NoRealRootError
 
 RESIDUAL_TOL = 1e-12
-# Fraction of the series radius below which the series is trusted.
-SERIES_SAFETY = 0.9
 
 
 def residual(alpha: float, b: float, x: float) -> float:
@@ -41,13 +41,16 @@ def series_radius(alpha: float) -> float:
     |1-alpha|^(alpha-1) / alpha^alpha, with the limit 1 as alpha -> 1.
     For alpha > 1 this coincides with the largest b admitting a real
     branch root, so the series converges exactly while the root exists.
+    Evaluated in log space, as exp((alpha-1)*log|1-1/alpha| - log alpha),
+    so it neither overflows for large alpha nor loses digits near 1/(e*alpha).
     """
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"series radius needs alpha > 0, got {alpha!r}")
     if alpha == 1.0:
         return 1.0
-    return abs(alpha - 1.0) ** (alpha - 1.0) / alpha**alpha
+    log_ratio = math.log1p(-1.0 / alpha) if alpha > 1.0 else math.log(1.0 / alpha - 1.0)
+    return math.exp((alpha - 1.0) * log_ratio - math.log(alpha))
 
 
 def series_coefficient(alpha: float, n: int) -> float:
@@ -163,11 +166,15 @@ def solve_trinomial(alpha: float, b: float) -> float:
 
 
 def _solve_generic(alpha: float, b: float) -> float:
-    if alpha > 0.0 and abs(b) <= SERIES_SAFETY * series_radius(alpha):
-        x, _ = trinomial_series(alpha, b, n_max=600, tol=1e-16)
-        return _polish(alpha, b, x)
     lo, hi = _bracket(alpha, b)
-    x = brentq(lambda t: residual(alpha, b, t), lo, hi, xtol=1e-15, maxiter=200)
+    if lo == hi:
+        return lo
+    # A negligible absolute tolerance leaves the relative one in charge, so
+    # roots far below 1 (b << 0) keep their digits.
+    x = brentq(lambda t: residual(alpha, b, t), lo, hi, xtol=1e-300, maxiter=200)
+    if x <= 0.0:
+        raise NoRealRootError(f"branch root underflows to 0 for alpha = {alpha:g}, "
+                              f"b = {b:g}", alpha=alpha, b=b)
     return _polish(alpha, b, x)
 
 
@@ -180,12 +187,15 @@ def _bracket(alpha: float, b: float) -> tuple[float, float]:
             # smaller of the two crossings (the other diverges as b -> 0).
             x_min = (1.0 / (alpha * b)) ** (1.0 / (alpha - 1.0))
             f_min = residual(alpha, b, x_min)
-            if f_min > 0.0:
+            if f_min > 0.0 and b > series_radius(alpha):
                 raise NoRealRootError(
                     f"no real branch root: b = {b:g} beyond the critical value "
                     f"{series_radius(alpha):g} for alpha = {alpha:g}",
                     alpha=alpha, b=b,
                 )
+            if f_min >= 0.0:
+                # b is the critical value up to rounding: the double root.
+                return x_min, x_min
             return 1.0, x_min
         hi = 2.0
         for _ in range(300):
@@ -220,7 +230,8 @@ def _polish(alpha: float, b: float, x: float) -> float:
         if fp == 0.0 or not math.isfinite(fp):
             break
         step = f / fp
-        if not math.isfinite(step):
+        # a step off the positive axis would leave the real branch
+        if not (math.isfinite(step) and x - step > 0.0):
             break
         x -= step
     return x

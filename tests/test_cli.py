@@ -220,6 +220,14 @@ class TestMaxentCommand:
         assert payload["Z_q_alpha"] == 1.0
         assert payload["residual"] <= 1e-8
 
+    def test_large_alpha_solves(self, runner, tmp_path):
+        path = _write(tmp_path, "e.csv", "E\n0\n0.5\n1\n1.5\n2\n")
+        result = runner.invoke(cli, [
+            "maxent", "--input", path, "--q", "1.2", "--alpha", "1000",
+            "--omega", "0.3"])
+        assert result.exit_code == 0
+        assert _payload(result)["residual"] <= 1e-8
+
     def test_renyi_functional(self, runner, tmp_path):
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
         result = runner.invoke(cli, [

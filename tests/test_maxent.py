@@ -61,6 +61,16 @@ class TestSolveMaxent:
             assert sol.probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(sol.probs > 0.0)
 
+    @pytest.mark.parametrize("e,q,alpha,omega", [
+        (np.linspace(0.0, 2.0, 3000), 0.8, 0.5, 0.3),
+        (np.linspace(0.0, 2.0, 3), 0.8, 0.7, 8.0),
+    ])
+    def test_converged_means_certified(self, e, q, alpha, omega):
+        # the iteration stops on the residual itself, at any size n
+        sol = solve_maxent(e, q, alpha, omega)
+        assert sol.converged
+        assert sol.stationarity_residual <= 1e-8
+
     @pytest.mark.parametrize("q", [0.8, 1.2])
     def test_alpha_one_is_q_exponential(self, q):
         # membership in the q-exponential family: p^(1-q) affine in E
@@ -126,8 +136,7 @@ class TestTargetMeanMode:
         assert np.max(np.abs(again.probs - sol.probs)) <= 1e-9
 
     def test_default_bracket_survives_infeasible_endpoints(self):
-        # +/-1e3 is far outside the real-root region at alpha = 2; the
-        # endpoints shrink toward 0 until feasible
+        # near the edge of the real-root region at alpha = 2
         sol = solve_maxent(E3, 1.2, 2.0, target_mean=0.9)
         assert sol.escort_mean == pytest.approx(0.9, abs=1e-9)
 
@@ -138,6 +147,43 @@ class TestTargetMeanMode:
     def test_rejects_target_outside_spectrum(self):
         with pytest.raises(DomainError):
             solve_maxent(E3, 1.2, 2.0, target_mean=2.5)
+
+    @pytest.mark.parametrize("solve,target", [
+        # refused by an omega search whose bracket had shrunk
+        (lambda e, t: solve_maxent_shannon_limit(e, 1.3, target_mean=t), 0.6),
+        (lambda e, t: solve_maxent(e, 0.8, 1.5, target_mean=t), 0.6),
+        # unbounded multiplier interval (alpha < 1), open edge (alpha = 1)
+        (lambda e, t: solve_maxent_renyi(e, 0.8, 0.5, target_mean=t), 0.05),
+        (lambda e, t: solve_maxent(e, 1.2, 1.0, target_mean=t), 1.95),
+    ])
+    def test_attainable_target_solves(self, solve, target):
+        sol = solve(np.linspace(0.0, 2.0, 30), target)
+        assert sol.converged
+        assert sol.escort_mean == pytest.approx(target, abs=1e-12)
+        assert sol.stationarity_residual <= 1e-8
+
+    @pytest.mark.parametrize("solve,match", [
+        # the Gibbs weights reach the spectrum's ends only as omega -> inf
+        (lambda: solve_maxent(E3, 1.0, 2.0, target_mean=0.0), r"\(0, 2\)"),
+        # at alpha = 2 every b stays at most 1/4, which keeps the mean off 0.2
+        (lambda: solve_maxent(E3, 0.8, 2.0, target_mean=0.2), r"\[0\.218"),
+    ])
+    def test_target_at_or_beyond_attainable_edge(self, solve, match):
+        with pytest.raises(DomainError, match=match):
+            solve()
+
+    def test_degenerate_spectrum_at_its_level(self):
+        sol = solve_maxent(np.array([1.5, 1.5, 1.5]), 1.2, 2.0, target_mean=1.5)
+        assert sol.probs == pytest.approx([1 / 3] * 3, abs=1e-15)
+        assert sol.omega == 0.0
+        assert sol.stationarity_residual <= 1e-12
+
+    def test_non_convergence_carries_last_iterate(self):
+        with pytest.raises(NonConvergenceError) as excinfo:
+            solve_maxent(E3, 1.2, 2.0, target_mean=0.6, max_iter=2)
+        sol = excinfo.value.solution
+        assert not sol.converged
+        assert sol.iterations == 2
 
 
 class TestShannonLimit:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,10 +116,16 @@ class TestSolveTrinomial:
         assert excinfo.value.b == 0.2
 
     def test_near_critical_b_still_solves(self):
-        # beyond the 0.9 series gate but inside the real-root region
+        # close to the critical b, still inside the real-root region
         b = 0.9999 * series_radius(3.0)
         x = solve_trinomial(3.0, b)
         assert abs(residual(3.0, b, x)) <= 1e-12
+
+    def test_tiny_root_keeps_relative_accuracy(self):
+        # the root 64^(-10) ~ 9e-19 lies far below any absolute tolerance
+        x = solve_trinomial(0.1, -64.0)
+        assert x == pytest.approx(64.0**-10.0, rel=1e-3)
+        assert abs(residual(0.1, -64.0, x)) <= 1e-12
 
     def test_rejects_zero_alpha(self):
         with pytest.raises(DomainError):
@@ -183,6 +190,9 @@ class TestSeries:
         assert series_radius(2.0) == pytest.approx(0.25, rel=1e-15)
         assert series_radius(0.5) == pytest.approx(2.0, rel=1e-15)
         assert series_radius(3.0) == pytest.approx(4.0 / 27.0, rel=1e-15)
+        # 999^999/1000^1000 overflows a direct float evaluation
+        assert series_radius(1000.0) == pytest.approx(
+            float(Fraction(999**999, 1000**1000)), rel=1e-14)
 
     def test_radius_matches_coefficient_growth(self):
         # re-derived bound: |c_{n+1}/c_n| -> 1/radius by the ratio test
@@ -195,10 +205,14 @@ class TestSeries:
     def test_radius_is_real_root_boundary_above_one(self):
         # for alpha > 1 the series radius equals the critical b where the
         # branch root merges into a double root at x = alpha/(alpha - 1)
-        for alpha in (1.5, 2.0, 3.0):
+        for alpha in (1.1, 1.5, 2.0, 3.0, 7.0):
             b_c = series_radius(alpha)
             x_c = alpha / (alpha - 1.0)
             assert abs(residual(alpha, b_c, x_c)) <= 1e-12
+            # at b_c itself the branch root is the double root
+            x = solve_trinomial(alpha, b_c)
+            assert x == pytest.approx(x_c, rel=1e-7)
+            assert abs(residual(alpha, b_c, x)) <= 1e-12
             with pytest.raises(NoRealRootError):
                 solve_trinomial(alpha, b_c * (1.0 + 1e-6))
 
