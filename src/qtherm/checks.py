@@ -24,11 +24,11 @@ from .maxent import (
     solve_maxent_shannon_limit,
 )
 from .trinomial import (
-    lambert_w,
+    lambert_w_array,
     residual as trinomial_residual,
     series_coefficient,
     series_radius,
-    solve_trinomial,
+    solve_trinomial_array,
     trinomial_series,
 )
 
@@ -384,26 +384,26 @@ def run_maxent_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
     continuity_ok = True
     n_grid = 0
     for alpha, grid in _B_GRIDS.items():
-        prev_x = None
-        for b in grid:
-            x = solve_trinomial(alpha, float(b))
-            worst_res = max(worst_res, abs(trinomial_residual(alpha, float(b), x)))
-            if prev_x is not None:
-                continuity_ok &= abs(x - prev_x) <= 60.0 * (grid[1] - grid[0])
-            prev_x = x
-            n_grid += 1
-        continuity_ok &= abs(solve_trinomial(alpha, 1e-9) - 1.0) <= 1e-8
+        # the last entry checks that the branch starts at x(0) = 1
+        x = solve_trinomial_array(alpha, np.append(grid, 1e-9))
+        x, x_near_zero = x[:-1], x[-1]
+        worst_res = max(worst_res,
+                        float(np.max(np.abs(trinomial_residual(alpha, grid, x)))))
+        continuity_ok &= bool(np.all(np.abs(np.diff(x)) <= 60.0 * (grid[1] - grid[0])))
+        continuity_ok &= bool(abs(x_near_zero - 1.0) <= 1e-8)
+        n_grid += grid.size
     results.append(_worst("maxent", "trinomial back-substitution", worst_res,
                           BACKSUB_TOL, n_grid))
     results.append(CheckResult("maxent", "root branch continuous with x(0) = 1",
                                continuity_ok, f"{n_grid} grid points"))
 
     worst_series = 0.0
+    b_series = np.linspace(-0.2, 0.2, 21)
     for alpha in (0.5, 1.0, 2.0):
-        for b in np.linspace(-0.2, 0.2, 21):
+        closed = solve_trinomial_array(alpha, b_series)
+        for b, x in zip(b_series, closed):
             x_series, _ = trinomial_series(alpha, float(b))
-            worst_series = max(worst_series,
-                               abs(x_series - solve_trinomial(alpha, float(b))))
+            worst_series = max(worst_series, abs(x_series - x))
     results.append(_worst("maxent", "series matches closed forms", worst_series,
                           SERIES_MATCH_TOL, 63))
 
@@ -417,11 +417,10 @@ def run_maxent_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
                                catalan_ok, "n = 1..10, integer identity"))
 
     xs = np.geomspace(1e-6, 1e6 + math.exp(-1.0), 1000) - math.exp(-1.0)
-    worst_w = 0.0
-    for x in xs:
-        w = lambert_w(float(x))
-        worst_w = max(worst_w, abs(w * math.exp(w) - x) / max(1.0, abs(x)))
-    w_edges_ok = lambert_w(0.0) == 0.0 and abs(lambert_w(math.e) - 1.0) <= 1e-14
+    w = lambert_w_array(xs)
+    worst_w = float(np.max(np.abs(w * np.exp(w) - xs) / np.maximum(1.0, np.abs(xs))))
+    w_zero, w_e = lambert_w_array([0.0, math.e])
+    w_edges_ok = bool(w_zero == 0.0 and abs(w_e - 1.0) <= 1e-14)
     results.append(_worst("maxent", "Lambert W back-substitution", worst_w,
                           LAMBERT_TOL, len(xs)))
     results.append(CheckResult("maxent", "Lambert W anchors W(0) = 0, W(e) = 1",

@@ -22,7 +22,8 @@ builder certifies each answer by its stationarity residual:
   lambda runs over the interval where every level keeps a real root (b_i up
   to (alpha-1)^(alpha-1)/alpha^alpha for alpha > 1, below 1 at alpha = 1,
   from -1/e for Lambert W, unbounded otherwise); Omega follows from lambda
-  and the final p.
+  and the final p, and an answer whose residual is above 1e-9 raises
+  ``NonConvergenceError``.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from .deformation import transform
 from .entropy import PartitionSum, as_distribution, _partition_sum_raw
 from .errors import DomainError, NonConvergenceError, NoRealRootError
 from .qalgebra import Q_ONE_THRESHOLD
-from .trinomial import lambert_w, series_radius, solve_trinomial, trinomial_b
+from .trinomial import _branch_roots, _lambert_w0, series_radius, trinomial_b
 
 MAX_ITER = 10_000
 DAMPING = 0.5
-# The fixed-omega iteration stops on this certified residual, a margin below
-# the 1e-8 that a caller accepts.
+# A solve reports converged only at or below this certified residual, a
+# margin below the 1e-8 that a caller accepts; the fixed-omega iteration
+# stops on it.
 STOP_RESIDUAL = 1e-9
 
 
@@ -83,10 +85,11 @@ def solve_maxent(energies, q: float, alpha: float, omega: float | None = None, *
     ``alpha`` must be positive; q within 1e-9 of 1 routes to the
     Shannon/Gibbs closed form.
 
-    Raises ``NoRealRootError`` (with the offending level) when some level's
-    trinomial leaves its real-root region, ``NonConvergenceError``
-    (carrying the last iterate) when ``max_iter`` iterations do not settle,
-    and ``DomainError`` for a target mean outside the attainable range.
+    Raises ``NoRealRootError`` (with the first offending level) when some
+    level's trinomial leaves its real-root region, ``NonConvergenceError``
+    (carrying the last iterate) when ``max_iter`` iterations do not settle
+    or the answer does not certify, and ``DomainError`` for a target mean
+    outside the attainable range.
     """
     return _solve_deformed(energies, q, alpha, omega, target_mean, max_iter,
                            renyi=False)
@@ -150,13 +153,17 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
 # level has a real root, ``level_map(b)`` the normalized distribution of the
 # coefficients b, ``per_omega(p, z_q)`` the coupling lambda/Omega of p, and
 # ``free_gradient(p)`` the entropy part of the stationarity condition with the
-# reported phi and Z_{q_alpha}.
+# reported phi and Z_{q_alpha}.  A level map is one call of an array kernel of
+# ``trinomial`` over all levels; the branch-root kernel starts from the
+# family's previous roots (``roots``), since successive sweeps and root-find
+# probes move b only a little.
 
 class _Trinomial:
     """Tsallis and Renyi levels: 1 - x + b*x^alpha = 0, p ~ x^(alpha/(q-1))."""
 
     def __init__(self, e: np.ndarray, q: float, alpha: float, renyi: bool):
         self.e, self.q, self.alpha, self.renyi = e, q, alpha, renyi
+        self.roots = None
         self.q_alpha = transform(q, alpha)
         # q(1-q)/(q+alpha-1), raising at the rescaled-index pole q_alpha = 0
         self.coupling = trinomial_b(q, alpha, 1.0, 1.0, 1.0, 1.0)
@@ -167,16 +174,11 @@ class _Trinomial:
         self.b_range = (-math.inf, b_max)
 
     def level_map(self, b: np.ndarray) -> np.ndarray:
-        x = np.empty(b.size)
-        for i, b_i in enumerate(b):
-            try:
-                x[i] = solve_trinomial(self.alpha, b_i)
-            except NoRealRootError as err:
-                raise NoRealRootError(
-                    f"level {i} (E = {self.e[i]:g}): {err}",
-                    alpha=self.alpha, b=float(b_i), level=i,
-                ) from err
-        return _normalized(self.alpha / (self.q - 1.0) * np.log(x))
+        try:
+            self.roots = _branch_roots(self.alpha, b, self.roots)
+        except NoRealRootError as err:
+            raise _at_level(err, self.e) from err
+        return _normalized(self.alpha / (self.q - 1.0) * np.log(self.roots))
 
     def per_omega(self, p: np.ndarray, z_q: float) -> float:
         z_qa = _partition(p, self.q_alpha)
@@ -202,16 +204,10 @@ class _Lambert:
         self.e, self.q = e, q
 
     def level_map(self, b: np.ndarray) -> np.ndarray:
-        w = np.empty(b.size)
-        for i, b_i in enumerate(b):
-            try:
-                w[i] = lambert_w(b_i)
-            except DomainError as err:
-                raise NoRealRootError(
-                    f"level {i} (E = {self.e[i]:g}): Lambert W argument "
-                    f"{b_i:g} below -1/e",
-                    b=float(b_i), level=i,
-                ) from err
+        try:
+            w = _lambert_w0(b)
+        except NoRealRootError as err:
+            raise _at_level(err, self.e) from err
         return _normalized(-w / (self.q - 1.0))
 
     def per_omega(self, p: np.ndarray, z_q: float) -> float:
@@ -235,6 +231,13 @@ class _Gibbs(_Lambert):
 
     def per_omega(self, p: np.ndarray, z_q: float) -> float:
         return 1.0
+
+
+def _at_level(err: NoRealRootError, e: np.ndarray) -> NoRealRootError:
+    """The kernel's error for the first level without a root, naming it."""
+    i = err.level
+    return NoRealRootError(f"level {i} (E = {e[i]:g}): {err}",
+                           alpha=err.alpha, b=err.b, level=i)
 
 
 def _normalized(log_weights: np.ndarray) -> np.ndarray:
@@ -362,13 +365,19 @@ def _solve_for_target(fam, target: float, max_iter: int) -> MaxEntSolution:
                        full_output=True, disp=False)
     p = level_map(lam)
     omega = lam / fam.per_omega(p, _partition(p, fam.q))
-    sol = _certify(fam, p, omega, info.iterations, info.converged)
+    sol = _certify(fam, p, omega, info.iterations, False)
     if not info.converged:
         raise NonConvergenceError(
             f"no convergence after {max_iter} root-find iterations in lambda",
             solution=sol,
         )
-    return sol
+    if sol.stationarity_residual > STOP_RESIDUAL:
+        raise NonConvergenceError(
+            f"the multiplier that reaches the target does not certify: residual "
+            f"{sol.stationarity_residual:.3g} above {STOP_RESIDUAL:g}",
+            solution=sol,
+        )
+    return replace(sol, converged=True)
 
 
 def partition_bound_check(probs, q: float) -> tuple[float, float]:

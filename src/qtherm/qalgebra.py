@@ -75,7 +75,7 @@ def q_mul(x: float, y: float, q: float) -> float:
     if _is_classical(q):
         return x * y
     e = 1.0 - q
-    bracket = x**e + y**e - 1.0
+    bracket = _real_power(x, e) + _real_power(y, e) - 1.0
     return _bracket_power(bracket, q, cutoff=True, what="q-product")
 
 
@@ -93,9 +93,9 @@ def q_div(x: float, y: float, q: float) -> float:
     if _is_classical(q):
         return x / y
     e = 1.0 - q
-    bracket = x**e - y**e + 1.0
-    if bracket <= 0.0:
-        raise DomainError(f"q-division bracket is non-positive ({bracket:g})")
+    bracket = _real_power(x, e) - _real_power(y, e) + 1.0
+    if not bracket > 0.0:
+        raise DomainError(f"q-division bracket is not positive ({bracket:g})")
     return _bracket_power(bracket, q, cutoff=False, what="q-quotient")
 
 
@@ -125,11 +125,19 @@ def q_log(x: float, q: float) -> float:
     if _is_classical(q):
         return math.log(x)
     e = 1.0 - q
+    return (_real_power(x, e) - 1.0) / e
+
+
+def _real_power(base: float, alpha: float) -> float:
+    """base**alpha over the reals: infinite where it overflows or meets the
+    pole of a negative power at 0, ``DomainError`` where it is complex."""
     try:
-        power = x**e
-    except OverflowError:
-        power = math.inf
-    return (power - 1.0) / e
+        value = base**alpha
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+    if isinstance(value, complex):
+        raise DomainError(f"{base:g}**{alpha:g} is not real")
+    return value
 
 
 def _bracket_power(bracket: float, q: float, *, cutoff: bool, what: str) -> float:
@@ -157,22 +165,27 @@ def scaling_laws(x: float, y: float, q: float, alpha: float) -> dict:
     """The six rescaled laws at one point, as name -> (lhs, rhs) thunks.
 
     Calling a side evaluates it on its own, so one side may raise while the
-    other returns.  The exp and log laws use x only.
+    other returns.  The exp and log laws use x only.  Powers follow
+    ``_real_power``.
     """
     q_alpha = transform(q, alpha)
+
+    def power(base: float) -> float:
+        return _real_power(base, alpha)
+
     return {
         "add": (lambda: alpha * q_add(x, y, q),
                 lambda: q_add(alpha * x, alpha * y, q_alpha)),
         "subtract": (lambda: alpha * q_sub(x, y, q),
                      lambda: q_sub(alpha * x, alpha * y, q_alpha)),
-        "multiply": (lambda: q_mul(x, y, q) ** alpha,
-                     lambda: q_mul(x**alpha, y**alpha, q_alpha)),
-        "divide": (lambda: q_div(x, y, q) ** alpha,
-                   lambda: q_div(x**alpha, y**alpha, q_alpha)),
-        "exp-scaling": (lambda: q_exp(x, q) ** alpha,
+        "multiply": (lambda: power(q_mul(x, y, q)),
+                     lambda: q_mul(power(x), power(y), q_alpha)),
+        "divide": (lambda: power(q_div(x, y, q)),
+                   lambda: q_div(power(x), power(y), q_alpha)),
+        "exp-scaling": (lambda: power(q_exp(x, q)),
                         lambda: q_exp(alpha * x, q_alpha)),
         "log-scaling": (lambda: alpha * q_log(x, q),
-                        lambda: q_log(x**alpha, q_alpha)),
+                        lambda: q_log(power(x), q_alpha)),
     }
 
 

@@ -1,17 +1,24 @@
 """Roots of the trinomial equation 1 - x + b*x^alpha = 0.
 
 The root of interest is the positive branch continuous in b with x(0) = 1;
-it carries the probabilities of the rescaled MaxEnt problem.  Dispatch:
+it carries the probabilities of the rescaled MaxEnt problem.  One array
+kernel, ``solve_trinomial_array``, solves for a whole vector of b at once:
 
 * alpha = 1:    x = 1/(1 - b)                       (geometric series)
 * alpha = 1/2:  quadratic in sqrt(x)
 * alpha = 2:    x = 2/(1 + sqrt(1 - 4b))            (stable minus branch)
-* otherwise:    a bracketed Brent solve over a closed-form bracket.
+* otherwise:    safeguarded Newton inside closed-form brackets, from the
+                bracket end where f is convex or concave towards the root.
 
-For alpha > 1 the branch ends in a double root at x = alpha/(alpha - 1)
-when b reaches (alpha-1)^(alpha-1)/alpha^alpha; beyond that there is no
-real root and ``NoRealRootError`` is raised.  Every returned root is
-polished until |1 - x + b*x^alpha| <= 1e-12.
+A closed-form root whose defect |1 - x + b*x^alpha| is more than rounding,
+1e-15*max(1, x, |b|*x^alpha), goes through the same Newton iteration.
+
+For alpha > 1 the branch ends in a double root at x = alpha/(alpha - 1) when
+b reaches (alpha-1)^(alpha-1)/alpha^alpha; beyond that there is no real root
+and ``NoRealRootError`` is raised for the first such entry.
+``lambert_w_array`` evaluates the principal Lambert W branch (the
+alpha -> inf member) with ``scipy.special.lambertw``.  The scalar
+``solve_trinomial`` and ``lambert_w`` are thin wrappers over the two kernels.
 
 The branch-root power series (``trinomial_series``) is the paper's result;
 it serves as a test oracle and is not on the solve path.
@@ -21,12 +28,19 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
-from scipy.special import gammaln, gammasgn
+import numpy as np
+from scipy.special import gammaln, gammasgn, lambertw
 
-from .errors import DivergentSeriesError, DomainError, NoRealRootError
+from .errors import (
+    DivergentSeriesError,
+    DomainError,
+    NonConvergenceError,
+    NoRealRootError,
+    QThermError,
+)
 
-RESIDUAL_TOL = 1e-12
+# Cap on the Newton iterations of the branch-root kernel.
+_MAX_STEPS = 200
 
 
 def residual(alpha: float, b: float, x: float) -> float:
@@ -135,106 +149,163 @@ def trinomial_series(alpha: float, b: float, n_max: int = 500,
 
 def solve_trinomial(alpha: float, b: float) -> float:
     """Positive real root of 1 - x + b*x^alpha = 0 on the x(0)=1 branch."""
+    return float(solve_trinomial_array(alpha, b))
+
+
+def solve_trinomial_array(alpha: float, b) -> np.ndarray:
+    """Branch roots of 1 - x + b_i*x^alpha = 0 for every entry b_i of ``b``.
+
+    ``NoRealRootError`` names the first entry without a real branch root in
+    ``level`` (``None`` for a scalar ``b``).
+    """
+    return _branch_roots(alpha, b, None)
+
+
+def _branch_roots(alpha: float, b, x0) -> np.ndarray:
+    """Branch roots of every b_i; for generic alpha the iteration starts from
+    the roots ``x0`` of nearby coefficients when they are given.
+
+    A failure shows as a root that is not positive and finite; the first such
+    entry is reported as a scalar solve would report it.
+    """
     alpha = float(alpha)
-    b = float(b)
-    if not (math.isfinite(alpha) and math.isfinite(b)):
-        raise DomainError(f"alpha and b must be finite, got {alpha!r}, {b!r}")
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be finite, got {alpha!r}")
     if alpha == 0.0:
         raise DomainError("alpha must be nonzero")
-    if b == 0.0:
-        return 1.0
-    if alpha == 1.0:
-        if b == 1.0:
-            raise NoRealRootError("pole at b = 1 for alpha = 1", alpha=alpha, b=b)
-        if b > 1.0:
-            raise NoRealRootError(
-                f"no positive root for alpha = 1, b = {b:g} > 1", alpha=alpha, b=b
-            )
-        return _polish(alpha, b, 1.0 / (1.0 - b))
-    if alpha == 0.5:
-        u = 0.5 * (b + math.sqrt(b * b + 4.0))
-        return _polish(alpha, b, u * u)
-    if alpha == 2.0:
-        disc = 1.0 - 4.0 * b
-        if disc < 0.0:
-            raise NoRealRootError(
-                f"negative discriminant: b = {b:g} > 1/4 for alpha = 2",
-                alpha=alpha, b=b,
-            )
-        return _polish(alpha, b, 2.0 / (1.0 + math.sqrt(disc)))
-    return _solve_generic(alpha, b)
+    b = np.asarray(b, dtype=float)
+    shape = b.shape
+    b = b.ravel()
+    with np.errstate(all="ignore"):
+        if alpha == 1.0:
+            # one rounding away from the exact root: nothing to polish
+            x = 1.0 / (1.0 - b)
+        elif alpha == 0.5:
+            u = 0.5 * (b + np.sqrt(b * b + 4.0))
+            x = _refine(alpha, b, u * u)
+        elif alpha == 2.0:
+            x = _refine(alpha, b, 2.0 / (1.0 + np.sqrt(1.0 - 4.0 * b)))
+        else:
+            lo, hi, start = _brackets(alpha, b)
+            if x0 is not None:
+                start = np.minimum(np.maximum(x0, lo), hi)
+            x = _newton(alpha, b, start, lo, hi)
+    if x.size and not (x.min() > 0.0 and x.max() < math.inf):
+        raise _no_root(alpha, b, x, shape)
+    return x.reshape(shape)
 
 
-def _solve_generic(alpha: float, b: float) -> float:
-    lo, hi = _bracket(alpha, b)
-    if lo == hi:
-        return lo
-    # A negligible absolute tolerance leaves the relative one in charge, so
-    # roots far below 1 (b << 0) keep their digits.
-    x = brentq(lambda t: residual(alpha, b, t), lo, hi, xtol=1e-300, maxiter=200)
-    if x <= 0.0:
-        raise NoRealRootError(f"branch root underflows to 0 for alpha = {alpha:g}, "
-                              f"b = {b:g}", alpha=alpha, b=b)
-    return _polish(alpha, b, x)
+def _no_root(alpha: float, b: np.ndarray, x: np.ndarray, shape) -> QThermError:
+    """The error of the first entry whose root is not positive and finite."""
+    i = int(np.argmin((x > 0.0) & (x < math.inf)))
+    b_i = float(b[i])
+    if not math.isfinite(b_i):
+        return DomainError(f"b must be finite, got {b_i!r}")
+    if x[i] == 0.0:
+        why = "the branch root underflows to 0"
+    elif alpha == 1.0:
+        why = "no positive root for b >= 1, the pole of x = 1/(1 - b)"
+    elif x[i] == math.inf:
+        why = "the branch root overflows"
+    elif alpha > 1.0:
+        why = f"no real branch root beyond the critical b = {series_radius(alpha):g}"
+    else:
+        why = "no real branch root"
+    return NoRealRootError(f"{why} (alpha = {alpha:g}, b = {b_i:g})", alpha=alpha,
+                           b=b_i, level=i if shape else None)
 
 
-def _bracket(alpha: float, b: float) -> tuple[float, float]:
-    """Sign-change interval for the branch root; raises NoRealRootError."""
-    if b > 0.0:
-        # residual(1) = b > 0; look above 1 for the crossing.
-        if alpha > 1.0:
-            # Convex with a single interior minimum; the branch root is the
-            # smaller of the two crossings (the other diverges as b -> 0).
-            x_min = (1.0 / (alpha * b)) ** (1.0 / (alpha - 1.0))
-            f_min = residual(alpha, b, x_min)
-            if f_min > 0.0 and b > series_radius(alpha):
-                raise NoRealRootError(
-                    f"no real branch root: b = {b:g} beyond the critical value "
-                    f"{series_radius(alpha):g} for alpha = {alpha:g}",
-                    alpha=alpha, b=b,
-                )
-            if f_min >= 0.0:
-                # b is the critical value up to rounding: the double root.
-                return x_min, x_min
-            return 1.0, x_min
-        hi = 2.0
-        for _ in range(300):
-            if residual(alpha, b, hi) < 0.0:
-                return 1.0, hi
-            hi *= 2.0
-        raise NoRealRootError(
-            f"failed to bracket a root above 1 for alpha = {alpha:g}, b = {b:g}",
-            alpha=alpha, b=b,
-        )
-    # b < 0: residual(1) = b < 0 and residual(0+) -> 1 for alpha > 0.
-    if alpha > 0.0:
-        return 0.0, 1.0
-    lo = 0.5
-    for _ in range(300):
-        if residual(alpha, b, lo) > 0.0:
-            return lo, 1.0
-        lo *= 0.5
-    raise NoRealRootError(
-        f"failed to bracket a root below 1 for alpha = {alpha:g}, b = {b:g}",
-        alpha=alpha, b=b,
-    )
+def _defect(alpha: float, b: np.ndarray, x: np.ndarray):
+    """1 - x + b*x^alpha, b*x^alpha, and where the defect is more than rounding."""
+    bxa = b * x**alpha
+    f = (1.0 - x) + bxa
+    return f, bxa, np.abs(f) > 1e-15 * np.maximum(np.maximum(x, np.abs(bxa)), 1.0)
 
 
-def _polish(alpha: float, b: float, x: float) -> float:
-    """Newton-polish a near-root until the defect is within RESIDUAL_TOL."""
-    for _ in range(4):
-        f = residual(alpha, b, x)
-        if abs(f) <= 1e-15 * max(1.0, abs(x), abs(b) * abs(x) ** alpha):
-            break
-        fp = -1.0 + alpha * b * x ** (alpha - 1.0)
-        if fp == 0.0 or not math.isfinite(fp):
-            break
-        step = f / fp
-        # a step off the positive axis would leave the real branch
-        if not (math.isfinite(step) and x - step > 0.0):
-            break
-        x -= step
+def _refine(alpha: float, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Newton-polish the closed-form roots whose defect is more than rounding."""
+    rough = np.flatnonzero(_defect(alpha, b, x)[2])
+    if rough.size:
+        lo, hi, _ = _brackets(alpha, b[rough])
+        x[rough] = _newton(alpha, b[rough], np.minimum(np.maximum(x[rough], lo), hi),
+                           lo, hi)
     return x
+
+
+def _brackets(alpha: float, b: np.ndarray):
+    """Closed-form [lo, hi] around each branch root, and the end of it from
+    which Newton converges monotonically (f is convex or concave there).
+
+    ``lo`` is NaN where b has no branch root.
+    """
+    if alpha < 0.0:
+        # b >= 0: f is convex and decreasing, with the root in
+        # [1 + b(1+b)^alpha, 1 + b]; b < 0: f is concave with its maximum at
+        # x_m, and the branch root lies in [x_m, 1] when f(x_m) >= 0.
+        neg = b < 0.0
+        x_m = (alpha * b) ** (1.0 / (1.0 - alpha))
+        lo = np.where(neg, x_m, 1.0 + b * (1.0 + b) ** alpha)
+        hi = np.where(neg, 1.0, 1.0 + b)
+        np.copyto(lo, np.nan,
+                  where=neg & ((x_m >= 1.0) | ((1.0 - x_m) + b * x_m**alpha < 0.0)))
+        return lo, hi, np.where(neg, hi, lo)
+    # b <= 0: the root of x = 1 - |b|*x^alpha lies between 1/(1+|b|) and
+    # (1+|b|)^(-1/alpha).  b > 0: it is at least 1 + b, and at most the
+    # minimum x_m of f for alpha > 1, or (1+b)^(1/(1-alpha)) for alpha < 1.
+    pos = b > 0.0
+    c = 1.0 - b
+    lo = np.where(pos, 1.0 + b, c ** (-1.0 / min(alpha, 1.0)))
+    if alpha < 1.0:
+        hi = np.where(pos, (1.0 + b) ** (1.0 / (1.0 - alpha)), 1.0 / c)
+        over = hi == math.inf
+        if over.any():
+            # the bound overflows as alpha -> 1-; the largest float still
+            # bounds the root wherever f is not positive there, and elsewhere
+            # the root overflows too (hi stays inf)
+            big = np.finfo(float).max
+            np.copyto(hi, big, where=over & ((1.0 - big) + b * big**alpha <= 0.0))
+        return lo, hi, np.where(pos, hi, lo)
+    hi = np.where(pos, (alpha * b) ** (1.0 / (1.0 - alpha)), c ** (-1.0 / alpha))
+    f_hi = (1.0 - hi) + b * hi**alpha
+    # f(x_m) >= 0: the double root at the critical b (up to rounding), or
+    # no root beyond it
+    np.copyto(lo, hi, where=f_hi >= 0.0)
+    np.copyto(lo, np.nan, where=(f_hi > 0.0) & (b > series_radius(alpha)))
+    return lo, hi, np.where(pos, lo, hi)
+
+
+def _newton(alpha: float, b: np.ndarray, x: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton on 1 - x + b*x^alpha inside the brackets [lo, hi].
+
+    Each step moves the bracket end on the iterate's side of the root; a
+    step that leaves the bracket or is not finite bisects it geometrically.
+    An entry stops once its defect is rounding or its step is at most
+    2e-15*x, so each entry iterates as it would alone.  Overwrites x, lo
+    and hi; raises ``NonConvergenceError`` if an entry is still moving after
+    ``_MAX_STEPS`` steps.
+    """
+    moving = np.ones(x.size, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        f, bxa, rough = _defect(alpha, b, x)
+        moving &= rough
+        if not np.count_nonzero(moving):
+            return x
+        above = f < 0.0
+        np.copyto(hi, x, where=above)
+        np.copyto(lo, x, where=~above)
+        x_new = x - f / (alpha * bxa / x - 1.0)
+        wild = moving & ~((x_new > lo) & (x_new < hi))
+        if np.count_nonzero(wild):
+            np.copyto(x_new, np.sqrt(lo) * np.sqrt(hi), where=wild)
+        step = np.abs(x_new - x)
+        np.copyto(x, x_new, where=moving)
+        moving &= step > 2e-15 * x
+    i = int(np.argmax(moving))
+    raise NonConvergenceError(
+        f"no branch root after {_MAX_STEPS} Newton steps "
+        f"(alpha = {alpha:g}, b = {b[i]:g})"
+    )
 
 
 def trinomial_b(q: float, alpha: float, omega: float, delta_e: float,
@@ -266,38 +337,38 @@ _BRANCH_POINT = -math.exp(-1.0)
 
 
 def lambert_w(x: float) -> float:
-    """Principal branch W0 of the Lambert W function on [-1/e, inf).
+    """Principal branch W0 of the Lambert W function on [-1/e, inf)."""
+    return float(lambert_w_array(x))
 
-    Halley iteration from a piecewise seed (branch-point expansion below
-    -0.3, log(1+x) in the middle, asymptotic log x - log log x above e);
-    converges to |W e^W - x| <~ 1e-16 * max(1, |x|) in a handful of steps.
+
+def lambert_w_array(x) -> np.ndarray:
+    """Principal branch W0 of every entry of ``x``.
+
+    Arguments within 1e-15 below -1/e snap to the branch point, W = -1; one
+    further below raises ``DomainError``.
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"argument must be finite, got {x!r}")
-    if x < _BRANCH_POINT:
-        if x < _BRANCH_POINT - 1e-15:
-            raise DomainError(f"x = {x!r} below the branch point -1/e")
-        x = _BRANCH_POINT
-    if x == 0.0:
-        return 0.0
-    if x < -0.3:
-        p = math.sqrt(max(2.0 * (math.e * x + 1.0), 0.0))
-        w = -1.0 + p * (1.0 - p / 3.0 + 11.0 * p * p / 72.0)
-    elif x < math.e:
-        w = math.log1p(x)
-    else:
-        lx = math.log(x)
-        w = lx - math.log(lx)
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        if f == 0.0:
-            break
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        dw = f / denom
-        w -= dw
-        if abs(dw) <= 1e-16 * (1.0 + abs(w)):
-            break
-    return w
+    try:
+        return _lambert_w0(x)
+    except NoRealRootError as err:
+        raise DomainError(f"x = {err.b!r} below the branch point -1/e") from None
+
+
+def _lambert_w0(x) -> np.ndarray:
+    """W0 of every entry of ``x`` by ``scipy.special.lambertw``; an argument
+    below -1/e - 1e-15 raises ``NoRealRootError`` naming its index in
+    ``level``."""
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    x = x.ravel()
+    w = lambertw(x).real
+    if x.size and not (x.min() > _BRANCH_POINT and x.max() < math.inf):
+        bad = ~(np.isfinite(x) & (x >= _BRANCH_POINT - 1e-15))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if not math.isfinite(x[i]):
+                raise DomainError(f"argument must be finite, got {x[i]!r}")
+            raise NoRealRootError(f"Lambert W argument {x[i]:g} below -1/e",
+                                  b=float(x[i]), level=i if shape else None)
+        # the float nearest -1/e lies just below it, where scipy has no W0
+        np.copyto(w, -1.0, where=x <= _BRANCH_POINT)
+    return w.reshape(shape)

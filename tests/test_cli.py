@@ -289,6 +289,20 @@ class TestAlgebraCheckCommand:
         assert statuses["add"] == "ok"
         assert statuses["multiply"] in ("undefined", "domain-mismatch")
 
+    @pytest.mark.parametrize("x,y,q,alpha", [
+        # q_mul(x, y, q)**alpha overflows
+        ("1e300", "3", "0.2", "5"),
+        # x**alpha is complex
+        ("-2", "3", "0.5", "2.5"),
+    ])
+    def test_overflowing_or_complex_sides_are_undefined(self, runner, x, y, q, alpha):
+        result = runner.invoke(cli, ["algebra-check", "--x", x, "--y", y, "--q", q,
+                                     "--alpha", alpha])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code in range(6)
+        statuses = {row["status"] for row in _payload(result)["laws"]}
+        assert statuses <= {"ok", "undefined", "domain-mismatch"}
+
 
 class TestCheckCommand:
     def test_group_suite_passes(self, runner):

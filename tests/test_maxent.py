@@ -64,7 +64,10 @@ class TestSolveMaxent:
     @pytest.mark.parametrize("e,q,alpha,omega", [
         (np.linspace(0.0, 2.0, 3000), 0.8, 0.5, 0.3),
         (np.linspace(0.0, 2.0, 3), 0.8, 0.7, 8.0),
-    ])
+        # just below alpha = 1 the closed-form bound on the root overflows
+        (np.linspace(0.0, 2.0, 10), 1.2, 0.9999, 0.3),
+    ] + [(np.linspace(0.0, 2.0, n), 1.2, alpha, 0.3)
+         for n in (3, 3000, 30000) for alpha in (0.7, 1.5, 2.0)])
     def test_converged_means_certified(self, e, q, alpha, omega):
         # the iteration stops on the residual itself, at any size n
         sol = solve_maxent(e, q, alpha, omega)
@@ -105,6 +108,18 @@ class TestSolveMaxent:
             solve_maxent(E3, 1.2, 2.0, 50.0)
         assert excinfo.value.level is not None
         assert excinfo.value.b is not None
+
+    @pytest.mark.parametrize("solve", [
+        lambda e: solve_maxent(e, 0.8, 2.0, 50.0),
+        lambda e: solve_maxent(e, 0.8, 3.0, 50.0),
+        lambda e: solve_maxent_shannon_limit(e, 1.3, -10.0),
+    ])
+    def test_first_level_without_root_is_named(self, solve):
+        # levels 2 and 4 both leave the real-root region on the first sweep
+        with pytest.raises(NoRealRootError) as excinfo:
+            solve(np.array([0.0, 0.0, 2.0, 0.0, 2.0]))
+        assert excinfo.value.level == 2
+        assert str(excinfo.value).startswith("level 2 (E = 2): ")
 
     def test_non_convergence_carries_last_iterate(self):
         with pytest.raises(NonConvergenceError) as excinfo:
@@ -185,6 +200,15 @@ class TestTargetMeanMode:
         assert not sol.converged
         assert sol.iterations == 2
 
+    def test_uncertified_answer_raises(self):
+        # q_alpha = -1 here and omega comes out near -3e15: the stationarity
+        # terms are too large for an absolute residual of 1e-8
+        with pytest.raises(NonConvergenceError) as excinfo:
+            solve_maxent(np.linspace(0.0, 2.0, 10), 0.8, 0.1, target_mean=1e-6)
+        sol = excinfo.value.solution
+        assert not sol.converged
+        assert sol.stationarity_residual > 1e-8
+
 
 class TestShannonLimit:
     def test_free_problem_is_uniform(self):
@@ -220,6 +244,12 @@ class TestShannonLimit:
 
     def test_five_levels(self):
         sol = solve_maxent_shannon_limit(E5, 0.8, 0.3)
+        assert sol.converged
+        assert sol.stationarity_residual <= 1e-8
+
+    def test_certifies_at_any_size(self):
+        # the residual does not grow with the number of levels
+        sol = solve_maxent_shannon_limit(np.linspace(0.0, 2.0, 30000), 1.3, 0.4)
         assert sol.converged
         assert sol.stationarity_residual <= 1e-8
 

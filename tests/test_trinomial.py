@@ -4,17 +4,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
+from scipy.optimize import brentq
 
-from qtherm.errors import DivergentSeriesError, DomainError, NoRealRootError
+from qtherm import trinomial
+from qtherm.errors import (
+    DivergentSeriesError,
+    DomainError,
+    NonConvergenceError,
+    NoRealRootError,
+)
 from qtherm.trinomial import (
+    _branch_roots,
     lambert_w,
+    lambert_w_array,
     residual,
     series_coefficient,
     series_radius,
     solve_trinomial,
+    solve_trinomial_array,
     trinomial_b,
     trinomial_series,
 )
+
+ALPHAS = (0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0)
 
 
 def bisection_root(alpha, b, lo, hi=None, iterations=200):
@@ -286,3 +298,138 @@ class TestLambertW:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             lambert_w(-0.5)
+
+
+def brentq_root(alpha, b):
+    """Oracle: scipy's Brent solve on the residual over a sign change."""
+    if b == 0.0:
+        return 1.0
+    if b < 0.0:
+        lo, hi = 0.0, 1.0
+    elif alpha > 1.0:
+        lo, hi = 1.0, (1.0 / (alpha * b)) ** (1.0 / (alpha - 1.0))
+    else:
+        lo, hi = 1.0, 2.0
+        while residual(alpha, b, hi) > 0.0:
+            hi *= 2.0
+    return brentq(lambda t: residual(alpha, b, t), lo, hi, xtol=1e-300,
+                  rtol=4.0 * np.finfo(float).eps, maxiter=500)
+
+
+class TestArrayKernels:
+    def test_closed_forms(self):
+        b = np.linspace(-64.0, 0.2499, 301)
+        b = b[b != 0.0]
+        assert solve_trinomial_array(1.0, b) == pytest.approx(1.0 / (1.0 - b), rel=1e-15)
+        # the smaller root of the quadratic b*x^2 - x + 1
+        assert solve_trinomial_array(2.0, b) == pytest.approx(
+            (1.0 - np.sqrt(1.0 - 4.0 * b)) / (2.0 * b), rel=1e-13)
+        b = np.linspace(-64.0, 64.0, 301)
+        # sqrt(x) = (b + sqrt(b^2 + 4))/2, rationalized where it cancels
+        root = np.sqrt(b * b + 4.0)
+        u = np.where(b < 0.0, 2.0 / (root - b), 0.5 * (b + root))
+        assert solve_trinomial_array(0.5, b) == pytest.approx(u * u, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_against_brentq(self, alpha):
+        # up to the critical b, where the root turns double and loses half
+        # its digits; b_c itself is covered by the radius test above
+        b_top = 0.999 * series_radius(alpha) if alpha >= 1.0 else 50.0
+        b = np.linspace(-64.0, b_top, 301)
+        oracle = np.array([brentq_root(alpha, float(b_i)) for b_i in b])
+        assert solve_trinomial_array(alpha, b) == pytest.approx(oracle, rel=1e-13)
+
+    # the largest b of each alpha gives a root near 1e176 and 1e212
+    @pytest.mark.parametrize("alpha,b_top", [(0.999, 1.5), (0.9999, 1.05)])
+    def test_against_brentq_just_below_one(self, alpha, b_top):
+        # (1+b)^(1/(1-alpha)) overflows here although the root may not; the
+        # root's condition number grows like 1/(1-alpha)
+        b = np.linspace(0.01, b_top, 31)
+        oracle = np.array([brentq_root(alpha, float(b_i)) for b_i in b])
+        x = solve_trinomial_array(alpha, b)
+        assert x == pytest.approx(oracle, rel=1e-15 / (1.0 - alpha))
+        assert solve_trinomial(0.9999, 0.5) == pytest.approx(1.99986139883375, rel=1e-11)
+        # 1.5^1000 would overflow, the root 2.47e41 does not
+        assert solve_trinomial(0.999, 1.1) == pytest.approx(2.46993291800e41, rel=1e-10)
+
+    def test_newton_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(trinomial, "_MAX_STEPS", 1)
+        with pytest.raises(NonConvergenceError):
+            solve_trinomial_array(1.5, [0.1, -3.0])
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_against_series_inside_radius(self, alpha):
+        radius = series_radius(alpha)
+        b = np.linspace(-0.5 * radius, 0.5 * radius, 41)
+        series = np.array([trinomial_series(alpha, float(b_i))[0] for b_i in b])
+        assert solve_trinomial_array(alpha, b) == pytest.approx(series, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_scalar_wrapper_is_the_array_kernel(self, alpha):
+        b = np.linspace(-3.0, 0.9 * min(series_radius(alpha), 1.0), 23)
+        x = solve_trinomial_array(alpha, b)
+        assert [solve_trinomial(alpha, float(b_i)) for b_i in b] == x.tolist()
+
+    @pytest.mark.parametrize("alpha", ALPHAS + (-1.0,))
+    def test_zero_coefficient_is_exactly_one(self, alpha):
+        b = np.array([0.05, 0.0, -0.1, 0.0])
+        assert solve_trinomial_array(alpha, b)[[1, 3]].tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.7, 1.5, 3.0))
+    def test_start_roots_do_not_change_the_answer(self, alpha):
+        b = np.linspace(-5.0, 0.9 * min(series_radius(alpha), 1.0), 31)
+        cold = solve_trinomial_array(alpha, b)
+        for start in (solve_trinomial_array(alpha, 0.5 * b), np.ones_like(b),
+                      np.full_like(b, 1e3), cold[::-1].copy()):
+            assert _branch_roots(alpha, b, start) == pytest.approx(cold, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha,b", [
+        (2.0, [0.1, -0.5, 0.3, 0.0, 0.5]),
+        (3.0, [0.1, -0.5, 0.2, 0.0, 0.5]),
+        (1.0, [0.1, -0.5, 1.0, 0.0, 1.5]),
+        # roots near 3^1000, beyond the largest float
+        (0.999, [0.1, -0.5, 3.0, 0.0, 5.0]),
+    ])
+    def test_first_infeasible_level_is_reported(self, alpha, b):
+        with pytest.raises(NoRealRootError) as excinfo:
+            solve_trinomial_array(alpha, b)
+        assert excinfo.value.level == 2
+        assert excinfo.value.b == b[2]
+        assert excinfo.value.alpha == alpha
+
+    def test_scalar_error_names_no_level(self):
+        with pytest.raises(NoRealRootError) as excinfo:
+            solve_trinomial(3.0, 0.2)
+        assert excinfo.value.level is None
+
+    @pytest.mark.parametrize("alpha", (0.5, 1.0, 2.0, 1.5, 0.7))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_b_is_a_domain_error(self, alpha, bad):
+        with pytest.raises(DomainError):
+            solve_trinomial_array(alpha, [0.1, bad, 0.0])
+        with pytest.raises(DomainError):
+            solve_trinomial(alpha, bad)
+
+    def test_lambert_back_substitution(self):
+        x = np.concatenate([np.linspace(-0.36, 0.0, 50), np.geomspace(1e-300, 1e300, 200)])
+        w = lambert_w_array(x)
+        small = x <= 1.0
+        assert w[small] * np.exp(w[small]) == pytest.approx(x[small], rel=4e-16, abs=1e-300)
+        # w + log w = log x, free of the overflow of e^w
+        assert w[~small] + np.log(w[~small]) == pytest.approx(np.log(x[~small]), rel=4e-16)
+        assert np.all(np.diff(w) > 0.0)
+
+    def test_lambert_anchor_values(self):
+        ln2 = math.log(2.0)
+        x = [0.0, math.e, -ln2 / 2.0, 2.0 * ln2, 1.0, 10.0 * math.exp(10.0)]
+        expected = [0.0, 1.0, -ln2, ln2, 0.5671432904097838, 10.0]
+        assert lambert_w_array(x) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_lambert_snaps_to_branch_point(self):
+        w = lambert_w_array([-math.exp(-1.0) - 5e-16, -math.exp(-1.0), 0.0])
+        assert w.tolist() == [-1.0, -1.0, 0.0]
+        with pytest.raises(DomainError):
+            lambert_w_array([0.0, -math.exp(-1.0) - 1e-14])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                lambert_w_array([1.0, bad])
