@@ -3,6 +3,10 @@
 Each suite replays the library's mathematical invariants on freshly drawn
 random inputs and reports one result per property.  Tolerances live in
 module-level constants so a harness can tighten or corrupt them.
+
+The group and algebra suites draw their samples as arrays and evaluate each
+property in one elementwise call; the entropy suite and the partition-bound
+check loop, since the entropy functions take one distribution at a time.
 """
 
 from __future__ import annotations
@@ -57,12 +61,13 @@ class CheckResult:
     detail: str
 
 
-def _rel_gap(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+def _rel_gap(a, b):
+    """Elementwise |a - b| / max(1, |a|, |b|)."""
+    return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-def _worst(suite: str, name: str, gap: float, tol: float,
-           count: int) -> CheckResult:
+def _worst(suite: str, name: str, gaps, tol: float, count: int) -> CheckResult:
+    gap = float(np.max(gaps))
     return CheckResult(suite, name, gap <= tol,
                        f"{count} samples, worst gap {gap:.3g} (tol {tol:.3g})")
 
@@ -71,189 +76,122 @@ def _worst(suite: str, name: str, gap: float, tol: float,
 
 def run_group_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    results: list[CheckResult] = []
+    q = rng.uniform(-2.0, 4.0, samples)
+    # scale factors uniform on 1e-9 < |a| < 4, away from the excluded a = 0
+    a, b, c = rng.uniform(1e-9, 4.0, (3, samples)) * rng.choice([-1.0, 1.0], (3, samples))
+    via_steps = dfm.transform(dfm.transform(q, a), b)
+    comp = np.maximum(_rel_gap(via_steps, dfm.transform(q, dfm.compose(a, b))),
+                      _rel_gap(via_steps, dfm.transform(dfm.transform(q, b), a)))
+    assoc = _rel_gap(dfm.transform(q, dfm.compose(dfm.compose(a, b), c)),
+                     dfm.transform(q, dfm.compose(a, dfm.compose(b, c))))
+    neutral_ok = bool(np.all(dfm.transform(q, 1.0) == q))
+    invariant_ok = bool(np.all(dfm.transform(1.0, a) == 1.0))
+    inverse = _rel_gap(dfm.transform(dfm.transform(q, a), 1.0 / a), q)
+    up = a > 0.0
+    sign_ok = bool(np.all(np.sign(dfm.transform(q[up], a[up]) - 1.0) == np.sign(q[up] - 1.0)))
+    q_nonzero = q[np.abs(q) > 1e-9]
+    with warnings.catch_warnings():
+        # the draw intentionally spans indices outside [0, 2]
+        warnings.simplefilter("ignore", DualityRangeWarning)
+        add_dual = _rel_gap(dfm.additive_dual(dfm.additive_dual(q)), q)
+        mul_dual = _rel_gap(dfm.multiplicative_dual(dfm.multiplicative_dual(q_nonzero)),
+                            q_nonzero)
 
-    def draw_scale() -> float:
-        while True:
-            a = rng.uniform(-4.0, 4.0)
-            if abs(a) > 1e-9:
-                return a
-
-    worst_comp = worst_assoc = worst_inv = 0.0
-    neutral_ok = invariant_ok = sign_ok = True
-    worst_add_dual = worst_mul_dual = 0.0
-    for _ in range(samples):
-        q = rng.uniform(-2.0, 4.0)
-        a, b, c = draw_scale(), draw_scale(), draw_scale()
-        via_steps = dfm.transform(dfm.transform(q, a), b)
-        via_compose = dfm.transform(q, dfm.compose(a, b))
-        swapped = dfm.transform(dfm.transform(q, b), a)
-        worst_comp = max(worst_comp, _rel_gap(via_steps, via_compose),
-                         _rel_gap(via_steps, swapped))
-        left = dfm.transform(q, dfm.compose(dfm.compose(a, b), c))
-        right = dfm.transform(q, dfm.compose(a, dfm.compose(b, c)))
-        worst_assoc = max(worst_assoc, _rel_gap(left, right))
-        neutral_ok &= dfm.transform(q, 1.0) == q
-        invariant_ok &= dfm.transform(1.0, a) == 1.0
-        worst_inv = max(worst_inv, _rel_gap(dfm.transform(dfm.transform(q, a), 1.0 / a), q))
-        if a > 0.0:
-            sign_ok &= math.copysign(1.0, dfm.transform(q, a) - 1.0) == \
-                math.copysign(1.0, q - 1.0) or q == 1.0
-        with warnings.catch_warnings():
-            # the draw intentionally spans indices outside [0, 2]
-            warnings.simplefilter("ignore", DualityRangeWarning)
-            worst_add_dual = max(
-                worst_add_dual,
-                _rel_gap(dfm.additive_dual(dfm.additive_dual(q)), q))
-            if abs(q) > 1e-9:
-                worst_mul_dual = max(
-                    worst_mul_dual,
-                    _rel_gap(dfm.multiplicative_dual(dfm.multiplicative_dual(q)), q),
-                )
-    results.append(_worst("group", "composition", worst_comp, GROUP_TOL, samples))
-    results.append(_worst("group", "associativity", worst_assoc, GROUP_TOL, samples))
-    results.append(CheckResult("group", "neutral element", neutral_ok,
-                               f"{samples} samples, transform(q, 1) == q"))
-    results.append(CheckResult("group", "unit invariant", invariant_ok,
-                               f"{samples} samples, transform(1, a) == 1"))
-    results.append(_worst("group", "inverse element", worst_inv, GROUP_TOL, samples))
-    results.append(CheckResult("group", "sign preservation", sign_ok,
-                               f"{samples} samples, sign(q_a - 1) == sign(q - 1)"))
-    results.append(_worst("group", "additive dual involution",
-                          worst_add_dual, INVOLUTION_TOL, samples))
-    results.append(_worst("group", "multiplicative dual involution",
-                          worst_mul_dual, INVOLUTION_TOL, samples))
-
-    worst_bath = 0.0
-    bath_gt_one = True
     n_bath = max(samples // 10, 100)
-    for _ in range(n_bath):
-        n = int(rng.integers(2, 1000))
-        a = rng.uniform(0.01, 4.0)
-        q_direct = dfm.heat_bath_q(dfm.rescale_bath(n, a))
-        q_mapped = dfm.transform(dfm.heat_bath_q(n), a)
-        worst_bath = max(worst_bath, _rel_gap(q_direct, q_mapped))
-        bath_gt_one &= q_direct > 1.0
-    results.append(_worst("group", "heat bath consistency", worst_bath,
-                          GROUP_TOL, n_bath))
-    results.append(CheckResult("group", "rescaled bath stays above q = 1",
-                               bath_gt_one, f"{n_bath} samples"))
-    return results
+    n = rng.integers(2, 1000, n_bath)
+    a_bath = rng.uniform(0.01, 4.0, n_bath)
+    q_direct = dfm.heat_bath_q(dfm.rescale_bath(n, a_bath))
+    q_mapped = dfm.transform(dfm.heat_bath_q(n), a_bath)
+    return [
+        _worst("group", "composition", comp, GROUP_TOL, samples),
+        _worst("group", "associativity", assoc, GROUP_TOL, samples),
+        CheckResult("group", "neutral element", neutral_ok,
+                    f"{samples} samples, transform(q, 1) == q"),
+        CheckResult("group", "unit invariant", invariant_ok,
+                    f"{samples} samples, transform(1, a) == 1"),
+        _worst("group", "inverse element", inverse, GROUP_TOL, samples),
+        CheckResult("group", "sign preservation", sign_ok,
+                    f"{samples} samples, sign(q_a - 1) == sign(q - 1)"),
+        _worst("group", "additive dual involution", add_dual, INVOLUTION_TOL, samples),
+        _worst("group", "multiplicative dual involution", mul_dual, INVOLUTION_TOL,
+               samples),
+        _worst("group", "heat bath consistency", _rel_gap(q_direct, q_mapped),
+               GROUP_TOL, n_bath),
+        CheckResult("group", "rescaled bath stays above q = 1",
+                    bool(np.all(q_direct > 1.0)), f"{n_bath} samples"),
+    ]
 
 
 # --- algebra suite -----------------------------------------------------------
 
+def _algebra_points(rng, samples: int) -> np.ndarray:
+    """``samples`` points (q, a, x, y, u, v, w): an index, a signed scale, two
+    reals and three positive operands, drawn in batches until enough pass."""
+    chunks, kept = [], 0
+    while kept < samples:
+        q = rng.uniform(0.1, 1.9, samples)
+        a = rng.uniform(0.25, 3.0, samples) * rng.choice([-1.0, 1.0], samples)
+        x, y = rng.uniform(-0.5, 1.0, (2, samples))
+        u, v, w = rng.uniform(0.5, 2.5, (3, samples))
+        e = 1.0 - q
+        ue, ve, we = u**e, v**e, w**e
+        # Stay away from q = 1, where the 1/(1-q) exponents amplify rounding
+        # without bound (the classical limit is checked separately below), and
+        # from the q_sub pole and the cutoffs of exp_q and of the q-products.
+        ok = ((np.abs(q - 1.0) >= 0.05) & (np.abs(1.0 + e * y) >= 0.05)
+              & (1.0 + e * x >= 0.05) & (1.0 + e * y >= 0.05)
+              & (1.0 + e * (x + y) >= 0.05)
+              & (ue + ve - 1.0 >= 0.05) & (ve + we - 1.0 >= 0.05)
+              & ((ue + ve - 1.0) + we - 1.0 >= 0.05) & (ue - ve + 1.0 >= 0.05))
+        chunks.append(np.vstack([q, a, x, y, u, v, w])[:, ok])
+        kept += int(np.count_nonzero(ok))
+    return np.concatenate(chunks, axis=1)[:, :samples]
+
+
 def run_algebra_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    results: list[CheckResult] = []
-
-    def draw_q() -> float:
-        # Stay away from q = 1, where the 1/(1-q) exponents amplify rounding
-        # without bound; the classical limit is checked separately below.
-        while True:
-            q = rng.uniform(0.1, 1.9)
-            if abs(q - 1.0) >= 0.05:
-                return q
-
-    def draw_scale() -> float:
-        a = rng.uniform(0.25, 3.0)
-        return a if rng.random() < 0.5 else -a
-
-    worst = dict.fromkeys(
-        ["add/sub inverse", "mul/div inverse", "exp product", "exp of sum",
-         "log of product", "log sum", "dist add", "dist sub", "dist mul",
-         "dist div", "exp scaling", "log scaling", "assoc add", "assoc mul"],
-        0.0,
-    )
-    commutative_ok = True
-    count = 0
-    while count < samples:
-        q = draw_q()
-        a = draw_scale()
-        x = rng.uniform(-0.5, 1.0)
-        y = rng.uniform(-0.5, 1.0)
-        u = rng.uniform(0.5, 2.5)
-        v = rng.uniform(0.5, 2.5)
-        w = rng.uniform(0.5, 2.5)
-        e = 1.0 - q
-        if abs(1.0 + e * y) < 0.05 or 1.0 + e * x < 0.05 or 1.0 + e * y < 0.05:
-            continue
-        if 1.0 + e * (x + y) < 0.05:
-            continue
-        if u**e + v**e - 1.0 < 0.05 or v**e + w**e - 1.0 < 0.05:
-            continue
-        if (u**e + v**e - 1.0) + w**e - 1.0 < 0.05:
-            continue
-        if u**e - v**e + 1.0 < 0.05:
-            continue
-        count += 1
-
-        worst["add/sub inverse"] = max(
-            worst["add/sub inverse"],
-            _rel_gap(qa.q_sub(qa.q_add(x, y, q), y, q), x))
-        worst["mul/div inverse"] = max(
-            worst["mul/div inverse"],
-            _rel_gap(qa.q_div(qa.q_mul(u, v, q), v, q), u))
-
-        worst["exp product"] = max(
-            worst["exp product"],
-            _rel_gap(qa.q_exp(x, q) * qa.q_exp(y, q),
-                     qa.q_exp(qa.q_add(x, y, q), q)))
-        worst["exp of sum"] = max(
-            worst["exp of sum"],
-            _rel_gap(qa.q_exp(x + y, q),
-                     qa.q_mul(qa.q_exp(x, q), qa.q_exp(y, q), q)))
-        worst["log of product"] = max(
-            worst["log of product"],
-            _rel_gap(qa.q_log(u * v, q),
-                     qa.q_add(qa.q_log(u, q), qa.q_log(v, q), q)))
-        worst["log sum"] = max(
-            worst["log sum"],
-            _rel_gap(qa.q_log(u, q) + qa.q_log(v, q),
-                     qa.q_log(qa.q_mul(u, v, q), q)))
-
-        for name, pair in (
-            ("dist add", qa.dist_add(x, y, q, a)),
-            ("dist sub", qa.dist_sub(x, y, q, a)),
-            ("dist mul", qa.dist_mul(u, v, q, a)),
-            ("dist div", qa.dist_div(u, v, q, a)),
-            ("exp scaling", qa.exp_scaling(x, q, a)),
-            ("log scaling", qa.log_scaling(u, q, a)),
-        ):
-            worst[name] = max(worst[name], _rel_gap(*pair))
-
-        commutative_ok &= qa.q_add(x, y, q) == qa.q_add(y, x, q)
-        commutative_ok &= qa.q_mul(u, v, q) == qa.q_mul(v, u, q)
-        worst["assoc add"] = max(
-            worst["assoc add"],
-            _rel_gap(qa.q_add(qa.q_add(x, y, q), u, q),
-                     qa.q_add(x, qa.q_add(y, u, q), q)))
-        worst["assoc mul"] = max(
-            worst["assoc mul"],
-            _rel_gap(qa.q_mul(qa.q_mul(u, v, q), w, q),
-                     qa.q_mul(u, qa.q_mul(v, w, q), q)))
-
-    for name, gap in worst.items():
-        results.append(_worst("algebra", name, gap, ALGEBRA_TOL, samples))
+    q, a, x, y, u, v, w = _algebra_points(rng, samples)
+    gaps = {
+        "add/sub inverse": _rel_gap(qa.q_sub(qa.q_add(x, y, q), y, q), x),
+        "mul/div inverse": _rel_gap(qa.q_div(qa.q_mul(u, v, q), v, q), u),
+        "exp product": _rel_gap(qa.q_exp(x, q) * qa.q_exp(y, q),
+                                qa.q_exp(qa.q_add(x, y, q), q)),
+        "exp of sum": _rel_gap(qa.q_exp(x + y, q),
+                               qa.q_mul(qa.q_exp(x, q), qa.q_exp(y, q), q)),
+        "log of product": _rel_gap(qa.q_log(u * v, q),
+                                   qa.q_add(qa.q_log(u, q), qa.q_log(v, q), q)),
+        "log sum": _rel_gap(qa.q_log(u, q) + qa.q_log(v, q),
+                            qa.q_log(qa.q_mul(u, v, q), q)),
+        "dist add": _rel_gap(*qa.dist_add(x, y, q, a)),
+        "dist sub": _rel_gap(*qa.dist_sub(x, y, q, a)),
+        "dist mul": _rel_gap(*qa.dist_mul(u, v, q, a)),
+        "dist div": _rel_gap(*qa.dist_div(u, v, q, a)),
+        "exp scaling": _rel_gap(*qa.exp_scaling(x, q, a)),
+        "log scaling": _rel_gap(*qa.log_scaling(u, q, a)),
+        "assoc add": _rel_gap(qa.q_add(qa.q_add(x, y, q), u, q),
+                              qa.q_add(x, qa.q_add(y, u, q), q)),
+        "assoc mul": _rel_gap(qa.q_mul(qa.q_mul(u, v, q), w, q),
+                              qa.q_mul(u, qa.q_mul(v, w, q), q)),
+    }
+    commutative_ok = bool(np.all(qa.q_add(x, y, q) == qa.q_add(y, x, q))
+                          and np.all(qa.q_mul(u, v, q) == qa.q_mul(v, u, q)))
+    results = [_worst("algebra", name, gap, ALGEBRA_TOL, samples)
+               for name, gap in gaps.items()]
     results.append(CheckResult("algebra", "commutativity", commutative_ok,
                                f"{samples} samples, exact"))
 
-    worst_limit = 0.0
     n_limit = max(samples // 10, 100)
-    for _ in range(n_limit):
-        q = 1.0 + rng.choice([-1e-8, 1e-8])
-        x = rng.uniform(0.5, 2.5)
-        y = rng.uniform(0.5, 2.5)
-        worst_limit = max(
-            worst_limit,
-            abs(qa.q_add(x, y, q) - (x + y)),
-            abs(qa.q_sub(x, y, q) - (x - y)),
-            abs(qa.q_mul(x, y, q) - x * y),
-            abs(qa.q_div(x, y, q) - x / y),
-            abs(qa.q_exp(x, q) - math.exp(x)),
-            abs(qa.q_log(x, q) - math.log(x)),
-        )
-    results.append(_worst("algebra", "classical limit q -> 1", worst_limit,
+    q = 1.0 + rng.choice([-1e-8, 1e-8], n_limit)
+    x, y = rng.uniform(0.5, 2.5, (2, n_limit))
+    limit = np.maximum.reduce([
+        np.abs(qa.q_add(x, y, q) - (x + y)),
+        np.abs(qa.q_sub(x, y, q) - (x - y)),
+        np.abs(qa.q_mul(x, y, q) - x * y),
+        np.abs(qa.q_div(x, y, q) - x / y),
+        np.abs(qa.q_exp(x, q) - np.exp(x)),
+        np.abs(qa.q_log(x, q) - np.log(x)),
+    ])
+    results.append(_worst("algebra", "classical limit q -> 1", limit,
                           CLASSICAL_LIMIT_TOL, n_limit))
 
     # Plain distributivity must fail: 2*(1 (+)_0.5 1) != 2 (+)_0.5 2.
@@ -516,53 +454,50 @@ def simplex_constrained_maximizer(e, q: float, alpha: float, target_mean: float,
     e = np.asarray(e, dtype=float)
     if e.size != 3:
         raise DomainError("oracle is specific to 3-level spectra")
-    from .deformation import transform
-
-    q_alpha = transform(q, alpha)
+    q_alpha = dfm.transform(q, alpha)
     e1, e2, e3 = float(e[0]), float(e[1]), float(e[2])
+    # float_power is the C library's pow, as for Python floats
+    power = np.float_power
 
-    def entropy_of(p1: float, p2: float, p3: float) -> float:
-        z = p1**q_alpha + p2**q_alpha + p3**q_alpha
+    def entropy_of(p1, p2, p3):
+        z = power(p1, q_alpha) + power(p2, q_alpha) + power(p3, q_alpha)
         return (z - 1.0) / (1.0 - q_alpha)
 
-    def mean_gap(p1: float, p2: float) -> float:
+    def mean_gap(p1, p2):
         p3 = 1.0 - p1 - p2
-        w1, w2, w3 = p1**q, p2**q, p3**q
+        w1, w2, w3 = power(p1, q), power(p2, q), power(p3, q)
         return (w1 * e1 + w2 * e2 + w3 * e3) / (w1 + w2 + w3) - target_mean
 
     eps = 1e-12
 
-    def best_on_slice(p1: float) -> tuple[float, float] | None:
-        top = 1.0 - p1 - eps
-        if top <= eps:
-            return None
-        scan = np.linspace(eps, top, 121)
-        gaps = [mean_gap(p1, p2) for p2 in scan]
-        best = None
-        for i in range(len(scan) - 1):
-            if gaps[i] == 0.0:
-                roots = [scan[i]]
-            elif gaps[i] * gaps[i + 1] < 0.0:
-                lo, hi = scan[i], scan[i + 1]
-                g_lo = gaps[i]
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    g_mid = mean_gap(p1, mid)
-                    if g_mid == 0.0:
-                        lo = hi = mid
-                        break
-                    if g_lo * g_mid < 0.0:
-                        hi = mid
-                    else:
-                        lo, g_lo = mid, g_mid
-                roots = [0.5 * (lo + hi)]
-            else:
-                continue
-            for p2 in roots:
-                s = entropy_of(p1, p2, 1.0 - p1 - p2)
-                if best is None or s > best[0]:
-                    best = (s, p2)
-        return best
+    def best_on_grid(p1: np.ndarray) -> tuple[float, float, float]:
+        """The highest-entropy point (s, p1, p2) over all slices p1 at once;
+        ties go to the first slice and the first root in scan order."""
+        p1 = p1[1.0 - p1 - eps > eps]
+        scan = np.linspace(eps, 1.0 - p1 - eps, 121, axis=-1)
+        gaps = mean_gap(p1[:, None], scan)
+        hit = gaps[:, :-1] == 0.0
+        rows, cols = np.nonzero(hit | (gaps[:, :-1] * gaps[:, 1:] < 0.0))
+        if rows.size == 0:
+            return -math.inf, math.nan, math.nan
+        p1 = p1[rows]
+        done = hit[rows, cols]
+        lo, g_lo = scan[rows, cols], gaps[rows, cols]
+        hi = np.where(done, lo, scan[rows, cols + 1])
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            g_mid = mean_gap(p1, mid)
+            exact = ~done & (g_mid == 0.0)
+            done |= exact
+            lower = ~done & (g_lo * g_mid < 0.0)
+            upper = ~done & ~lower | exact
+            hi = np.where(lower | exact, mid, hi)
+            lo = np.where(upper, mid, lo)
+            g_lo = np.where(upper, g_mid, g_lo)
+        p2 = 0.5 * (lo + hi)
+        s = entropy_of(p1, p2, 1.0 - p1 - p2)
+        best = int(np.argmax(s))
+        return float(s[best]), float(p1[best]), float(p2[best])
 
     lo, hi = eps, 1.0 - 2.0 * eps
     best_s = -math.inf
@@ -570,10 +505,9 @@ def simplex_constrained_maximizer(e, q: float, alpha: float, target_mean: float,
     spacing = (hi - lo) / (coarse - 1)
     grid = np.linspace(lo, hi, coarse)
     for round_idx in range(rounds + 1):
-        for p1 in grid:
-            found = best_on_slice(float(p1))
-            if found is not None and found[0] > best_s:
-                best_s, best_p = found[0], (float(p1), found[1])
+        s, p1, p2 = best_on_grid(grid)
+        if s > best_s:
+            best_s, best_p = s, (p1, p2)
         if best_p is None:
             raise DomainError("oracle found no feasible point on the constraint")
         if round_idx == rounds:

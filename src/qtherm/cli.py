@@ -26,7 +26,7 @@ import numpy as np
 from . import deformation as dfm
 from . import entropy as ent
 from . import qalgebra as qa
-from .checks import run_suite
+from .checks import _affinity_residual, _rel_gap, run_suite
 from .entropy import as_distribution
 from .errors import (
     DivergentSeriesError,
@@ -256,9 +256,7 @@ def maxent(input_path: str, q: float, alpha: str, omega: float | None,
     _emit_maxent(sol, energies, fmt)
     if not alpha_is_inf and alpha_value == 1.0:
         # alpha = 1 solutions form a q-exponential family: p^(1-q) affine in E
-        coeffs = np.polyfit(energies, sol.probs ** (1.0 - q), 1)
-        fit_gap = float(np.max(np.abs(
-            np.polyval(coeffs, energies) - sol.probs ** (1.0 - q))))
+        fit_gap = _affinity_residual(sol.probs, energies, q)
         click.echo(f"# q-exponential family check: max affine-fit residual "
                    f"of p^(1-q) in E is {fit_gap:.3g}", err=True)
     if not (sol.converged and sol.stationarity_residual <= RESIDUAL_ACCEPT):
@@ -362,8 +360,7 @@ def algebra_check(x: float, y: float, q: float, alpha: float, fmt: str) -> None:
         elif lhs is None or rhs is None:
             status = "domain-mismatch"
         else:
-            gap = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-            status = "ok" if gap <= IDENTITY_TOL else "fail"
+            status = "ok" if _rel_gap(lhs, rhs) <= IDENTITY_TOL else "fail"
             any_failed |= status == "fail"
         rows.append({"law": name, "lhs": lhs, "rhs": rhs, "status": status})
     if fmt == "json":

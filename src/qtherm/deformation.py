@@ -7,12 +7,18 @@ The special choices alpha = -1 and alpha = -q give the additive (2 - q) and
 multiplicative (1/q) dualities.  Two physical parameter maps are included:
 a finite heat bath of N particles, q(N) = N/(N-1), and a bath with
 temperature fluctuations, q = 1 - 1/C + rel_fluct.
+
+Every function is elementwise over NumPy arrays: the arguments broadcast
+against each other, a scalar call returns a Python ``float``, and one
+element outside the domain raises ``DomainError`` for the whole call.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import warnings
+
+import numpy as np
 
 from .errors import DomainError, DualityRangeWarning
 
@@ -21,121 +27,152 @@ from .errors import DomainError, DualityRangeWarning
 DUALITY_RANGE = (0.0, 2.0)
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+def _elementwise(fn):
+    """Run ``fn`` with NumPy's floating-point warnings off (every branch of a
+    ``np.where`` is evaluated on every element) and return a 0-d result as
+    a Python ``float``."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            out = fn(*args, **kwargs)
+        return float(out) if np.ndim(out) == 0 else out
+
+    return wrapper
+
+
+def _first(value, mask) -> float:
+    """The first element of ``value`` (broadcast to ``mask``) where ``mask`` holds."""
+    return float(np.broadcast_to(value, np.shape(mask))[mask][0])
+
+
+def _finite(name: str, value) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise DomainError(f"{name} must be finite, got {_first(value, bad)!r}")
     return value
 
 
-def transform(q: float, alpha: float) -> float:
+def _particles(n_particles) -> np.ndarray:
+    n = _finite("n_particles", n_particles)
+    if np.any(n <= 1.0):
+        raise DomainError(f"need more than one bath particle, got {_first(n, n <= 1.0):g}")
+    return n
+
+
+@_elementwise
+def transform(q, alpha):
     """Rescale the nonadditivity index: q_alpha = 1 + (q - 1)/alpha.
 
     Computed in the centered form so that transform(1, alpha) == 1 and
     (q_alpha - 1)*alpha == q - 1 hold to the last bit.
     """
-    q = _require_finite("q", q)
-    alpha = _require_finite("alpha", alpha)
-    if alpha == 0.0:
+    q = _finite("q", q)
+    alpha = _finite("alpha", alpha)
+    if np.any(alpha == 0.0):
         raise DomainError("alpha must be nonzero")
-    if alpha == 1.0:
-        return q
-    return 1.0 + (q - 1.0) / alpha
+    return np.where(alpha == 1.0, q, 1.0 + (q - 1.0) / alpha)
 
 
-def compose(alpha: float, beta: float) -> float:
+@_elementwise
+def compose(alpha, beta):
     """Combine two scale factors; transform(q, alpha*beta) applies both."""
-    alpha = _require_finite("alpha", alpha)
-    beta = _require_finite("beta", beta)
-    if alpha == 0.0 or beta == 0.0:
+    alpha = _finite("alpha", alpha)
+    beta = _finite("beta", beta)
+    if np.any((alpha == 0.0) | (beta == 0.0)):
         raise DomainError("scale factors must be nonzero")
     product = alpha * beta
-    if not math.isfinite(product):
-        raise DomainError(f"composed scale factor overflows: {alpha} * {beta}")
+    overflow = np.isinf(product)
+    if overflow.any():
+        raise DomainError(f"composed scale factor overflows: "
+                          f"{_first(alpha, overflow)} * {_first(beta, overflow)}")
     return product
 
 
-def additive_dual(q: float) -> float:
+@_elementwise
+def additive_dual(q):
     """Additive duality q -> 2 - q (the alpha = -1 group element)."""
-    q = _require_finite("q", q)
-    out = 2.0 - q
+    out = 2.0 - _finite("q", q)
     _warn_if_outside_range(out)
     return out
 
 
-def multiplicative_dual(q: float) -> float:
+@_elementwise
+def multiplicative_dual(q):
     """Multiplicative duality q -> 1/q (the q-dependent choice alpha = -q)."""
-    q = _require_finite("q", q)
-    if q == 0.0:
+    q = _finite("q", q)
+    if np.any(q == 0.0):
         raise DomainError("multiplicative dual is undefined at q = 0")
     out = 1.0 / q
     _warn_if_outside_range(out)
     return out
 
 
-def _warn_if_outside_range(q: float) -> None:
+def _warn_if_outside_range(q: np.ndarray) -> None:
     lo, hi = DUALITY_RANGE
-    if q < lo or q > hi:
+    outside = (q < lo) | (q > hi)
+    if outside.any():
         warnings.warn(
-            f"duality output q = {q:g} lies outside [{lo:g}, {hi:g}]",
+            f"duality output q = {_first(q, outside):g} lies outside [{lo:g}, {hi:g}]",
             DualityRangeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
-def heat_bath_q(n_particles: float) -> float:
+@_elementwise
+def heat_bath_q(n_particles):
     """Nonadditivity index of a finite heat bath: q(N) = N/(N-1).
 
     Accepts any real count N > 1 so that rescaled (fractional) baths from
     :func:`rescale_bath` can be mapped back to an index.
     """
-    n = _require_finite("n_particles", n_particles)
-    if n <= 1.0:
-        raise DomainError(f"need more than one bath particle, got {n:g}")
+    n = _particles(n_particles)
     return n / (n - 1.0)
 
 
-def rescale_bath(n_particles: float, alpha: float) -> float:
+@_elementwise
+def rescale_bath(n_particles, alpha):
     """Rescale the bath size: N_alpha = alpha*(N - 1) + 1.
 
     Returns a real number; fractional particle counts are not rounded.
     Consistency: heat_bath_q(rescale_bath(N, a)) == transform(heat_bath_q(N), a).
     """
-    n = _require_finite("n_particles", n_particles)
-    alpha = _require_finite("alpha", alpha)
-    if n <= 1.0:
-        raise DomainError(f"need more than one bath particle, got {n:g}")
-    if alpha <= 0.0:
+    n = _particles(n_particles)
+    alpha = _finite("alpha", alpha)
+    if np.any(alpha <= 0.0):
         raise DomainError("alpha must be positive to keep the bath above one particle")
     return alpha * (n - 1.0) + 1.0
 
 
-def fluctuation_q(heat_capacity: float, rel_fluct: float) -> float:
+@_elementwise
+def fluctuation_q(heat_capacity, rel_fluct):
     """Index of a bath with temperature fluctuations: q = 1 - 1/C + rel_fluct.
 
     ``heat_capacity`` is C in units of k_B (may be negative for a finite
     reservoir); ``rel_fluct`` is the relative squared inverse-temperature
     fluctuation and must be non-negative.
     """
-    c = _require_finite("heat_capacity", heat_capacity)
-    r = _require_finite("rel_fluct", rel_fluct)
-    if c == 0.0:
+    c = _finite("heat_capacity", heat_capacity)
+    r = _finite("rel_fluct", rel_fluct)
+    if np.any(c == 0.0):
         raise DomainError("heat capacity must be nonzero")
-    if r < 0.0:
+    if np.any(r < 0.0):
         raise DomainError("relative fluctuation must be non-negative")
     return 1.0 - 1.0 / c + r
 
 
-def rescaled_fluctuation(rel_fluct: float, alpha: float) -> float:
+@_elementwise
+def rescaled_fluctuation(rel_fluct, alpha):
     """Relative fluctuation after rescaling the index: rel_fluct/alpha.
 
     Valid in the large-fluctuation regime where 1/C is negligible; there
     q_alpha - 1 equals the rescaled fluctuation directly.
     """
-    r = _require_finite("rel_fluct", rel_fluct)
-    alpha = _require_finite("alpha", alpha)
-    if r < 0.0:
+    r = _finite("rel_fluct", rel_fluct)
+    alpha = _finite("alpha", alpha)
+    if np.any(r < 0.0):
         raise DomainError("relative fluctuation must be non-negative")
-    if alpha <= 0.0:
+    if np.any(alpha <= 0.0):
         raise DomainError("alpha must be positive")
     return r / alpha

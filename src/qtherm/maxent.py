@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .deformation import transform
 from .entropy import PartitionSum, as_distribution, _partition_sum_raw
@@ -178,7 +177,11 @@ class _Trinomial:
             self.roots = _branch_roots(self.alpha, b, self.roots)
         except NoRealRootError as err:
             raise _at_level(err, self.e) from err
-        return _normalized(self.alpha / (self.q - 1.0) * np.log(self.roots))
+        # log x = log1p(b*x^alpha) on the trinomial keeps the digits that
+        # log(x) loses near x = 1; log(x) keeps those of a root far below 1
+        shift = b * self.roots**self.alpha
+        log_roots = np.log1p(shift, out=np.log(self.roots), where=shift > -0.5)
+        return _normalized(self.alpha / (self.q - 1.0) * log_roots)
 
     def per_omega(self, p: np.ndarray, z_q: float) -> float:
         z_qa = _partition(p, self.q_alpha)
@@ -188,11 +191,13 @@ class _Trinomial:
     def free_gradient(self, p: np.ndarray):
         z_qa = _partition(p, self.q_alpha)
         prefactor = self.q_alpha / (1.0 - self.q_alpha)
+        # lead - phi = prefactor*(p^(q_alpha-1) - Z_{q_alpha}), with the two
+        # O(1/(q_alpha-1)) terms cancelled exactly through sum(p) = 1
+        em = np.expm1((self.q_alpha - 1.0) * np.log(p))
+        free = prefactor * (em - np.dot(p, em))
         if self.renyi:
-            lead, phi = prefactor / z_qa * p ** (self.q_alpha - 1.0), prefactor
-        else:
-            lead, phi = prefactor * p ** (self.q_alpha - 1.0), prefactor * z_qa
-        return lead - phi, phi, PartitionSum(z_qa, self.q_alpha)
+            return free / z_qa, prefactor, PartitionSum(z_qa, self.q_alpha)
+        return free, prefactor * z_qa, PartitionSum(z_qa, self.q_alpha)
 
 
 class _Lambert:
@@ -249,8 +254,9 @@ def _uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def _partition(p: np.ndarray, q: float) -> float:
-    return float(np.sum(p**q))
+def _partition(p: np.ndarray, q: float) -> np.float64:
+    # a NumPy scalar, so that a sum underflowed to 0 divides without raising
+    return np.sum(p**q)
 
 
 def _shannon(p: np.ndarray) -> float:
@@ -264,27 +270,32 @@ def _solve(fam, omega, target_mean, max_iter) -> MaxEntSolution:
         raise DomainError("exactly one of omega and target_mean must be given")
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
-    if target_mean is not None:
-        return _solve_for_target(fam, float(target_mean), max_iter)
-    omega = float(omega)
-    if not math.isfinite(omega):
-        raise DomainError("omega must be finite")
-    if isinstance(fam, _Gibbs):
-        return _certify(fam, fam.level_map(omega * fam.e), omega, 0, True)
-    return _fixed_point(fam, omega, max_iter)
+    # a level or a partition sum that underflows to 0 divides to inf or nan
+    # on its way to ``_certify``, which reports it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if target_mean is not None:
+            return _solve_for_target(fam, float(target_mean), max_iter)
+        omega = float(omega)
+        if not math.isfinite(omega):
+            raise DomainError("omega must be finite")
+        if isinstance(fam, _Gibbs):
+            return _certify(fam, fam.level_map(omega * fam.e), omega, 0, True)
+        return _fixed_point(fam, omega, max_iter)
 
 
 def _certify(fam, p: np.ndarray, omega: float, iterations: int,
              converged: bool) -> MaxEntSolution:
-    """The solution at p with its stationarity residual at this omega."""
+    """The solution at p with its stationarity residual at this omega; raises
+    ``NonConvergenceError`` carrying it where a level or a sum underflows to 0."""
     e = fam.e
     weights = p**fam.q
     # Z_1 is the normalization itself.
     z_q = 1.0 if fam.q == 1.0 else float(np.sum(weights))
-    mean = float(np.dot(weights, e)) / z_q
+    mean = float(np.dot(weights, e) / z_q)
     free, phi, z_q_alpha = fam.free_gradient(p)
     constraint = fam.q * omega * (e - mean) / z_q * p ** (fam.q - 1.0)
-    return MaxEntSolution(
+    underflow = not (p.min() > 0.0 and z_q > 0.0 and z_q_alpha.z > 0.0)
+    sol = MaxEntSolution(
         probs=p,
         z_q=PartitionSum(z_q, fam.q),
         z_q_alpha=z_q_alpha,
@@ -292,9 +303,13 @@ def _certify(fam, p: np.ndarray, omega: float, iterations: int,
         escort_mean=mean,
         stationarity_residual=float(np.max(np.abs(free - constraint))),
         iterations=iterations,
-        converged=converged,
+        converged=converged and not underflow,
         omega=omega,
     )
+    if underflow:
+        raise NonConvergenceError(f"a level or a partition sum underflows to 0 "
+                                  f"(iteration {iterations})", solution=sol)
+    return sol
 
 
 def _fixed_point(fam, omega: float, max_iter: int) -> MaxEntSolution:
@@ -339,7 +354,10 @@ def _solve_for_target(fam, target: float, max_iter: int) -> MaxEntSolution:
 
     def gap(lam: float) -> float:
         weights = level_map(lam) ** fam.q
-        return float(np.dot(weights, de)) / float(np.sum(weights))
+        z_q = float(np.sum(weights))
+        if z_q == 0.0:
+            raise NonConvergenceError(f"the partition sum underflows to 0 at lambda = {lam:g}")
+        return float(np.dot(weights, de)) / z_q
 
     scale = 1.0 / float(np.max(np.abs(de)))
     unbounded = math.isinf(hi)
@@ -361,10 +379,13 @@ def _solve_for_target(fam, target: float, max_iter: int) -> MaxEntSolution:
             f"real, the escort mean at this target spans only "
             f"[{target + min(g_lo, g_hi):.17g}, {target + max(g_lo, g_hi):.17g}]"
         )
+    # imported here: scipy.optimize adds about 0.25 s to `import qtherm`
+    from scipy.optimize import brentq
+
     lam, info = brentq(gap, lo, hi, xtol=1e-16 * scale, maxiter=max_iter,
                        full_output=True, disp=False)
     p = level_map(lam)
-    omega = lam / fam.per_omega(p, _partition(p, fam.q))
+    omega = float(lam / fam.per_omega(p, _partition(p, fam.q)))
     sol = _certify(fam, p, omega, info.iterations, False)
     if not info.converged:
         raise NonConvergenceError(

@@ -15,13 +15,18 @@ alpha*(x (+)_q y) = (alpha*x) (+)_{q_alpha} (alpha*y) and
 (exp_q x)^alpha = exp_{q_alpha}(alpha*x).  ``scaling_laws`` defines both
 sides of the six identities once; the ``dist_*`` and ``*_scaling`` helpers
 and the ``algebra-check`` command evaluate each side independently.
+
+Every function is elementwise over NumPy arrays, as in ``deformation``; the
+q = 1 branch, the q < 1 cutoff and the overflow-to-inf rule are masks.
 """
 
 from __future__ import annotations
 
 import math
 
-from .deformation import transform
+import numpy as np
+
+from .deformation import _elementwise, _finite, _first, transform
 from .errors import DomainError
 
 # Below this distance from q = 1 the deformed power forms lose all precision,
@@ -29,129 +34,127 @@ from .errors import DomainError
 Q_ONE_THRESHOLD = 1e-9
 
 
-def _check_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
+def _is_classical(q: np.ndarray) -> np.ndarray:
+    return np.abs(q - 1.0) < Q_ONE_THRESHOLD
 
 
-def _is_classical(q: float) -> bool:
-    return abs(q - 1.0) < Q_ONE_THRESHOLD
-
-
-def q_add(x: float, y: float, q: float) -> float:
+@_elementwise
+def q_add(x, y, q):
     """Deformed sum x + y + (1-q)xy; commutative with neutral element 0."""
-    x = _check_finite("x", x)
-    y = _check_finite("y", y)
-    q = _check_finite("q", q)
+    x, y, q = _finite("x", x), _finite("y", y), _finite("q", q)
     # grouped so the result is bitwise symmetric in x and y
     return x + y + (1.0 - q) * (x * y)
 
 
-def q_sub(x: float, y: float, q: float) -> float:
+@_elementwise
+def q_sub(x, y, q):
     """Deformed difference (x-y)/(1+(1-q)y); inverts q_add in y."""
-    x = _check_finite("x", x)
-    y = _check_finite("y", y)
-    q = _check_finite("q", q)
+    x, y, q = _finite("x", x), _finite("y", y), _finite("q", q)
     denom = 1.0 + (1.0 - q) * y
-    if denom == 0.0:
-        raise DomainError(f"q-subtraction pole: y = 1/(q-1) = {y:g}")
+    if np.any(denom == 0.0):
+        raise DomainError(f"q-subtraction pole: y = 1/(q-1) = {_first(y, denom == 0.0):g}")
     return (x - y) / denom
 
 
-def q_mul(x: float, y: float, q: float) -> float:
+@_elementwise
+def q_mul(x, y, q):
     """Deformed product over positive operands.
 
     For q < 1 a non-positive bracket x^(1-q)+y^(1-q)-1 is cut off to 0 (the
     same convention as exp_q); for q > 1 it is a domain error because the
     power would diverge or turn complex.
     """
-    x = _check_finite("x", x)
-    y = _check_finite("y", y)
-    q = _check_finite("q", q)
-    if x <= 0.0 or y <= 0.0:
+    x, y, q = _finite("x", x), _finite("y", y), _finite("q", q)
+    if np.any((x <= 0.0) | (y <= 0.0)):
         raise DomainError("q-multiplication requires positive operands")
-    if _is_classical(q):
-        return x * y
-    e = 1.0 - q
-    bracket = _real_power(x, e) + _real_power(y, e) - 1.0
-    return _bracket_power(bracket, q, cutoff=True, what="q-product")
+    classical = _is_classical(q)
+    bracket = np.float_power(x, 1.0 - q) + np.float_power(y, 1.0 - q) - 1.0
+    return np.where(classical, x * y, _bracket_power(bracket, q, ~classical, "q-product"))
 
 
-def q_div(x: float, y: float, q: float) -> float:
+@_elementwise
+def q_div(x, y, q):
     """Deformed quotient over positive operands; inverts q_mul in y.
 
     The bracket x^(1-q)-y^(1-q)+1 must stay positive: there is no cutoff
     convention for division.
     """
-    x = _check_finite("x", x)
-    y = _check_finite("y", y)
-    q = _check_finite("q", q)
-    if x <= 0.0 or y <= 0.0:
+    x, y, q = _finite("x", x), _finite("y", y), _finite("q", q)
+    if np.any((x <= 0.0) | (y <= 0.0)):
         raise DomainError("q-division requires positive operands")
-    if _is_classical(q):
-        return x / y
-    e = 1.0 - q
-    bracket = _real_power(x, e) - _real_power(y, e) + 1.0
-    if not bracket > 0.0:
-        raise DomainError(f"q-division bracket is not positive ({bracket:g})")
-    return _bracket_power(bracket, q, cutoff=False, what="q-quotient")
+    classical = _is_classical(q)
+    bracket = np.float_power(x, 1.0 - q) - np.float_power(y, 1.0 - q) + 1.0
+    bad = ~classical & ~(bracket > 0.0)
+    if bad.any():
+        raise DomainError(f"q-division bracket is not positive ({_first(bracket, bad):g})")
+    return np.where(classical, x / y, _bracket_power(bracket, q, ~classical, "q-quotient"))
 
 
-def q_exp(x: float, q: float) -> float:
+@_elementwise
+def q_exp(x, q):
     """Deformed exponential [1+(1-q)x]^(1/(1-q)).
 
     For q < 1 the standard cutoff applies: arguments below the support edge
     x = -1/(1-q) return 0.  For q > 1 a non-positive base is a domain error.
     """
-    x = _check_finite("x", x)
-    q = _check_finite("q", q)
-    if _is_classical(q):
-        try:
-            return math.exp(x)
-        except OverflowError:
-            return math.inf
-    base = 1.0 + (1.0 - q) * x
-    return _bracket_power(base, q, cutoff=True, what="q-exponential")
+    x, q = _finite("x", x), _finite("q", q)
+    classical = _is_classical(q)
+    return np.where(classical, _at_q_one(_exp, x, classical), _bracket_power(
+        1.0 + (1.0 - q) * x, q, ~classical, "q-exponential"))
 
 
-def q_log(x: float, q: float) -> float:
+@_elementwise
+def q_log(x, q):
     """Deformed logarithm (x^(1-q)-1)/(1-q) for x > 0; inverse of q_exp."""
-    x = _check_finite("x", x)
-    q = _check_finite("q", q)
-    if x <= 0.0:
+    x, q = _finite("x", x), _finite("q", q)
+    if np.any(x <= 0.0):
         raise DomainError("q-logarithm requires a positive argument")
-    if _is_classical(q):
-        return math.log(x)
     e = 1.0 - q
-    return (_real_power(x, e) - 1.0) / e
+    classical = _is_classical(q)
+    return np.where(classical, _at_q_one(math.log, x, classical),
+                    (np.float_power(x, e) - 1.0) / e)
 
 
-def _real_power(base: float, alpha: float) -> float:
-    """base**alpha over the reals: infinite where it overflows or meets the
-    pole of a negative power at 0, ``DomainError`` where it is complex."""
+def _exp(x: float) -> float:
     try:
-        value = base**alpha
-    except (OverflowError, ZeroDivisionError):
-        return math.inf
-    if isinstance(value, complex):
-        raise DomainError(f"{base:g}**{alpha:g} is not real")
-    return value
-
-
-def _bracket_power(bracket: float, q: float, *, cutoff: bool, what: str) -> float:
-    """Evaluate bracket^(1/(1-q)) with the cutoff/domain-error convention."""
-    if bracket <= 0.0:
-        if q < 1.0 and cutoff:
-            return 0.0
-        raise DomainError(
-            f"{what} undefined: bracket {bracket:g} not positive for q = {q:g}"
-        )
-    try:
-        return bracket ** (1.0 / (1.0 - q))
+        return math.exp(x)
     except OverflowError:
         return math.inf
+
+
+def _at_q_one(fn, x, classical) -> np.ndarray:
+    """``fn`` (``_exp`` or ``math.log``) where ``classical`` holds, 0 elsewhere.
+
+    NumPy's vectorized exp and log round the last bit differently from the
+    C library's on a few percent of arguments, so the analytic q = 1 branch
+    stays on ``math``; away from q = 1 this touches no element."""
+    x, classical = np.broadcast_arrays(x, classical)
+    out = np.zeros(x.shape)
+    out[classical] = [fn(v) for v in x[classical].tolist()]
+    return out
+
+
+@_elementwise
+def _real_power(base, exponent):
+    """base**exponent over the reals: +inf where it overflows or meets the
+    pole of a negative power at 0, ``DomainError`` where it is complex."""
+    value = np.float_power(base, exponent)
+    complex_ = np.isnan(value)
+    if complex_.any():
+        raise DomainError(f"{_first(base, complex_):g}**{_first(exponent, complex_):g} "
+                          f"is not real")
+    return np.where(np.isinf(value), np.inf, value)
+
+
+def _bracket_power(bracket, q, active, what: str) -> np.ndarray:
+    """bracket^(1/(1-q)) where ``active``: a non-positive bracket is cut off
+    to 0 for q < 1 and a domain error for q > 1."""
+    dead = active & ~(bracket > 0.0)
+    bad = dead & (q >= 1.0)
+    if bad.any():
+        raise DomainError(f"{what} undefined: bracket {_first(bracket, bad):g} "
+                          f"not positive for q = {_first(q, bad):g}")
+    return np.where(dead, 0.0, np.float_power(bracket, 1.0 / (1.0 - q)))
 
 
 # --- generalized distributive and scaling identities -------------------------
@@ -162,7 +165,8 @@ def _bracket_power(bracket: float, q: float, *, cutoff: bool, what: str) -> floa
 
 
 def scaling_laws(x: float, y: float, q: float, alpha: float) -> dict:
-    """The six rescaled laws at one point, as name -> (lhs, rhs) thunks.
+    """The six rescaled laws at one point (or elementwise over arrays), as
+    name -> (lhs, rhs) thunks.
 
     Calling a side evaluates it on its own, so one side may raise while the
     other returns.  The exp and log laws use x only.  Powers follow

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +198,17 @@ class TestMaxentCommand:
         assert payload["converged"] is False
         assert payload["level"] is not None
 
+    def test_underflow_is_solver_failure(self, runner, tmp_path):
+        levels = "\n".join(str(x) for x in np.linspace(-1e4, 1e4, 100).tolist())
+        path = _write(tmp_path, "e.csv", "E\n" + levels + "\n")
+        result = runner.invoke(cli, [
+            "maxent", "--input", path, "--q", "2.75", "--alpha", "0.0105",
+            "--omega", "-0.01"])
+        assert result.exit_code == 5
+        assert isinstance(result.exception, SystemExit)
+        assert _payload(result)["converged"] is False
+        assert "underflows to 0" in result.output
+
     def test_target_mean_mode(self, runner, tmp_path):
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
         result = runner.invoke(cli, [
@@ -330,6 +344,18 @@ class TestCheckCommand:
         first = runner.invoke(cli, ["check", "--suite", "entropy", "--seed", "5"])
         second = runner.invoke(cli, ["check", "--suite", "entropy", "--seed", "5"])
         assert first.output == second.output
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize serves only the target-mean root find and costs about
+    # a third of the start-up time of every qtherm command
+    src = os.path.dirname(os.path.dirname(qtherm.checks.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, qtherm.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestFileIO:

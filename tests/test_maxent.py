@@ -17,6 +17,9 @@ from qtherm.maxent import (
 
 E3 = np.array([0.0, 1.0, 2.0])
 E5 = np.array([0.0, 0.5, 1.1, 1.7, 2.3])
+# |q - 1| between the Gibbs threshold 1e-9 and about 1e-6, where the
+# O(1/(q - 1)) terms of the trinomial family cancel
+Q_NEAR_ONE = [1.0 + 1e-7, 1.0 + 1e-8, 1.0 + 2e-9, 1.0 - 2e-9, 1.0 + 1e-6]
 
 
 def independent_gibbs(e, omega):
@@ -67,7 +70,9 @@ class TestSolveMaxent:
         # just below alpha = 1 the closed-form bound on the root overflows
         (np.linspace(0.0, 2.0, 10), 1.2, 0.9999, 0.3),
     ] + [(np.linspace(0.0, 2.0, n), 1.2, alpha, 0.3)
-         for n in (3, 3000, 30000) for alpha in (0.7, 1.5, 2.0)])
+         for n in (3, 3000, 30000) for alpha in (0.7, 1.5, 2.0)]
+      # the q -> 1 crossover just outside the Gibbs branch
+      + [(np.linspace(0.0, 2.0, 30), q, 1.5, 0.3) for q in Q_NEAR_ONE])
     def test_converged_means_certified(self, e, q, alpha, omega):
         # the iteration stops on the residual itself, at any size n
         sol = solve_maxent(e, q, alpha, omega)
@@ -129,6 +134,22 @@ class TestSolveMaxent:
         assert not sol.converged
         assert sol.iterations == 2
 
+    @pytest.mark.parametrize("solve", [
+        # Z_{q_alpha}, a sum of p^167.75, underflows at the uniform start
+        lambda: solve_maxent(np.linspace(-1e4, 1e4, 100), 2.75, 0.0105, -0.01),
+        lambda: solve_maxent_renyi(np.linspace(-1e4, 1e4, 100), 2.75, 0.0105, -0.01),
+        lambda: solve_maxent(np.linspace(-1e4, 1e4, 100), 2.75, 0.0105,
+                             target_mean=-0.01),
+        # the Gibbs weight exp(-1e4) of the upper level
+        lambda: solve_maxent(np.array([0.0, 1e4]), 1.0, 1.0, 1.0),
+    ])
+    def test_underflow_carries_last_iterate(self, solve):
+        with pytest.raises(NonConvergenceError, match="underflows to 0") as excinfo:
+            solve()
+        sol = excinfo.value.solution
+        assert not sol.converged
+        assert sol.probs.min() == 0.0 or sol.z_q_alpha.z == 0.0
+
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):
             solve_maxent(E3, 1.2, -1.0, 0.3)
@@ -177,6 +198,15 @@ class TestTargetMeanMode:
         assert sol.escort_mean == pytest.approx(target, abs=1e-12)
         assert sol.stationarity_residual <= 1e-8
 
+    @pytest.mark.parametrize("q", Q_NEAR_ONE)
+    def test_certifies_near_q_one(self, q):
+        sol = solve_maxent(np.linspace(0.0, 2.0, 30), q, 1.5, target_mean=0.8)
+        assert sol.converged
+        assert sol.stationarity_residual <= 1e-8
+        # the root find stops on an absolute step in lambda, which is O(q - 1)
+        # here, so the mean is hit to about 3e-10 rather than to 1e-12
+        assert sol.escort_mean == pytest.approx(0.8, abs=1e-8)
+
     @pytest.mark.parametrize("solve,match", [
         # the Gibbs weights reach the spectrum's ends only as omega -> inf
         (lambda: solve_maxent(E3, 1.0, 2.0, target_mean=0.0), r"\(0, 2\)"),
@@ -199,6 +229,12 @@ class TestTargetMeanMode:
         sol = excinfo.value.solution
         assert not sol.converged
         assert sol.iterations == 2
+
+    def test_probe_underflow_raises(self):
+        # Z_q, a sum of p^200 over 1000 levels, underflows at the first probe,
+        # before any iterate exists
+        with pytest.raises(NonConvergenceError, match="underflows to 0"):
+            solve_maxent(np.linspace(0.0, 2.0, 1000), 200.0, 1.0, target_mean=1.0)
 
     def test_uncertified_answer_raises(self):
         # q_alpha = -1 here and omega comes out near -3e15: the stationarity
