@@ -30,7 +30,7 @@ class DivergentSeriesError(QThermError):
 
 
 class NonConvergenceError(QThermError):
-    """A fixed-point iteration exhausted its iteration budget.
+    """An iterative solve stopped without a certified answer.
 
     ``solution`` holds the last iterate with ``converged=False`` so callers
     can still inspect diagnostics.

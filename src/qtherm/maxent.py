@@ -16,14 +16,23 @@ principal Lambert W branch, and q within 1e-9 of 1 is the closed-form Gibbs
 kernel.  So every family maps the two scalars (lambda, m) to p, and one
 builder certifies each answer by its stationarity residual:
 
-* fixed Omega: a damped fixed-point iteration on p that stops once the
-  certified residual is at most 1e-9;
+* fixed Omega: Newton's method on the two equations lambda =
+  Omega*per_omega(p) and m = <E>_q(p), with p = p(lambda, m) and the exact
+  Jacobian from each family's d log p/db, one level map per step.  It starts
+  from the uniform distribution, keeps m inside the spectrum and lambda
+  inside the interval where every level keeps a real root, and stops once
+  the certified residual is at most 1e-9; ``iterations`` counts Newton
+  steps.  Where the first sweep Omega*per_omega(uniform) keeps every root
+  real, the steps are damped by a pseudo-time step (pseudo-transient
+  continuation), which carries them across folds of |F| where det J changes
+  sign; elsewhere they are Newton steps under a line search on |F|, and a
+  solve that stalls raises the kernel's ``NoRealRootError`` for that sweep;
 * target escort mean: m is pinned to the target and one Brent root find in
   lambda runs over the interval where every level keeps a real root (b_i up
   to (alpha-1)^(alpha-1)/alpha^alpha for alpha > 1, below 1 at alpha = 1,
   from -1/e for Lambert W, unbounded otherwise); Omega follows from lambda
-  and the final p, and an answer whose residual is above 1e-9 raises
-  ``NonConvergenceError``.
+  and the final p, and an answer whose residual is above 1e-9, or whose
+  coupling lambda/Omega is 0 or not finite, raises ``NonConvergenceError``.
 """
 
 from __future__ import annotations
@@ -40,9 +49,8 @@ from .qalgebra import Q_ONE_THRESHOLD
 from .trinomial import _branch_roots, _lambert_w0, series_radius, trinomial_b
 
 MAX_ITER = 10_000
-DAMPING = 0.5
 # A solve reports converged only at or below this certified residual, a
-# margin below the 1e-8 that a caller accepts; the fixed-omega iteration
+# margin below the 1e-8 that a caller accepts; the fixed-omega Newton solve
 # stops on it.
 STOP_RESIDUAL = 1e-9
 
@@ -84,11 +92,12 @@ def solve_maxent(energies, q: float, alpha: float, omega: float | None = None, *
     ``alpha`` must be positive; q within 1e-9 of 1 routes to the
     Shannon/Gibbs closed form.
 
-    Raises ``NoRealRootError`` (with the first offending level) when some
-    level's trinomial leaves its real-root region, ``NonConvergenceError``
-    (carrying the last iterate) when ``max_iter`` iterations do not settle
-    or the answer does not certify, and ``DomainError`` for a target mean
-    outside the attainable range.
+    Raises ``NoRealRootError`` (with the first offending level) when a
+    fixed-omega solve fails and its first sweep from the uniform
+    distribution leaves some level's real-root region,
+    ``NonConvergenceError`` (carrying the last iterate) when ``max_iter``
+    Newton steps do not settle or the answer does not certify, and
+    ``DomainError`` for a target mean outside the attainable range.
     """
     return _solve_deformed(energies, q, alpha, omega, target_mean, max_iter,
                            renyi=False)
@@ -133,9 +142,10 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
         p_i = exp[-S_1 - W(u_i)/(q-1)],
         u_i = (q-1) * q * exp(-(q-1) S_1) * Omega * DeltaE_i / Z_q,
 
-    iterated to self-consistency in S_1, Z_q and the escort mean (or, with
-    ``target_mean``, found by the root find in the combined multiplier).  A
-    level whose W argument falls below -1/e raises ``NoRealRootError``.
+    solved for self-consistency in S_1, Z_q and the escort mean by the same
+    Newton solve (or, with ``target_mean``, found by the root find in the
+    combined multiplier).  A failed solve whose first sweep puts a W argument
+    below -1/e raises ``NoRealRootError``.
     """
     e = as_spectrum(energies)
     q = float(q)
@@ -150,12 +160,16 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
 # A family holds the spectrum and the indices.  ``q`` is the escort index of
 # the constraint, ``b_range`` the interval of b = lambda*(E_i - m) where every
 # level has a real root, ``level_map(b)`` the normalized distribution of the
-# coefficients b, ``per_omega(p, z_q)`` the coupling lambda/Omega of p, and
+# coefficients b with the per-level roots it came from, ``log_slope(b,
+# roots)`` the derivative in b of each level's log weight at those roots,
+# ``per_omega(p, z_q)`` the coupling lambda/Omega of p,
+# ``log_coupling_grad(p, weights)`` the gradient of its log in log p (weights
+# = p^q), and
 # ``free_gradient(p)`` the entropy part of the stationarity condition with the
 # reported phi and Z_{q_alpha}.  A level map is one call of an array kernel of
 # ``trinomial`` over all levels; the branch-root kernel starts from the
-# family's previous roots (``roots``), since successive sweeps and root-find
-# probes move b only a little.
+# family's previous roots (``roots``), since successive Newton steps and
+# root-find probes move b only a little.
 
 class _Trinomial:
     """Tsallis and Renyi levels: 1 - x + b*x^alpha = 0, p ~ x^(alpha/(q-1))."""
@@ -172,7 +186,7 @@ class _Trinomial:
                  math.nextafter(1.0, 0.0) if alpha == 1.0 else math.inf)
         self.b_range = (-math.inf, b_max)
 
-    def level_map(self, b: np.ndarray) -> np.ndarray:
+    def level_map(self, b: np.ndarray):
         try:
             self.roots = _branch_roots(self.alpha, b, self.roots)
         except NoRealRootError as err:
@@ -181,12 +195,24 @@ class _Trinomial:
         # log(x) loses near x = 1; log(x) keeps those of a root far below 1
         shift = b * self.roots**self.alpha
         log_roots = np.log1p(shift, out=np.log(self.roots), where=shift > -0.5)
-        return _normalized(self.alpha / (self.q - 1.0) * log_roots)
+        return _normalized(self.alpha / (self.q - 1.0) * log_roots), self.roots
+
+    def log_slope(self, b: np.ndarray, roots: np.ndarray) -> np.ndarray:
+        # d log x/db = x^(alpha-1)/(1 - alpha*b*x^(alpha-1)) on the trinomial
+        xa1 = roots ** (self.alpha - 1.0)
+        return self.alpha / (self.q - 1.0) * xa1 / (1.0 - self.alpha * b * xa1)
 
     def per_omega(self, p: np.ndarray, z_q: float) -> float:
         z_qa = _partition(p, self.q_alpha)
         scale = z_qa if self.renyi else 1.0
         return self.coupling * z_qa ** (self.alpha - 1.0) / z_q * scale
+
+    def log_coupling_grad(self, p: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # Z_{q_alpha} enters per_omega to the power alpha - 1, or alpha for Renyi
+        p_qa = p**self.q_alpha
+        power = self.alpha - 1.0 + self.renyi
+        return (power * self.q_alpha * p_qa / np.sum(p_qa)
+                - self.q * weights / np.sum(weights))
 
     def free_gradient(self, p: np.ndarray):
         z_qa = _partition(p, self.q_alpha)
@@ -208,15 +234,22 @@ class _Lambert:
     def __init__(self, e: np.ndarray, q: float):
         self.e, self.q = e, q
 
-    def level_map(self, b: np.ndarray) -> np.ndarray:
+    def level_map(self, b: np.ndarray):
         try:
             w = _lambert_w0(b)
         except NoRealRootError as err:
             raise _at_level(err, self.e) from err
-        return _normalized(-w / (self.q - 1.0))
+        return _normalized(-w / (self.q - 1.0)), w
+
+    def log_slope(self, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # dW/db = exp(-W)/(1 + W), finite at b = 0
+        return -np.exp(-w) / ((1.0 + w) * (self.q - 1.0))
 
     def per_omega(self, p: np.ndarray, z_q: float) -> float:
         return (self.q - 1.0) * self.q * math.exp(-(self.q - 1.0) * _shannon(p)) / z_q
+
+    def log_coupling_grad(self, p: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return (self.q - 1.0) * p * np.log(p) - self.q * weights / np.sum(weights)
 
     def free_gradient(self, p: np.ndarray):
         s1 = _shannon(p)
@@ -231,8 +264,8 @@ class _Gibbs(_Lambert):
     def __init__(self, e: np.ndarray):
         super().__init__(e, 1.0)
 
-    def level_map(self, b: np.ndarray) -> np.ndarray:
-        return _normalized(-b)
+    def level_map(self, b: np.ndarray):
+        return _normalized(-b), None
 
     def per_omega(self, p: np.ndarray, z_q: float) -> float:
         return 1.0
@@ -279,8 +312,8 @@ def _solve(fam, omega, target_mean, max_iter) -> MaxEntSolution:
         if not math.isfinite(omega):
             raise DomainError("omega must be finite")
         if isinstance(fam, _Gibbs):
-            return _certify(fam, fam.level_map(omega * fam.e), omega, 0, True)
-        return _fixed_point(fam, omega, max_iter)
+            return _certify(fam, fam.level_map(omega * fam.e)[0], omega, 0, True)
+        return _fixed_omega(fam, omega, max_iter)
 
 
 def _certify(fam, p: np.ndarray, omega: float, iterations: int,
@@ -312,21 +345,135 @@ def _certify(fam, p: np.ndarray, omega: float, iterations: int,
     return sol
 
 
-def _fixed_point(fam, omega: float, max_iter: int) -> MaxEntSolution:
-    """Damped iteration of the level map from the uniform distribution."""
-    sol = _certify(fam, _uniform(fam.e.size), omega, 0, False)
-    for iterations in range(1, max_iter + 1):
-        lam = omega * fam.per_omega(sol.probs, sol.z_q.z)
-        p_map = fam.level_map(lam * (fam.e - sol.escort_mean))
-        p = (1.0 - DAMPING) * sol.probs + DAMPING * p_map
+def _fixed_omega(fam, omega: float, max_iter: int) -> MaxEntSolution:
+    """Newton's method in x = (lambda, m) for F = (lambda - Omega*per_omega(p),
+    m - <E>_q(p)) = 0, where p = p(lambda, m) is one level map.
+
+    It starts from the uniform distribution, lambda = 0, which is certified
+    first.  Each step solves (J + I/dt) d = -F with the exact Jacobian J, one
+    level map per step, and is taken only where m stays inside the spectrum,
+    lambda inside the feasible interval of that m and F finite.  The
+    pseudo-time step dt (pseudo-transient continuation) starts at 3 where the
+    first sweep Omega*per_omega(uniform) keeps every level's real root: it
+    halves on a step that is not taken and grows by the fall of the scaled
+    |F| on one that is, so the steps follow the damped fixed-point flow until
+    F is small and are Newton steps from there.  Where the first sweep has no
+    real root, dt is infinite, every step is a Newton step, and it is halved
+    until the scaled |F| decreases; a stall there raises the kernel's error
+    for the first sweep.  A step that cannot be taken even when cut below the
+    square root of the float precision, or that no longer moves x, ends the
+    solve with ``NonConvergenceError``.
+    """
+    e = fam.e
+    p, roots = fam.level_map(np.zeros(e.size))  # the uniform distribution
+    sol = _certify(fam, p, omega, 0, False)
+    if sol.stationarity_residual <= STOP_RESIDUAL:
+        return replace(sol, converged=True)
+    x = np.array([0.0, sol.escort_mean])
+    f, jac = _newton_system(fam, p, roots, x, omega)
+    # lambda is measured against the first sweep, m against the spectrum's
+    # width, so the scaled |F| is 1 at the start
+    scale = np.array([abs(f[0]), e.max() - e.min()])
+    sweep = x - [f[0], 0.0]
+    # J = [[1, 0], [c, 1]] at the uniform start, so the first step moves
+    # lambda by dt/(1 + dt) of the sweep: three quarters at dt = 3
+    lo, hi = _feasible(fam, e - x[1])
+    dt = 3.0 if lo < sweep[0] < hi else math.inf
+    norm = 1.0
+    iterations = 0
+    while sol.stationarity_residual > STOP_RESIDUAL:
+        if iterations == max_iter:
+            raise NonConvergenceError(
+                f"no convergence after {max_iter} Newton steps "
+                f"(residual {sol.stationarity_residual:.3g})", solution=sol)
+        iterations += 1
+        t = 1.0
+        while True:
+            a = jac + np.eye(2) / dt
+            det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+            step = t / det * np.array([a[0, 1] * f[1] - a[1, 1] * f[0],
+                                       a[1, 0] * f[0] - a[0, 0] * f[1]])
+            point = _newton_point(fam, x + step, omega)
+            if point is not None and (dt < math.inf or
+                                      np.hypot(*(point[2] / scale)) < norm):
+                break
+            if dt < math.inf:
+                dt *= 0.5
+            else:
+                t *= 0.5
+            # a step cut below the square root of the float precision moves
+            # x by no more than that: the iteration is stuck
+            if not min(t, dt) >= math.ulp(1.0) ** 0.5:
+                if dt == math.inf:
+                    # the kernel names the first level without a real root
+                    fam.level_map(sweep[0] * (e - sweep[1]))
+                raise NonConvergenceError(
+                    f"the Newton step stalls at step {iterations} "
+                    f"(residual {sol.stationarity_residual:.3g})", solution=sol)
+        if np.all(x + step == x):
+            raise NonConvergenceError(
+                f"the Newton step no longer moves (lambda, m) at step "
+                f"{iterations} (residual {sol.stationarity_residual:.3g})",
+                solution=sol)
+        x = x + step
+        p, roots, f, jac = point
+        new_norm = np.hypot(*(f / scale))
+        dt *= norm / new_norm
+        norm = new_norm
         sol = _certify(fam, p, omega, iterations, False)
-        if sol.stationarity_residual <= STOP_RESIDUAL:
-            return replace(sol, converged=True)
-    raise NonConvergenceError(
-        f"no convergence after {max_iter} sweeps "
-        f"(residual {sol.stationarity_residual:.3g})",
-        solution=sol,
-    )
+    return replace(sol, converged=True)
+
+
+def _newton_point(fam, x: np.ndarray, omega: float):
+    """(p, roots, F, Jacobian) at x = (lambda, m), or ``None`` where m is not
+    inside the spectrum, some level has no real root or F is not finite."""
+    de = fam.e - x[1]
+    if not de.min() < 0.0 < de.max():
+        return None
+    lo, hi = _feasible(fam, de)
+    if not lo < x[0] < hi:
+        return None
+    try:
+        p, roots = fam.level_map(x[0] * de)
+    except NoRealRootError:
+        return None
+    f, jac = _newton_system(fam, p, roots, x, omega)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(jac))):
+        return None
+    return p, roots, f, jac
+
+
+def _newton_system(fam, p: np.ndarray, roots: np.ndarray, x: np.ndarray,
+                   omega: float):
+    """F of the fixed-Omega solve and its Jacobian at x = (lambda, m), where
+    p, roots = fam.level_map(lambda*(E - m))."""
+    e, q = fam.e, fam.q
+    lam, m = x
+    weights = p**q
+    escort = weights / np.sum(weights)
+    mean = float(np.dot(escort, e))
+    wc = omega * fam.per_omega(p, np.sum(weights))
+    grad = fam.log_coupling_grad(p, weights)
+    slope = fam.log_slope(lam * (e - m), roots)
+    # d log p/d(lambda, m): each level's slope times db_i, less the p-weighted
+    # mean that the normalization takes out
+    d_lam = slope * (e - m)
+    d_lam -= np.dot(p, d_lam)
+    d_m = -lam * slope
+    d_m -= np.dot(p, d_m)
+    d_mean = q * escort * (e - mean)
+    f = x - [wc, mean]
+    jac = np.array([[1.0 - wc * np.dot(grad, d_lam), -wc * np.dot(grad, d_m)],
+                    [-np.dot(d_mean, d_lam), 1.0 - np.dot(d_mean, d_m)]])
+    return f, jac
+
+
+def _feasible(fam, de: np.ndarray) -> tuple[float, float]:
+    """The interval of lambda where every level's b = lambda*de keeps a real
+    root; ``de`` must have both signs."""
+    b_min, b_max = fam.b_range
+    return (max(b_max / de.min(), b_min / de.max()),
+            min(b_max / de.max(), b_min / de.min()))
 
 
 def _solve_for_target(fam, target: float, max_iter: int) -> MaxEntSolution:
@@ -343,13 +490,12 @@ def _solve_for_target(fam, target: float, max_iter: int) -> MaxEntSolution:
             f"({e.min():g}, {e.max():g}) of the spectrum"
         )
     b_min, b_max = fam.b_range
-    lo = max(b_max / de.min(), b_min / de.max())
-    hi = min(b_max / de.max(), b_min / de.min())
+    lo, hi = _feasible(fam, de)
     maps: dict[float, np.ndarray] = {}
 
     def level_map(lam: float) -> np.ndarray:
         if lam not in maps:
-            maps[lam] = fam.level_map(np.clip(lam * de, b_min, b_max))
+            maps[lam] = fam.level_map(np.clip(lam * de, b_min, b_max))[0]
         return maps[lam]
 
     def gap(lam: float) -> float:
@@ -382,16 +528,26 @@ def _solve_for_target(fam, target: float, max_iter: int) -> MaxEntSolution:
     # imported here: scipy.optimize adds about 0.25 s to `import qtherm`
     from scipy.optimize import brentq
 
-    lam, info = brentq(gap, lo, hi, xtol=1e-16 * scale, maxiter=max_iter,
+    # lambda is O(q - 1) in every family but the Gibbs kernel, so its step
+    # tolerance shrinks with q - 1
+    xtol = 1e-16 * scale
+    if not isinstance(fam, _Gibbs):
+        xtol *= min(1.0, abs(fam.q - 1.0))
+    lam, info = brentq(gap, lo, hi, xtol=xtol, maxiter=max_iter,
                        full_output=True, disp=False)
     p = level_map(lam)
-    omega = float(lam / fam.per_omega(p, _partition(p, fam.q)))
+    per_omega = float(fam.per_omega(p, _partition(p, fam.q)))
+    omega = float(lam / per_omega)
     sol = _certify(fam, p, omega, info.iterations, False)
     if not info.converged:
         raise NonConvergenceError(
             f"no convergence after {max_iter} root-find iterations in lambda",
             solution=sol,
         )
+    if not 0.0 < abs(per_omega) < math.inf:
+        raise NonConvergenceError(
+            f"the coupling lambda/omega is {per_omega:g} at the target, so omega "
+            f"= lambda/{per_omega:g} is lost", solution=sol)
     if sol.stationarity_residual > STOP_RESIDUAL:
         raise NonConvergenceError(
             f"the multiplier that reaches the target does not certify: residual "

@@ -198,6 +198,30 @@ class TestMaxentCommand:
         assert payload["converged"] is False
         assert payload["level"] is not None
 
+    @pytest.mark.parametrize("n,q,alpha,omega", [
+        (30, "1.5", "3", "2"), (3000, "1.2", "1.5", "3")])
+    def test_first_sweep_beyond_real_roots_solves(self, runner, tmp_path, n, q,
+                                                  alpha, omega):
+        levels = "\n".join(repr(x) for x in np.linspace(0.0, 2.0, n).tolist())
+        path = _write(tmp_path, "e.csv", "E\n" + levels + "\n")
+        result = runner.invoke(cli, ["maxent", "--input", path, "--q", q,
+                                     "--alpha", alpha, "--omega", omega])
+        assert result.exit_code == 0
+        payload = _payload(result)
+        assert payload["converged"] is True
+        assert payload["residual"] <= 1e-9
+
+    def test_overflowing_coupling_is_solver_failure(self, runner, tmp_path):
+        levels = "\n".join(str(x) for x in np.linspace(-1e4, 1e4, 100).tolist())
+        path = _write(tmp_path, "e.csv", "E\n" + levels + "\n")
+        result = runner.invoke(cli, [
+            "maxent", "--input", path, "--q", "2.75", "--alpha", "0.0105",
+            "--target-mean", "3000"])
+        assert result.exit_code == 5
+        assert isinstance(result.exception, SystemExit)
+        assert _payload(result)["converged"] is False
+        assert "Traceback" not in result.output
+
     def test_underflow_is_solver_failure(self, runner, tmp_path):
         levels = "\n".join(str(x) for x in np.linspace(-1e4, 1e4, 100).tolist())
         path = _write(tmp_path, "e.csv", "E\n" + levels + "\n")

@@ -8,6 +8,9 @@ from qtherm.deformation import transform
 from qtherm.entropy import escort_mean
 from qtherm.errors import DomainError, NonConvergenceError, NoRealRootError
 from qtherm.maxent import (
+    _Lambert,
+    _newton_system,
+    _Trinomial,
     as_spectrum,
     partition_bound_check,
     solve_maxent,
@@ -72,12 +75,29 @@ class TestSolveMaxent:
     ] + [(np.linspace(0.0, 2.0, n), 1.2, alpha, 0.3)
          for n in (3, 3000, 30000) for alpha in (0.7, 1.5, 2.0)]
       # the q -> 1 crossover just outside the Gibbs branch
-      + [(np.linspace(0.0, 2.0, 30), q, 1.5, 0.3) for q in Q_NEAR_ONE])
+      + [(np.linspace(0.0, 2.0, 30), q, 1.5, 0.3) for q in Q_NEAR_ONE]
+      # Omega*per_omega of the uniform distribution puts b past the critical
+      # value, yet a certified solution exists
+      + [(np.linspace(0.0, 2.0, 30), 1.5, 3.0, 2.0),
+         (np.linspace(0.0, 2.0, 3000), 1.2, 1.5, 3.0)]
+      # a cluster of levels above an isolated ground level: |F| has a fold
+      # where det J changes sign, on which Newton steps alone stall
+      + [(np.array([0.0, 0.19, 0.2, 0.21, 0.22, 0.23, 2.0]), 0.5, 0.7, 26.0),
+         (np.array([0.0, 0.3, 0.31, 0.32, 0.33, 0.34, 2.0]), 0.6, 0.7, 15.0)])
     def test_converged_means_certified(self, e, q, alpha, omega):
         # the iteration stops on the residual itself, at any size n
         sol = solve_maxent(e, q, alpha, omega)
         assert sol.converged
         assert sol.stationarity_residual <= 1e-8
+
+    @pytest.mark.parametrize("n", [3, 3000, 30000])
+    @pytest.mark.parametrize("alpha", [0.7, 1.5, 2.0])
+    @pytest.mark.parametrize("q", [0.8, 1.2])
+    def test_newton_steps_bounded(self, q, alpha, n):
+        # a work count, never a timing
+        sol = solve_maxent(np.linspace(0.0, 2.0, n), q, alpha, 0.3)
+        assert sol.converged
+        assert sol.iterations <= 10
 
     @pytest.mark.parametrize("q", [0.8, 1.2])
     def test_alpha_one_is_q_exponential(self, q):
@@ -203,9 +223,8 @@ class TestTargetMeanMode:
         sol = solve_maxent(np.linspace(0.0, 2.0, 30), q, 1.5, target_mean=0.8)
         assert sol.converged
         assert sol.stationarity_residual <= 1e-8
-        # the root find stops on an absolute step in lambda, which is O(q - 1)
-        # here, so the mean is hit to about 3e-10 rather than to 1e-12
-        assert sol.escort_mean == pytest.approx(0.8, abs=1e-8)
+        # lambda is O(q - 1) here, and the root find's step in it scales so
+        assert sol.escort_mean == pytest.approx(0.8, abs=1e-12)
 
     @pytest.mark.parametrize("solve,match", [
         # the Gibbs weights reach the spectrum's ends only as omega -> inf
@@ -236,6 +255,12 @@ class TestTargetMeanMode:
         with pytest.raises(NonConvergenceError, match="underflows to 0"):
             solve_maxent(np.linspace(0.0, 2.0, 1000), 200.0, 1.0, target_mean=1.0)
 
+    def test_overflowing_coupling_raises(self):
+        # Z_{q_alpha}^(alpha - 1) overflows, so omega = lambda/inf would be -0
+        with pytest.raises(NonConvergenceError, match="coupling") as excinfo:
+            solve_maxent(np.linspace(-1e4, 1e4, 100), 2.75, 0.0105, target_mean=3000.0)
+        assert not excinfo.value.solution.converged
+
     def test_uncertified_answer_raises(self):
         # q_alpha = -1 here and omega comes out near -3e15: the stationarity
         # terms are too large for an absolute residual of 1e-8
@@ -244,6 +269,47 @@ class TestTargetMeanMode:
         sol = excinfo.value.solution
         assert not sol.converged
         assert sol.stationarity_residual > 1e-8
+
+
+class TestNewtonJacobian:
+    @pytest.mark.parametrize("fam", [
+        _Trinomial(np.linspace(0.0, 2.0, 7), 1.2, 1.5, False),
+        _Trinomial(np.linspace(0.0, 2.0, 7), 0.8, 2.0, True),
+        _Lambert(np.linspace(0.0, 2.0, 7), 1.3),
+    ], ids=["tsallis", "renyi", "shannon"])
+    def test_matches_central_differences(self, fam):
+        def system(x):
+            p, roots = fam.level_map(x[0] * (fam.e - x[1]))
+            return _newton_system(fam, p, roots, x, 0.3)
+
+        x = np.array([0.1, 0.8])
+        _, jac = system(x)
+        for k, h in enumerate((1e-6, 1e-5)):
+            dx = np.zeros(2)
+            dx[k] = h
+            column = (system(x + dx)[0] - system(x - dx)[0]) / (2.0 * h)
+            assert jac[:, k] == pytest.approx(column, rel=1e-6, abs=1e-9)
+
+
+class TestModesAgree:
+    """A target mean gives omega; that fixed omega gives the same answer back."""
+
+    @pytest.mark.parametrize("n", [3, 30, 3000])
+    @pytest.mark.parametrize("solve", [
+        lambda e, *args, **kw: solve_maxent(e, 1.2, 1.5, *args, **kw),
+        lambda e, *args, **kw: solve_maxent_renyi(e, 1.2, 2.0, *args, **kw),
+        lambda e, *args, **kw: solve_maxent_shannon_limit(e, 1.3, *args, **kw),
+    ], ids=["tsallis", "renyi", "shannon"])
+    def test_fixed_omega_reproduces_target(self, solve, n):
+        e = np.linspace(0.0, 2.0, n)
+        target = solve(e, target_mean=0.8)
+        fixed = solve(e, target.omega)
+        assert fixed.converged
+        # the fixed-omega solve stops once its certified residual is at most
+        # 1e-9, and its escort mean is no more accurate than that: Tsallis at
+        # n = 3000 stops at 8e-10 and misses 0.8 by 6.8e-10
+        assert abs(fixed.escort_mean - 0.8) <= 1e-9
+        assert np.max(np.abs(fixed.probs - target.probs) / target.probs) <= 1e-8
 
 
 class TestShannonLimit:
