@@ -182,16 +182,15 @@ def escort(input_path: str, r: float, fmt: str) -> None:
     """Escort-transform a distribution file."""
     p = as_distribution(read_column(input_path, "p"))
     rho = ent.escort(p, r)
+    pairs = enumerate(zip(p.tolist(), rho.tolist()))
     if fmt == "json":
         click.echo(json.dumps({
             "r": r,
-            "levels": [{"i": i, "p": float(p[i]), "rho": float(rho[i])}
-                       for i in range(p.size)],
+            "levels": [{"i": i, "p": p_i, "rho": rho_i} for i, (p_i, rho_i) in pairs],
         }))
         return
-    click.echo("i,p,rho")
-    for i in range(p.size):
-        click.echo(f"{i},{format_float(p[i])},{format_float(rho[i])}")
+    click.echo("\n".join(["i,p,rho"] + [
+        f"{i},{format_float(p_i)},{format_float(rho_i)}" for i, (p_i, rho_i) in pairs]))
 
 
 @cli.command()
@@ -268,12 +267,11 @@ def maxent(input_path: str, q: float, alpha: str, omega: float | None,
 
 
 def _emit_maxent(sol, energies: np.ndarray, fmt: str) -> None:
+    """Write the solution with one echo, since each echo flushes stdout."""
+    pairs = enumerate(zip(energies.tolist(), sol.probs.tolist()))
     if fmt == "json":
         click.echo(json.dumps({
-            "levels": [
-                {"i": i, "E": float(energies[i]), "p": float(sol.probs[i])}
-                for i in range(energies.size)
-            ],
+            "levels": [{"i": i, "E": e, "p": p} for i, (e, p) in pairs],
             "Z_q": sol.z_q.z,
             "Z_q_alpha": sol.z_q_alpha.z,
             "phi": sol.phi,
@@ -283,10 +281,7 @@ def _emit_maxent(sol, energies: np.ndarray, fmt: str) -> None:
             "converged": sol.converged,
         }))
         return
-    click.echo("i,E,p")
-    for i in range(energies.size):
-        click.echo(f"{i},{format_float(energies[i])},{format_float(sol.probs[i])}")
-    click.echo(
+    footer = (
         "# "
         f"Z_q={format_float(sol.z_q.z)} "
         f"Z_q_alpha={format_float(sol.z_q_alpha.z)} "
@@ -296,6 +291,8 @@ def _emit_maxent(sol, energies: np.ndarray, fmt: str) -> None:
         f"iterations={sol.iterations} "
         f"converged={str(sol.converged).lower()}"
     )
+    click.echo("\n".join(["i,E,p"] + [
+        f"{i},{format_float(e)},{format_float(p)}" for i, (e, p) in pairs] + [footer]))
 
 
 @cli.command()

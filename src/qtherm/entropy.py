@@ -71,25 +71,51 @@ class PartitionSum(NamedTuple):
 def partition_sum(probs, q: float) -> float:
     """Z_q = sum_k p_k^q with the zero-entry convention 0^q := 0 for q > 0."""
     p = as_distribution(probs)
-    return _partition_sum_raw(p, float(q))
+    return _partition_sum_raw(p, _finite_q(q))
+
+
+def _finite_q(q) -> float:
+    q = float(q)
+    if not math.isfinite(q):
+        raise DomainError(f"q must be finite, got {q!r}")
+    return q
+
+
+def _support(p: np.ndarray, q: float) -> np.ndarray:
+    """The positive entries of p, the only ones in Z_q (0^q := 0 for q > 0);
+    a zero entry with q <= 0 is a domain error."""
+    if q <= 0.0 and np.any(p == 0.0):
+        raise DomainError(f"Z_q undefined: zero probability with q = {q:g} <= 0")
+    return p[p > 0.0]
 
 
 def _partition_sum_raw(p: np.ndarray, q: float) -> float:
-    if q <= 0.0 and np.any(p == 0.0):
-        raise DomainError(f"Z_q undefined: zero probability with q = {q:g} <= 0")
-    if q > 0.0:
-        support = p[p > 0.0]
-        return float(np.sum(support**q))
-    return float(np.sum(p**q))
+    return float(np.sum(_support(p, q) ** q))
+
+
+def _partition_excess(p: np.ndarray, q: float) -> float:
+    """Z_q - 1 as the sum of the terms p_k^q - p_k = p_k*expm1((q-1)*ln p_k).
+
+    Through sum(p) = 1 the leading 1 cancels exactly, and every term has the
+    sign of 1 - q, so (Z_q - 1)/(1 - q) keeps its digits as q -> 1 instead
+    of losing about eps/|q - 1| of them.  Terms with |(q-1)*ln p_k| >= 1 are
+    taken as p_k^q - p_k, where exp would inherit the rounding of the product.
+    """
+    s = _support(p, q)
+    y = (q - 1.0) * np.log(s)
+    terms = s**q - s
+    small = np.abs(y) < 1.0
+    terms[small] = s[small] * np.expm1(y[small])
+    return float(np.sum(terms))
 
 
 def tsallis(probs, q: float) -> float:
     """Nonadditive entropy S_q = (sum p_i^q - 1)/(1 - q); Shannon at q = 1."""
     p = as_distribution(probs)
-    q = float(q)
+    q = _finite_q(q)
     if abs(q - 1.0) < Q_ONE_THRESHOLD:
         return _shannon_raw(p)
-    return (_partition_sum_raw(p, q) - 1.0) / (1.0 - q)
+    return _partition_excess(p, q) / (1.0 - q)
 
 
 def shannon(probs) -> float:
@@ -108,13 +134,16 @@ def renyi(probs, q: float) -> float:
     Equals log(exp_q(S_q)) of the matching nonadditive entropy.
     """
     p = as_distribution(probs)
-    q = float(q)
+    q = _finite_q(q)
     if abs(q - 1.0) < Q_ONE_THRESHOLD:
         return _shannon_raw(p)
-    z = _partition_sum_raw(p, q)
+    excess = _partition_excess(p, q)
+    # log1p keeps the digits of ln Z_q near q = 1; below Z_q = 1/2 the sum
+    # 1 + excess would lose those that Z_q itself keeps
+    z = 1.0 + excess if excess > -0.5 else _partition_sum_raw(p, q)
     if z <= 0.0 or math.isinf(z):
         raise DomainError(f"partition sum {z:g} outside (0, inf)")
-    return math.log(z) / (1.0 - q)
+    return (math.log1p(excess) if excess > -0.5 else math.log(z)) / (1.0 - q)
 
 
 def escort(probs, r: float) -> np.ndarray:
@@ -169,7 +198,7 @@ def hybrid(probs, q: float) -> float:
     weight and are excluded from the average.
     """
     p = as_distribution(probs)
-    q = float(q)
+    q = _finite_q(q)
     if q < 0.5:
         raise DomainError(
             f"hybrid entropy requires q >= 1/2, got q = {q:g} (maximality fails below)"
@@ -189,7 +218,7 @@ def avg_hybrid(probs, q: float) -> float:
     The index is the alpha = 2 rescaling of q, which maps the admissible
     range q >= 0 onto the hybrid domain [1/2, inf).
     """
-    q = float(q)
+    q = _finite_q(q)
     if q < 0.0:
         raise DomainError(f"average hybrid entropy requires q >= 0, got {q:g}")
     return hybrid(probs, transform(q, 2.0))

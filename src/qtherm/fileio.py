@@ -28,29 +28,28 @@ def read_column(path, column: str) -> np.ndarray:
     """Read one numeric column from a CSV file.
 
     Headerless single-column files are accepted directly; files with a
-    header row must contain ``column``.
+    header row must contain ``column``.  Data cells are split but not
+    stripped (``float`` ignores the whitespace around a number); only the
+    header and the cell that an error names are.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((lineno, [cell.strip() for cell in stripped.split(",")]))
+    rows = [(lineno, line) for lineno, line in
+            enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1)
+            if line.strip()[:1] not in ("", "#")]
     if not rows:
         raise ParseError(f"no data rows in {path}")
 
-    first_line, first_cells = rows[0]
-    header = None
-    if not _all_numeric(first_cells):
-        header = first_cells
+    first_line, first = rows[0]
+    header = [cell.strip() for cell in first.split(",")]
+    if _all_numeric(header):
+        header = None
+    else:
         rows = rows[1:]
         if not rows:
             raise ParseError("header present but no data rows", line=first_line)
 
     if header is None:
         index = 0
-        if any(len(cells) != 1 for _, cells in rows):
+        if any("," in line for _, line in rows):
             raise ParseError(
                 f"multi-column file without a header naming {column!r}",
                 line=rows[0][0],
@@ -64,14 +63,16 @@ def read_column(path, column: str) -> np.ndarray:
         index = header.index(column)
 
     values = []
-    for lineno, cells in rows:
-        if index >= len(cells):
-            raise ParseError(f"row has {len(cells)} columns, need {index + 1}",
-                             line=lineno)
-        try:
-            values.append(float(cells[index]))
-        except ValueError:
-            raise ParseError(f"not a number: {cells[index]!r}", line=lineno) from None
+    try:
+        for lineno, line in rows:
+            values.append(float(line.split(",", index + 1)[index]))
+    except IndexError:
+        cells = line.split(",")
+        raise ParseError(f"row has {len(cells)} columns, need {index + 1}",
+                         line=lineno) from None
+    except ValueError:
+        cell = line.split(",")[index].strip()
+        raise ParseError(f"not a number: {cell!r}", line=lineno) from None
     return np.asarray(values, dtype=float)
 
 

@@ -19,6 +19,8 @@ and ``NoRealRootError`` is raised for the first such entry.
 ``lambert_w_array`` evaluates the principal Lambert W branch (the
 alpha -> inf member) with ``scipy.special.lambertw``.  The scalar
 ``solve_trinomial`` and ``lambert_w`` are thin wrappers over the two kernels.
+SciPy is imported by the functions that use it, so a command that needs
+neither Lambert W nor the series coefficients never loads it.
 
 The branch-root power series (``trinomial_series``) is the paper's result;
 it serves as a test oracle and is not on the solve path.
@@ -29,7 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, lambertw
 
 from .errors import (
     DivergentSeriesError,
@@ -83,6 +84,8 @@ def series_coefficient(alpha: float, n: int) -> float:
 
 def _log_coefficient(alpha: float, n: int) -> tuple[float, float]:
     """Sign and log-magnitude of C(alpha*n, n-1)/n."""
+    from scipy.special import gammaln, gammasgn
+
     z = alpha * n
     tail = float(gammaln(z - n + 2.0))
     if math.isinf(tail):
@@ -357,6 +360,8 @@ def _lambert_w0(x) -> np.ndarray:
     """W0 of every entry of ``x`` by ``scipy.special.lambertw``; an argument
     below -1/e - 1e-15 raises ``NoRealRootError`` naming its index in
     ``level``."""
+    from scipy.special import lambertw
+
     x = np.asarray(x, dtype=float)
     shape = x.shape
     x = x.ravel()

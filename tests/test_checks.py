@@ -1,6 +1,6 @@
 import pytest
 
-from qtherm.checks import run_algebra_suite, run_group_suite
+from qtherm.checks import run_algebra_suite, run_entropy_suite, run_group_suite
 
 GROUP_PROPERTIES = [
     "composition", "associativity", "neutral element", "unit invariant",
@@ -25,3 +25,10 @@ def test_group_and_algebra_suites_pass(seed):
     assert [r.name for r in group + algebra if not r.passed] == []
     assert group[0].detail.startswith("10000 samples")
     assert algebra[0].detail.startswith("10000 samples")
+
+
+@pytest.mark.parametrize("seed", [59, 244])
+def test_entropy_suite_passes_near_q_one(seed):
+    # these seeds draw q within 2e-6 of 1 for the additivity properties,
+    # where (Z_q - 1)/(1 - q) used to lose digits
+    assert [r.name for r in run_entropy_suite(seed) if not r.passed] == []

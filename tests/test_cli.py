@@ -10,9 +10,10 @@ from click.testing import CliRunner
 
 import qtherm.checks
 from qtherm.cli import cli
-from qtherm.entropy import tsallis
+from qtherm.entropy import as_distribution, escort, tsallis
 from qtherm.fileio import read_column, read_distribution, read_spectrum
 from qtherm.errors import ParseError
+from qtherm.maxent import solve_maxent
 
 
 @pytest.fixture()
@@ -31,6 +32,19 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _g17(x: float) -> str:
+    return format(x, ".17g")
+
+
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this qtherm."""
+    src = os.path.dirname(os.path.dirname(qtherm.checks.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 class TestTransformCommand:
@@ -95,6 +109,15 @@ class TestEntropyCommand:
             cli, ["entropy", "--input", path, "--kind", "hybrid", "--q", "0.3"])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("kind", ["tsallis", "renyi", "hybrid", "avg-hybrid"])
+    def test_non_finite_q_is_domain_error(self, runner, tmp_path, kind):
+        path = _write(tmp_path, "u2.csv", "p\n0.5\n0.5\n")
+        result = runner.invoke(
+            cli, ["entropy", "--input", path, "--kind", kind, "--q", "nan"])
+        assert result.exit_code == 4
+        assert "q must be finite, got nan" in result.output
+        assert result.stdout == ""
+
     def test_malformed_file_reports_line(self, runner, tmp_path):
         path = _write(tmp_path, "bad.csv", "p\n0.5\nnot-a-number\n")
         result = runner.invoke(
@@ -130,6 +153,19 @@ class TestEscortCommand:
         result = runner.invoke(
             cli, ["escort", "--input", path, "--r", "2", "--format", "csv"])
         assert result.output.splitlines()[0] == "i,p,rho"
+
+    def test_golden_output(self, runner, tmp_path):
+        probs = np.random.default_rng(41).dirichlet(np.ones(7)).tolist()
+        path = _write(tmp_path, "p.csv", "p\n" + "".join(f"{x!r}\n" for x in probs))
+        p = as_distribution(probs).tolist()
+        rho = escort(p, 1.7).tolist()
+        expected_json = json.dumps({"r": 1.7, "levels": [
+            {"i": i, "p": p[i], "rho": rho[i]} for i in range(7)]}) + "\n"
+        expected_csv = "i,p,rho\n" + "".join(
+            f"{i},{_g17(p[i])},{_g17(rho[i])}\n" for i in range(7))
+        args = ["escort", "--input", path, "--r", "1.7"]
+        assert runner.invoke(cli, args).stdout == expected_json
+        assert runner.invoke(cli, args + ["--format", "csv"]).stdout == expected_csv
 
 
 class TestMaxentCommand:
@@ -179,6 +215,31 @@ class TestMaxentCommand:
         value = _payload(entropy_result)["value"]
         assert value == pytest.approx(tsallis(np.array(probs_json), 1.2),
                                       abs=1e-12)
+
+    def test_golden_output(self, runner, tmp_path):
+        energies = [0.0, 0.3, 0.7, 1.1, 1.6, 2.2, 3.05]
+        path = _write(tmp_path, "e.csv", "E\n" + "".join(f"{x!r}\n" for x in energies))
+        sol = solve_maxent(energies, 1.2, 2.0, 0.4)
+        probs = sol.probs.tolist()
+        expected_json = json.dumps({
+            "levels": [{"i": i, "E": energies[i], "p": probs[i]} for i in range(7)],
+            "Z_q": sol.z_q.z,
+            "Z_q_alpha": sol.z_q_alpha.z,
+            "phi": sol.phi,
+            "escort_mean": sol.escort_mean,
+            "residual": sol.stationarity_residual,
+            "iterations": sol.iterations,
+            "converged": True,
+        }) + "\n"
+        expected_csv = "i,E,p\n" + "".join(
+            f"{i},{_g17(energies[i])},{_g17(probs[i])}\n" for i in range(7)) + (
+            f"# Z_q={_g17(sol.z_q.z)} Z_q_alpha={_g17(sol.z_q_alpha.z)} "
+            f"phi={_g17(sol.phi)} escort_mean={_g17(sol.escort_mean)} "
+            f"residual={_g17(sol.stationarity_residual)} "
+            f"iterations={sol.iterations} converged=true\n")
+        args = ["maxent", "--input", path, "--q", "1.2", "--alpha", "2", "--omega", "0.4"]
+        assert runner.invoke(cli, args).stdout == expected_json
+        assert runner.invoke(cli, args + ["--format", "csv"]).stdout == expected_csv
 
     def test_csv_energy_column_reparses_too(self, runner, tmp_path):
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
@@ -371,15 +432,31 @@ class TestCheckCommand:
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves only the target-mean root find and costs about
-    # a third of the start-up time of every qtherm command
-    src = os.path.dirname(os.path.dirname(qtherm.checks.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    # scipy.optimize serves only the target-mean root find, and no module of
+    # scipy is loaded before a command needs one (see the test below)
     code = "import sys, qtherm.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.special serves only Lambert W and the series coefficients; the
+    # import of any scipy module costs about a third of a second per command
+    code = ("import sys, qtherm.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("code,expected", [
+    ("from qtherm.trinomial import lambert_w_array; "
+     "print(lambert_w_array([0.0, math.e]).tolist())", "[0.0, 1.0]"),
+    ("from qtherm.trinomial import series_coefficient; "
+     "print(round(series_coefficient(2.0, 5)))", "42"),
+    ("from qtherm.maxent import solve_maxent; "
+     "print(abs(solve_maxent([0.0, 1.0, 2.0], 1.2, 2.0, target_mean=0.6)"
+     ".escort_mean - 0.6) < 1e-8)", "True"),
+])
+def test_scipy_paths_work_in_a_fresh_interpreter(code, expected):
+    assert _fresh_python("import math; " + code).strip() == expected
 
 
 class TestFileIO:
@@ -404,3 +481,25 @@ class TestFileIO:
         path = _write(tmp_path, "p.csv", "")
         with pytest.raises(ParseError):
             read_column(path, "p")
+
+    def test_padded_cells(self, tmp_path):
+        path = _write(tmp_path, "e.csv", " E ,\tp \n 0.5 ,\t0.25\t\n\t1.5,  0.75 \n")
+        assert read_column(path, "p").tolist() == [0.25, 0.75]
+        assert read_column(path, "E").tolist() == [0.5, 1.5]
+        path = _write(tmp_path, "p.csv", "  0.25 \n\t0.75\t\n")
+        assert read_column(path, "p").tolist() == [0.25, 0.75]
+
+    def test_bad_number_names_its_file_line(self, tmp_path):
+        text = "i,E,p\n\n# note, with a comma\n0,0.5,0.25\n\n1, oops ,0.75\n"
+        path = _write(tmp_path, "e.csv", text)
+        with pytest.raises(ParseError) as info:
+            read_column(path, "E")
+        assert str(info.value) == "line 6: not a number: 'oops'"
+        assert info.value.line == 6
+        assert read_column(path, "p").tolist() == [0.25, 0.75]
+
+    def test_short_row(self, tmp_path):
+        path = _write(tmp_path, "e.csv", "i,E,p\n0,0.5,0.25\n# c\n1,1.5\n")
+        with pytest.raises(ParseError) as info:
+            read_column(path, "p")
+        assert str(info.value) == "line 4: row has 2 columns, need 3"

@@ -296,6 +296,18 @@ class TestAvgHybrid:
             avg_hybrid([0.5, 0.5], -0.1)
 
 
+class TestNonFiniteIndex:
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [tsallis, renyi, hybrid, avg_hybrid, partition_sum])
+    def test_rejected(self, fn, q):
+        with pytest.raises(DomainError, match="q must be finite"):
+            fn([0.5, 0.3, 0.2], q)
+
+    def test_message_names_the_value(self):
+        with pytest.raises(DomainError, match=r"^q must be finite, got nan$"):
+            tsallis([0.5, 0.5], math.nan)
+
+
 class TestProductDistributions:
     def test_pseudo_additivity_exact(self):
         rng = np.random.default_rng(31)
@@ -307,6 +319,22 @@ class TestProductDistributions:
             lhs = tsallis(joint, q)
             rhs = q_add(tsallis(pa, q), tsallis(pb, q), q)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+    def test_pseudo_additivity_near_q_one(self):
+        # |q - 1| far above the Shannon switch but small enough that
+        # (Z_q - 1)/(1 - q) would lose about eps/|q - 1| of its digits
+        rng = np.random.default_rng(43)
+        q = 1.0 - 1.8e-6
+        for _ in range(200):
+            pa = rng.dirichlet(np.ones(int(rng.integers(2, 9))))
+            pb = rng.dirichlet(np.ones(int(rng.integers(2, 9))))
+            joint = product_distribution(pa, pb)
+            lhs = tsallis(joint, q)
+            rhs = q_add(tsallis(pa, q), tsallis(pb, q), q)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+            lhs = renyi(joint, q)
+            rhs = renyi(pa, q) + renyi(pb, q)
+            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_renyi_additivity(self):
         rng = np.random.default_rng(37)
