@@ -154,6 +154,9 @@ def entropy(input_path: str, kind: str, q: float | None, fmt: str) -> None:
     """Evaluate an entropy functional on a distribution file."""
     if kind != "shannon" and q is None:
         raise click.UsageError(f"--q is required for --kind {kind}")
+    if q is not None:
+        # echoed in the output even where the kind ignores it
+        ent._finite_q(q)
     raw = read_column(input_path, "p")
     norm_gap = abs(float(raw.sum()) - 1.0)
     with warnings.catch_warnings(record=True) as caught:

@@ -72,7 +72,12 @@ def transform(q, alpha):
     alpha = _finite("alpha", alpha)
     if np.any(alpha == 0.0):
         raise DomainError("alpha must be nonzero")
-    return np.where(alpha == 1.0, q, 1.0 + (q - 1.0) / alpha)
+    out = np.where(alpha == 1.0, q, 1.0 + (q - 1.0) / alpha)
+    overflow = np.isinf(out)
+    if overflow.any():
+        raise DomainError(f"q_alpha overflows: 1 + ({_first(q, overflow)!r} - 1)"
+                          f"/{_first(alpha, overflow)!r}")
+    return out
 
 
 @_elementwise

@@ -19,14 +19,13 @@ builder certifies each answer by its stationarity residual:
 * fixed Omega: Newton's method on the two equations lambda =
   Omega*per_omega(p) and m = <E>_q(p), with p = p(lambda, m) and the exact
   Jacobian from each family's d log p/db, one level map per step.  It starts
-  from the uniform distribution, keeps m inside the spectrum and lambda
-  inside the interval where every level keeps a real root, and stops once
-  the certified residual is at most 1e-9; ``iterations`` counts Newton
-  steps.  Where the first sweep Omega*per_omega(uniform) keeps every root
-  real, the steps are damped by a pseudo-time step (pseudo-transient
-  continuation), which carries them across folds of |F| where det J changes
-  sign; elsewhere they are Newton steps under a line search on |F|, and a
-  solve that stalls raises the kernel's ``NoRealRootError`` for that sweep;
+  from the uniform distribution and stops once the certified residual is at
+  most 1e-9; ``iterations`` counts Newton steps.  Each step is damped by a
+  pseudo-time step (pseudo-transient continuation), which carries it across
+  folds of |F| where det J changes sign, and is taken only where every level
+  keeps a real root and F is finite; m may leave the spectrum on the way.  A
+  solve that stalls raises the kernel's ``NoRealRootError`` where the first
+  sweep Omega*per_omega(uniform) leaves some level's real-root region;
 * target escort mean: m is pinned to the target and one Brent root find in
   lambda runs over the interval where every level keeps a real root (b_i up
   to (alpha-1)^(alpha-1)/alpha^alpha for alpha > 1, below 1 at alpha = 1,
@@ -92,12 +91,14 @@ def solve_maxent(energies, q: float, alpha: float, omega: float | None = None, *
     ``alpha`` must be positive; q within 1e-9 of 1 routes to the
     Shannon/Gibbs closed form.
 
-    Raises ``NoRealRootError`` (with the first offending level) when a
-    fixed-omega solve fails and its first sweep from the uniform
-    distribution leaves some level's real-root region,
-    ``NonConvergenceError`` (carrying the last iterate) when ``max_iter``
-    Newton steps do not settle or the answer does not certify, and
-    ``DomainError`` for a target mean outside the attainable range.
+    At fixed omega the solve is one Newton iteration in the combined
+    multiplier and the escort mean, each step damped by a pseudo-time step.
+    Raises ``NoRealRootError`` (with the first offending level) when that
+    solve stalls and its first sweep from the uniform distribution leaves
+    some level's real-root region, ``NonConvergenceError`` (carrying the
+    last iterate) when it stalls otherwise, when ``max_iter`` Newton steps
+    do not settle or when the answer does not certify, and ``DomainError``
+    for a target mean outside the attainable range.
     """
     return _solve_deformed(energies, q, alpha, omega, target_mean, max_iter,
                            renyi=False)
@@ -351,18 +352,16 @@ def _fixed_omega(fam, omega: float, max_iter: int) -> MaxEntSolution:
 
     It starts from the uniform distribution, lambda = 0, which is certified
     first.  Each step solves (J + I/dt) d = -F with the exact Jacobian J, one
-    level map per step, and is taken only where m stays inside the spectrum,
-    lambda inside the feasible interval of that m and F finite.  The
-    pseudo-time step dt (pseudo-transient continuation) starts at 3 where the
-    first sweep Omega*per_omega(uniform) keeps every level's real root: it
-    halves on a step that is not taken and grows by the fall of the scaled
-    |F| on one that is, so the steps follow the damped fixed-point flow until
-    F is small and are Newton steps from there.  Where the first sweep has no
-    real root, dt is infinite, every step is a Newton step, and it is halved
-    until the scaled |F| decreases; a stall there raises the kernel's error
-    for the first sweep.  A step that cannot be taken even when cut below the
-    square root of the float precision, or that no longer moves x, ends the
-    solve with ``NonConvergenceError``.
+    level map per step, and is taken only where every level keeps a real
+    root and F is finite; m is not held inside the spectrum.  The pseudo-time
+    step dt (pseudo-transient continuation) starts at 3: it halves on a step
+    that is not taken and grows by the fall of the scaled |F| on one that
+    is, so the steps follow the damped fixed-point flow until F is small and
+    are Newton steps from there.  A step that cannot be taken even with dt
+    below the square root of the float precision stalls the solve: it raises
+    the kernel's ``NoRealRootError`` where the first sweep
+    Omega*per_omega(uniform) has a level without a real root, and
+    ``NonConvergenceError`` otherwise, as does a step that no longer moves x.
     """
     e = fam.e
     p, roots = fam.level_map(np.zeros(e.size))  # the uniform distribution
@@ -377,8 +376,7 @@ def _fixed_omega(fam, omega: float, max_iter: int) -> MaxEntSolution:
     sweep = x - [f[0], 0.0]
     # J = [[1, 0], [c, 1]] at the uniform start, so the first step moves
     # lambda by dt/(1 + dt) of the sweep: three quarters at dt = 3
-    lo, hi = _feasible(fam, e - x[1])
-    dt = 3.0 if lo < sweep[0] < hi else math.inf
+    dt = 3.0
     norm = 1.0
     iterations = 0
     while sol.stationarity_residual > STOP_RESIDUAL:
@@ -387,26 +385,20 @@ def _fixed_omega(fam, omega: float, max_iter: int) -> MaxEntSolution:
                 f"no convergence after {max_iter} Newton steps "
                 f"(residual {sol.stationarity_residual:.3g})", solution=sol)
         iterations += 1
-        t = 1.0
         while True:
             a = jac + np.eye(2) / dt
             det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-            step = t / det * np.array([a[0, 1] * f[1] - a[1, 1] * f[0],
-                                       a[1, 0] * f[0] - a[0, 0] * f[1]])
+            step = np.array([a[0, 1] * f[1] - a[1, 1] * f[0],
+                             a[1, 0] * f[0] - a[0, 0] * f[1]]) / det
             point = _newton_point(fam, x + step, omega)
-            if point is not None and (dt < math.inf or
-                                      np.hypot(*(point[2] / scale)) < norm):
+            if point is not None:
                 break
-            if dt < math.inf:
-                dt *= 0.5
-            else:
-                t *= 0.5
-            # a step cut below the square root of the float precision moves
-            # x by no more than that: the iteration is stuck
-            if not min(t, dt) >= math.ulp(1.0) ** 0.5:
-                if dt == math.inf:
-                    # the kernel names the first level without a real root
-                    fam.level_map(sweep[0] * (e - sweep[1]))
+            dt *= 0.5
+            # a pseudo-time step below the square root of the float precision
+            # moves x by no more than that: the iteration is stuck
+            if not dt >= math.ulp(1.0) ** 0.5:
+                # the kernel names the first level without a real root
+                fam.level_map(sweep[0] * (e - sweep[1]))
                 raise NonConvergenceError(
                     f"the Newton step stalls at step {iterations} "
                     f"(residual {sol.stationarity_residual:.3g})", solution=sol)
@@ -425,17 +417,11 @@ def _fixed_omega(fam, omega: float, max_iter: int) -> MaxEntSolution:
 
 
 def _newton_point(fam, x: np.ndarray, omega: float):
-    """(p, roots, F, Jacobian) at x = (lambda, m), or ``None`` where m is not
-    inside the spectrum, some level has no real root or F is not finite."""
-    de = fam.e - x[1]
-    if not de.min() < 0.0 < de.max():
-        return None
-    lo, hi = _feasible(fam, de)
-    if not lo < x[0] < hi:
-        return None
+    """(p, roots, F, Jacobian) at x = (lambda, m), or ``None`` where some
+    level has no real root or b or F is not finite."""
     try:
-        p, roots = fam.level_map(x[0] * de)
-    except NoRealRootError:
+        p, roots = fam.level_map(x[0] * (fam.e - x[1]))
+    except (NoRealRootError, DomainError):  # the kernels' error for a b not finite
         return None
     f, jac = _newton_system(fam, p, roots, x, omega)
     if not (np.all(np.isfinite(f)) and np.all(np.isfinite(jac))):

@@ -153,7 +153,7 @@ def test_criterion_8_cli(tmp_path):
     expect(runner.invoke(cli, ["entropy", "--input", str(probs), "--kind",
                                "hybrid", "--q", "0.3"]).exit_code == 4,
            "exit 4 on domain error")
-    expect(runner.invoke(cli, ["maxent", "--input", str(energies), "--q", "1.2",
+    expect(runner.invoke(cli, ["maxent", "--input", str(energies), "--q", "0.8",
                                "--alpha", "2", "--omega", "50"]).exit_code == 5,
            "exit 5 on solver failure")
 

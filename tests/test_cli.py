@@ -21,10 +21,14 @@ def runner():
     return CliRunner()
 
 
+def _not_json(token):
+    raise AssertionError(f"{token} is not a JSON value")
+
+
 def _payload(result):
     for line in result.output.splitlines():
         if line.startswith("{"):
-            return json.loads(line)
+            return json.loads(line, parse_constant=_not_json)
     raise AssertionError(f"no JSON payload in output: {result.output!r}")
 
 
@@ -75,6 +79,13 @@ class TestTransformCommand:
         result = runner.invoke(cli, ["transform", "--q", "0", "--alpha", "2"])
         assert _payload(result)["multiplicative_dual"] is None
 
+    @pytest.mark.parametrize("alpha", ["1e-320", "-1e-320"])
+    def test_overflowing_q_alpha_is_domain_error(self, runner, alpha):
+        result = runner.invoke(cli, ["transform", "--q", "1.5", "--alpha", alpha])
+        assert result.exit_code == 4
+        assert "q_alpha overflows" in result.output
+        assert result.stdout == ""
+
     def test_csv_has_header_row(self, runner):
         result = runner.invoke(
             cli, ["transform", "--q", "1.5", "--alpha", "2", "--format", "csv"])
@@ -109,7 +120,8 @@ class TestEntropyCommand:
             cli, ["entropy", "--input", path, "--kind", "hybrid", "--q", "0.3"])
         assert result.exit_code == 4
 
-    @pytest.mark.parametrize("kind", ["tsallis", "renyi", "hybrid", "avg-hybrid"])
+    @pytest.mark.parametrize("kind", ["tsallis", "renyi", "hybrid", "avg-hybrid",
+                                      "shannon"])
     def test_non_finite_q_is_domain_error(self, runner, tmp_path, kind):
         path = _write(tmp_path, "u2.csv", "p\n0.5\n0.5\n")
         result = runner.invoke(
@@ -252,7 +264,7 @@ class TestMaxentCommand:
     def test_solver_failure_names_level(self, runner, tmp_path):
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
         result = runner.invoke(cli, [
-            "maxent", "--input", path, "--q", "1.2", "--alpha", "2",
+            "maxent", "--input", path, "--q", "0.8", "--alpha", "2",
             "--omega", "50"])
         assert result.exit_code == 5
         payload = _payload(result)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +48,14 @@ class TestTransform:
             transform(math.nan, 2.0)
         with pytest.raises(DomainError):
             transform(1.5, math.inf)
+
+    def test_rejects_overflow(self):
+        for alpha in (1e-320, -1e-320):
+            with pytest.raises(DomainError, match="overflows"):
+                transform(1.5, alpha)
+        # the error names the first element that overflows
+        with pytest.raises(DomainError, match=r"\(3\.0 - 1\)/1e-320"):
+            transform(np.array([1.5, 3.0, 5.0]), np.array([2.0, 1e-320, 1e-320]))
 
     @given(qs, scales, scales)
     def test_composition_rule(self, q, a, b):

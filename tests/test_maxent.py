@@ -20,6 +20,7 @@ from qtherm.maxent import (
 
 E3 = np.array([0.0, 1.0, 2.0])
 E5 = np.array([0.0, 0.5, 1.1, 1.7, 2.3])
+E5_GAPPED = np.array([0.0, 0.0, 2.0, 0.0, 2.0])
 # |q - 1| between the Gibbs threshold 1e-9 and about 1e-6, where the
 # O(1/(q - 1)) terms of the trinomial family cancel
 Q_NEAR_ONE = [1.0 + 1e-7, 1.0 + 1e-8, 1.0 + 2e-9, 1.0 - 2e-9, 1.0 + 1e-6]
@@ -129,22 +130,46 @@ class TestSolveMaxent:
         assert sol.stationarity_residual <= 1e-12
 
     def test_no_real_root_names_level(self):
+        # target mode reaches only |omega| <= 1.66 here
         with pytest.raises(NoRealRootError) as excinfo:
-            solve_maxent(E3, 1.2, 2.0, 50.0)
+            solve_maxent(E3, 0.8, 2.0, 50.0)
         assert excinfo.value.level is not None
         assert excinfo.value.b is not None
 
     @pytest.mark.parametrize("solve", [
         lambda e: solve_maxent(e, 0.8, 2.0, 50.0),
         lambda e: solve_maxent(e, 0.8, 3.0, 50.0),
-        lambda e: solve_maxent_shannon_limit(e, 1.3, -10.0),
+        lambda e: solve_maxent_shannon_limit(e, 0.7, 10.0),
     ])
     def test_first_level_without_root_is_named(self, solve):
         # levels 2 and 4 both leave the real-root region on the first sweep
         with pytest.raises(NoRealRootError) as excinfo:
-            solve(np.array([0.0, 0.0, 2.0, 0.0, 2.0]))
+            solve(E5_GAPPED)
         assert excinfo.value.level == 2
         assert str(excinfo.value).startswith("level 2 (E = 2): ")
+
+    @pytest.mark.parametrize("e,solve", [
+        (E3, lambda e, m: solve_maxent(e, 0.8, 2.0, target_mean=m)),
+        (E5_GAPPED, lambda e, m: solve_maxent(e, 0.8, 2.0, target_mean=m)),
+        (E5_GAPPED, lambda e, m: solve_maxent(e, 0.8, 3.0, target_mean=m)),
+        (E5_GAPPED, lambda e, m: solve_maxent_shannon_limit(e, 0.7, target_mean=m)),
+        (np.array([0.0, 1.0]),
+         lambda e, m: solve_maxent_shannon_limit(e, 0.7, target_mean=m)),
+    ], ids=["tsallis-3", "tsallis-gapped-2", "tsallis-gapped-3", "shannon-gapped",
+            "shannon-two-level"])
+    def test_no_real_root_inputs_are_unattainable(self, e, solve):
+        # every escort mean that target mode reaches has |omega| < 10, so the
+        # fixed-omega inputs above (|omega| >= 10) have no solution to miss
+        lo, hi = e.min(), e.max()
+        ends = [10.0**-k for k in range(1, 16)]
+        means = (list(np.linspace(lo, hi, 41)[1:-1])
+                 + [lo + d for d in ends] + [hi - d for d in ends])
+        for m in means:
+            try:
+                omega = solve(e, m).omega
+            except DomainError:
+                continue
+            assert abs(omega) < 10.0
 
     def test_non_convergence_carries_last_iterate(self):
         with pytest.raises(NonConvergenceError) as excinfo:
@@ -311,6 +336,26 @@ class TestModesAgree:
         assert abs(fixed.escort_mean - 0.8) <= 1e-9
         assert np.max(np.abs(fixed.probs - target.probs) / target.probs) <= 1e-8
 
+    @pytest.mark.parametrize("e,solve,omega", [
+        # m = 3.16e-6, at the spectrum's lower end
+        (E3, lambda e, *args, **kw: solve_maxent(e, 1.2, 2.0, *args, **kw), 50.0),
+        # m = 0.99456, near the upper end, past a fold of |F| at m = 0.9045
+        (np.array([0.0, 1.0]),
+         lambda e, *args, **kw: solve_maxent_shannon_limit(e, 1.3, *args, **kw),
+         -10.0),
+        (E5_GAPPED,
+         lambda e, *args, **kw: solve_maxent_shannon_limit(e, 1.3, *args, **kw),
+         -10.0),
+    ], ids=["tsallis-end", "shannon-two-level", "shannon-gapped"])
+    def test_target_reproduces_fixed_omega(self, e, solve, omega):
+        # the first sweep from the uniform distribution leaves the real-root
+        # region here, yet a solution exists
+        fixed = solve(e, omega)
+        assert fixed.converged
+        assert fixed.stationarity_residual <= 1e-9
+        target = solve(e, target_mean=fixed.escort_mean)
+        assert target.omega == pytest.approx(omega, rel=1e-9)
+
 
 class TestShannonLimit:
     def test_free_problem_is_uniform(self):
@@ -341,7 +386,7 @@ class TestShannonLimit:
 
     def test_lambert_domain_violation_names_level(self):
         with pytest.raises(NoRealRootError) as excinfo:
-            solve_maxent_shannon_limit(np.array([0.0, 1.0]), 1.3, -10.0)
+            solve_maxent_shannon_limit(np.array([0.0, 1.0]), 0.7, -10.0)
         assert excinfo.value.level is not None
 
     def test_five_levels(self):
