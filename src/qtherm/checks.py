@@ -4,9 +4,12 @@ Each suite replays the library's mathematical invariants on freshly drawn
 random inputs and reports one result per property.  Tolerances live in
 module-level constants so a harness can tighten or corrupt them.
 
-The group and algebra suites draw their samples as arrays and evaluate each
-property in one elementwise call; the entropy suite and the partition-bound
-check loop, since the entropy functions take one distribution at a time.
+All four suites evaluate each sampled property in array calls over all its
+samples.  The group and algebra suites draw their samples as arrays.  The
+entropy suite and the partition-bound check draw their random distributions
+one at a time, into the zero-padded rows of a batch, and evaluate the batch
+through the row kernels of ``entropy``.  A row gives its 1-D function's value
+bit for bit, so each line reports what a loop over the 1-D functions would.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from . import entropy as ent
 from . import qalgebra as qa
 from .errors import DomainError, DualityRangeWarning
 from .maxent import (
-    partition_bound_check,
     solve_maxent,
     solve_maxent_renyi,
     solve_maxent_shannon_limit,
@@ -67,7 +69,7 @@ def _rel_gap(a, b):
 
 
 def _worst(suite: str, name: str, gaps, tol: float, count: int) -> CheckResult:
-    gap = float(np.max(gaps))
+    gap = float(np.max(gaps, initial=0.0))
     return CheckResult(suite, name, gap <= tol,
                        f"{count} samples, worst gap {gap:.3g} (tol {tol:.3g})")
 
@@ -207,49 +209,68 @@ def run_algebra_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
 
 # --- entropy suite -----------------------------------------------------------
 
-def _random_distribution(rng, n_max: int = 6) -> np.ndarray:
+_N_MAX = 6
+
+
+def _random_distribution(rng, n_max: int = _N_MAX) -> np.ndarray:
     n = int(rng.integers(2, n_max + 1))
     return rng.dirichlet(np.ones(n))
+
+
+def _draw(rng, samples: int, distributions: int, *ranges) -> list[np.ndarray]:
+    """``samples`` rounds of ``distributions`` draws of ``_random_distribution``
+    and then one uniform draw per (low, high) range, round by round.
+
+    Returns one zero-padded batch (``samples`` x ``_N_MAX``) per distribution
+    and one array per range, in that order.
+    """
+    rows = np.zeros((distributions, samples, _N_MAX))
+    values = np.empty((len(ranges), samples))
+    for i in range(samples):
+        for batch in rows:
+            p = _random_distribution(rng)
+            batch[i, :p.size] = p
+        for j, (low, high) in enumerate(ranges):
+            values[j, i] = rng.uniform(low, high)
+    return [*rows, *values]
+
+
+def _uniform_rows(sizes) -> np.ndarray:
+    """The uniform distribution on n states, one zero-padded row per n."""
+    n = np.asarray(sizes)[:, None]
+    return np.where(np.arange(n.max()) < n, 1.0 / n, 0.0)
 
 
 def run_entropy_suite(seed: int, samples: int = 1_000) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 
-    worst_pseudo = worst_renyi = worst_bridge = 0.0
-    for _ in range(samples):
-        pa = _random_distribution(rng)
-        pb = _random_distribution(rng)
-        q = rng.uniform(-1.0, 3.0)
-        joint = ent.product_distribution(pa, pb)
-        worst_pseudo = max(worst_pseudo, _rel_gap(
-            ent.tsallis(joint, q),
-            qa.q_add(ent.tsallis(pa, q), ent.tsallis(pb, q), q)))
-        worst_renyi = max(worst_renyi, _rel_gap(
-            ent.renyi(joint, q), ent.renyi(pa, q) + ent.renyi(pb, q)))
-        q_mid = rng.uniform(0.2, 1.8)
-        if abs(q_mid - 1.0) > 0.05:
-            worst_bridge = max(worst_bridge, _rel_gap(
-                ent.renyi(pa, q_mid),
-                math.log(qa.q_exp(ent.tsallis(pa, q_mid), q_mid))))
+    pa, pb, q, q_mid = _draw(rng, samples, 2, (-1.0, 3.0), (0.2, 1.8))
+    a, b = ent._batch(pa), ent._batch(pb)
+    joint = ent._batch(ent._product_rows(pa, pb))
+    pseudo = _rel_gap(ent._tsallis_rows(joint, q),
+                      qa.q_add(ent._tsallis_rows(a, q), ent._tsallis_rows(b, q), q))
+    renyi = _rel_gap(ent._renyi_rows(joint, q),
+                     ent._renyi_rows(a, q) + ent._renyi_rows(b, q))
+    mid = np.abs(q_mid - 1.0) > 0.05
+    a_mid, q_mid = ent._batch(pa[mid]), q_mid[mid]
+    bridge = _rel_gap(ent._renyi_rows(a_mid, q_mid), ent._libm(
+        math.log, qa.q_exp(ent._tsallis_rows(a_mid, q_mid), q_mid)))
     results.append(_worst("entropy", "nonadditive pseudo-additivity",
-                          worst_pseudo, ENTROPY_TOL, samples))
-    results.append(_worst("entropy", "renyi additivity", worst_renyi,
+                          pseudo, ENTROPY_TOL, samples))
+    results.append(_worst("entropy", "renyi additivity", renyi,
                           ENTROPY_TOL, samples))
     results.append(_worst("entropy", "renyi = log q-exp of tsallis",
-                          worst_bridge, ENTROPY_TOL, samples))
+                          bridge, ENTROPY_TOL, samples))
 
-    in_range = True
     n_alpha = max(10 * samples, 1000)
-    for _ in range(n_alpha):
-        alpha = ent.quasi_additivity_alpha(_random_distribution(rng))
-        in_range &= 1.0 - 1e-12 <= alpha <= 2.0 + 1e-12
+    (rows,) = _draw(rng, n_alpha, 1)
+    alpha = ent._quasi_alpha_rows(ent._batch(rows))
+    in_range = bool(np.all((1.0 - 1e-12 <= alpha) & (alpha <= 2.0 + 1e-12)))
     results.append(CheckResult("entropy", "quasi-additivity alpha in [1, 2]",
                                in_range, f"{n_alpha} samples"))
-    worst_uniform = max(
-        abs(ent.quasi_additivity_alpha(np.full(n, 1.0 / n)) - 2.0)
-        for n in range(2, 9)
-    )
+    uniform_alpha = ent._quasi_alpha_rows(ent._batch(_uniform_rows(range(2, 9))))
+    worst_uniform = float(np.max(np.abs(uniform_alpha - 2.0)))
     delta_alpha = ent.quasi_additivity_alpha([1.0, 0.0, 0.0])
     results.append(CheckResult(
         "entropy", "alpha = 2 on uniform, 1 on delta",
@@ -267,26 +288,19 @@ def run_entropy_suite(seed: int, samples: int = 1_000) -> list[CheckResult]:
         order_ok, f"measured orders {orders[0]:.3f}, {orders[1]:.3f}",
     ))
 
-    worst_hybrid = worst_hybrid_shannon = worst_avg = 0.0
-    for _ in range(samples):
-        pa = _random_distribution(rng)
-        pb = _random_distribution(rng)
-        q = rng.uniform(0.5, 2.5)
-        joint = ent.product_distribution(pa, pb)
-        worst_hybrid = max(worst_hybrid, _rel_gap(
-            ent.hybrid(joint, q),
-            qa.q_add(ent.hybrid(pa, q), ent.hybrid(pb, q), q)))
-        worst_hybrid_shannon = max(worst_hybrid_shannon,
-                                   abs(ent.hybrid(pa, 1.0) - ent.shannon(pa)))
-        q_pos = rng.uniform(0.0, 3.0)
-        worst_avg = max(worst_avg, _rel_gap(
-            ent.avg_hybrid(pa, q_pos), ent.hybrid(pa, 0.5 * (q_pos + 1.0))))
-    results.append(_worst("entropy", "hybrid pseudo-additivity", worst_hybrid,
+    pa, pb, q, q_pos = _draw(rng, samples, 2, (0.5, 2.5), (0.0, 3.0))
+    a, b = ent._batch(pa), ent._batch(pb)
+    joint = ent._batch(ent._product_rows(pa, pb))
+    hybrid = _rel_gap(ent._hybrid_rows(joint, q),
+                      qa.q_add(ent._hybrid_rows(a, q), ent._hybrid_rows(b, q), q))
+    hybrid_shannon = np.abs(ent._hybrid_rows(a, np.ones(samples)) - ent._shannon_rows(a))
+    avg = _rel_gap(ent._avg_hybrid_rows(a, q_pos), ent._hybrid_rows(a, 0.5 * (q_pos + 1.0)))
+    results.append(_worst("entropy", "hybrid pseudo-additivity", hybrid,
                           HYBRID_ADDITIVITY_TOL, samples))
     results.append(_worst("entropy", "hybrid at q = 1 is Shannon",
-                          worst_hybrid_shannon, ENTROPY_TOL, samples))
+                          hybrid_shannon, ENTROPY_TOL, samples))
     results.append(_worst("entropy", "average hybrid index rescaling",
-                          worst_avg, ENTROPY_TOL, samples))
+                          avg, ENTROPY_TOL, samples))
     try:
         ent.hybrid(p_fixed, 0.4)
         rejects = False
@@ -296,8 +310,8 @@ def run_entropy_suite(seed: int, samples: int = 1_000) -> list[CheckResult]:
                                "hybrid(P, 0.4) raises DomainError"))
 
     grid = np.linspace(0.5, 2.0, 16)
-    values = [ent.tsallis(p_fixed, q) for q in grid]
-    monotone = all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
+    values = ent._tsallis_rows(ent._batch(np.tile(p_fixed, (grid.size, 1))), grid)
+    monotone = bool(np.all(values[1:] <= values[:-1] + 1e-12))
     results.append(CheckResult("entropy", "nonadditive entropy non-increasing in q",
                                monotone, f"grid of {len(grid)} points on [0.5, 2]"))
     return results
@@ -414,17 +428,11 @@ def run_maxent_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
         gap = float(np.max(np.abs(sol.probs - 1.0 / sol.probs.size)))
         results.append(_worst("maxent", name, gap, 1e-12, 1))
 
-    worst_bound = 0.0
-    violations = 0
-    for _ in range(samples):
-        p = _random_distribution(rng)
-        q = rng.uniform(0.0, 3.0)
-        lhs, rhs = partition_bound_check(p, q)
-        if lhs > rhs + BOUND_SLACK:
-            violations += 1
-    for n in range(2, 9):
-        lhs, rhs = partition_bound_check(np.full(n, 1.0 / n), 2.0)
-        worst_bound = max(worst_bound, abs(lhs - rhs))
+    rows, q = _draw(rng, samples, 1, (0.0, 3.0))
+    lhs, rhs = ent._bound_rows(ent._batch(rows), q)
+    violations = int(np.count_nonzero(lhs > rhs + BOUND_SLACK))
+    lhs, rhs = ent._bound_rows(ent._batch(_uniform_rows(range(2, 9))), np.full(7, 2.0))
+    worst_bound = float(np.max(np.abs(lhs - rhs)))
     results.append(CheckResult(
         "maxent", "partition-sum Cauchy-Schwarz bound",
         violations == 0 and worst_bound <= BOUND_SLACK,

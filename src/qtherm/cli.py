@@ -344,17 +344,20 @@ def algebra_check(x: float, y: float, q: float, alpha: float, fmt: str) -> None:
     """Evaluate the rescaled distributive and scaling laws at one point.
 
     Each law reports ok / fail / domain-mismatch / undefined; a law whose
-    two sides live on different domains is reported, not asserted.  Exits
-    1 if any law evaluates on both sides and disagrees.
+    two sides live on different domains is reported, not asserted.  A side
+    that overflows, or that has lost every digit to cancellation, counts as
+    not evaluated.  Exits 1 if any law evaluates on both sides and disagrees.
     """
     if alpha == 0.0:
         raise click.UsageError("alpha must be nonzero")
     q_alpha = dfm.transform(q, alpha)
     rows = []
     any_failed = False
+    lost = qa.lost_sides(x, y, q, alpha)
     for name, (lhs_fn, rhs_fn) in qa.scaling_laws(x, y, q, alpha).items():
-        lhs = _try_eval(lhs_fn)
-        rhs = _try_eval(rhs_fn)
+        lhs_lost, rhs_lost = lost.get(name, (False, False))
+        lhs = None if lhs_lost else _try_eval(lhs_fn)
+        rhs = None if rhs_lost else _try_eval(rhs_fn)
         if lhs is None and rhs is None:
             status = "undefined"
         elif lhs is None or rhs is None:

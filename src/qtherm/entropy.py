@@ -4,6 +4,13 @@ Works on finite discrete probability vectors.  Every public function accepts
 any array-like and validates it through :func:`as_distribution`; zero entries
 follow the continuity conventions 0^q := 0 (q > 0) and 0*log(0) := 0, while
 a zero entry combined with q <= 0 is a domain error.
+
+Each functional has one implementation, a private row kernel over a batch of
+distributions (a 2-D array, one zero-padded distribution per row, one index
+per row), which the public 1-D functions call with a batch of one row.  In a
+batch every zero lies outside the support (0^q := 0 for any q).  A row of a
+batch gives its 1-D function's value bit for bit, so a batched check reports
+what a loop over the 1-D functions would.
 """
 
 from __future__ import annotations
@@ -36,29 +43,50 @@ def as_distribution(probs) -> np.ndarray:
         raise DomainError(f"expected a 1-D probability vector, got shape {p.shape}")
     if p.size < 1:
         raise DomainError("probability vector must not be empty")
-    if not np.all(np.isfinite(p)):
-        raise DomainError("probability vector contains NaN or infinite entries")
-    if np.any(p < 0.0):
-        raise DomainError("probability vector contains negative entries")
-    total = float(p.sum())
-    gap = abs(total - 1.0)
-    if gap <= NORM_TOL:
+    return _checked(p)
+
+
+def _checked(p: np.ndarray) -> np.ndarray:
+    """``as_distribution`` for a 1-D vector or a 2-D batch of them, one per
+    row; the error for a bad row of a batch names the row."""
+    rows = np.atleast_2d(p)
+
+    def fail(message: str, bad: np.ndarray):
+        row = int(np.argmax(bad))
+        return DomainError(message if p.ndim == 1 else f"row {row}: {message}")
+
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise fail("probability vector contains NaN or infinite entries", bad)
+    bad = (rows < 0.0).any(axis=1)
+    if bad.any():
+        raise fail("probability vector contains negative entries", bad)
+    total = rows.sum(axis=1)
+    gap = np.abs(total - 1.0)
+    bad = gap > RENORM_TOL
+    if bad.any():
+        raise fail(f"probabilities sum to {float(total[bad][0])!r}, not 1", bad)
+    near = gap > NORM_TOL
+    if not near.any():
         return p.copy()
-    if gap <= RENORM_TOL:
-        warnings.warn(
-            f"probabilities sum to {total!r}; renormalizing",
-            RenormalizationWarning,
-            stacklevel=2,
-        )
-        return p / total
-    raise DomainError(f"probabilities sum to {total!r}, not 1")
+    row = int(np.argmax(near))
+    where = "" if p.ndim == 1 else f"row {row}: "
+    warnings.warn(
+        f"{where}probabilities sum to {float(total[row])!r}; renormalizing",
+        RenormalizationWarning,
+        stacklevel=3,
+    )
+    return np.where(near[:, None], rows / total[:, None], rows).reshape(p.shape)
 
 
 def product_distribution(p, q) -> np.ndarray:
     """Joint distribution of two independent systems, p_ij = p_i * q_j."""
-    a = as_distribution(p)
-    b = as_distribution(q)
-    return np.outer(a, b).ravel()
+    return _product_rows(as_distribution(p)[None, :], as_distribution(q)[None, :])[0]
+
+
+def _product_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise joint distributions a_i * b_j, flattened with j fastest."""
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
 
 
 class PartitionSum(NamedTuple):
@@ -71,7 +99,9 @@ class PartitionSum(NamedTuple):
 def partition_sum(probs, q: float) -> float:
     """Z_q = sum_k p_k^q with the zero-entry convention 0^q := 0 for q > 0."""
     p = as_distribution(probs)
-    return _partition_sum_raw(p, _finite_q(q))
+    q = _finite_q(q)
+    _require_support(p, q)
+    return float(_partition_rows(_Rows(p), np.array([q]))[0])
 
 
 def _finite_q(q) -> float:
@@ -81,51 +111,213 @@ def _finite_q(q) -> float:
     return q
 
 
-def _support(p: np.ndarray, q: float) -> np.ndarray:
-    """The positive entries of p, the only ones in Z_q (0^q := 0 for q > 0);
-    a zero entry with q <= 0 is a domain error."""
+def _require_support(p: np.ndarray, q: float) -> None:
+    """Z_q of a vector with a zero entry is undefined for q <= 0."""
     if q <= 0.0 and np.any(p == 0.0):
         raise DomainError(f"Z_q undefined: zero probability with q = {q:g} <= 0")
-    return p[p > 0.0]
 
 
-def _partition_sum_raw(p: np.ndarray, q: float) -> float:
-    return float(np.sum(_support(p, q) ** q))
+# --- row kernels ---------------------------------------------------------------
 
 
-def _partition_excess(p: np.ndarray, q: float) -> float:
-    """Z_q - 1 as the sum of the terms p_k^q - p_k = p_k*expm1((q-1)*ln p_k).
+class _Rows:
+    """A validated 1-D vector or 2-D batch as the row kernels take it.
+
+    Each row's support, its positive entries in their order, is moved to the
+    front, so that the row sums in ``sum`` add exactly what ``np.sum`` adds
+    over the 1-D support.  A 1-D vector is one row, and its errors name no
+    row.
+    """
+
+    def __init__(self, p: np.ndarray):
+        self.named = p.ndim == 2
+        self.s = np.atleast_2d(p)
+        self.on = self.s > 0.0
+        if np.any(self.on[:, 1:] & ~self.on[:, :-1]):
+            order = np.argsort(~self.on, axis=1, kind="stable")
+            self.s = np.take_along_axis(self.s, order, axis=1)
+            self.on = self.s > 0.0
+        size = np.count_nonzero(self.on, axis=1)
+        sizes = sorted(set(size.tolist()))
+        # the rows of each support size, for ``sum``
+        self.groups = ([(n, size == n) for n in sizes] if len(sizes) > 1
+                       else [(sizes[0], slice(None))])
+        # 1 off the support, where log and every power are masked anyway
+        self.base = np.where(self.on, self.s, 1.0)
+        self.log = np.log(self.base)
+
+    def fail(self, message: str, bad: np.ndarray) -> DomainError:
+        """The error for the first bad row, named if this is a batch."""
+        row = int(np.argmax(bad))
+        return DomainError(f"row {row}: {message}" if self.named else message)
+
+    def sum(self, terms: np.ndarray) -> np.ndarray:
+        """Each row's sum of ``terms`` over its support.
+
+        ``np.sum`` adds the first 8 entries of a vector one by one and longer
+        vectors pairwise, so rows are summed in groups of equal support size.
+        """
+        out = np.empty(len(terms))
+        for n, rows in self.groups:
+            out[rows] = terms[rows, :n].sum(axis=1)
+        return out
+
+    def power(self, q: np.ndarray) -> np.ndarray:
+        """p**q on the support, 0 off it (0^q := 0), one q per row.
+
+        At q = 2, 1/2 and -1 the power is the correctly rounded square, square
+        root or reciprocal, as NumPy computes ``p ** q`` for a float q; its
+        vectorized pow misses the last bit of those on a few percent of
+        entries.
+        """
+        out = self.base ** q[:, None]
+        if np.any((q == 2.0) | (q == 0.5) | (q == -1.0)):
+            for value, exact in ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal)):
+                rows = q == value
+                out[rows] = exact(self.base[rows])
+        return np.where(self.on, out, 0.0)
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn``, a ``math`` function, on each element of ``x``.
+
+    NumPy's vectorized log, log1p and expm1 round the last bit differently
+    from the C library's on a few percent of arguments."""
+    return np.array([fn(v) for v in x.tolist()])
+
+
+def _classical(q: np.ndarray) -> np.ndarray:
+    return np.abs(q - 1.0) < Q_ONE_THRESHOLD
+
+
+def _partition_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
+    """Z_q = sum_k p_k^q per row."""
+    return rows.sum(rows.power(q))
+
+
+def _excess_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
+    """Z_q - 1 per row, as the sum of the terms p_k^q - p_k = p_k*expm1((q-1)*ln p_k).
 
     Through sum(p) = 1 the leading 1 cancels exactly, and every term has the
     sign of 1 - q, so (Z_q - 1)/(1 - q) keeps its digits as q -> 1 instead
     of losing about eps/|q - 1| of them.  Terms with |(q-1)*ln p_k| >= 1 are
     taken as p_k^q - p_k, where exp would inherit the rounding of the product.
     """
-    s = _support(p, q)
-    y = (q - 1.0) * np.log(s)
-    terms = s**q - s
+    y = (q[:, None] - 1.0) * rows.log
     small = np.abs(y) < 1.0
-    terms[small] = s[small] * np.expm1(y[small])
-    return float(np.sum(terms))
+    terms = np.where(small, rows.s * np.expm1(np.where(small, y, 0.0)),
+                     rows.power(q) - rows.s)
+    return rows.sum(terms)
+
+
+def _shannon_rows(rows: _Rows) -> np.ndarray:
+    return -rows.sum(rows.s * rows.log)
+
+
+def _tsallis_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
+    """S_q = (Z_q - 1)/(1 - q) per row; Shannon where q is within
+    ``Q_ONE_THRESHOLD`` of 1."""
+    classical = _classical(q)
+    value = _excess_rows(rows, q) / np.where(classical, 1.0, 1.0 - q)
+    return np.where(classical, _shannon_rows(rows), value) if classical.any() else value
+
+
+def _renyi_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
+    """ln(Z_q)/(1 - q) per row; Shannon where q is within ``Q_ONE_THRESHOLD`` of 1."""
+    classical = _classical(q)
+    excess = _excess_rows(rows, q)
+    # log1p keeps the digits of ln Z_q near q = 1; below Z_q = 1/2 the sum
+    # 1 + excess would lose those that Z_q itself keeps
+    near = excess > -0.5
+    z = 1.0 + excess
+    if not near.all():
+        z = np.where(near, z, _partition_rows(rows, q))
+    bad = ~classical & ((z <= 0.0) | np.isinf(z))
+    if bad.any():
+        raise rows.fail(f"partition sum {z[bad][0]:g} outside (0, inf)", bad)
+    log_z = np.array([math.log1p(e) if e > -0.5 else math.log(v)
+                      for e, v in zip(excess.tolist(), z.tolist())])
+    value = log_z / np.where(classical, 1.0, 1.0 - q)
+    return np.where(classical, _shannon_rows(rows), value) if classical.any() else value
+
+
+def _escort_rows(rows: _Rows, r: np.ndarray) -> np.ndarray:
+    """rho_k = p_k^r / sum_j p_j^r per row, in the order of ``rows.s``."""
+    powers = rows.power(r)
+    z = rows.sum(powers)
+    bad = ~(z > 0.0) | ~np.isfinite(z)
+    if bad.any():
+        raise rows.fail(f"escort normalizer Z_r = {float(z[bad][0])!r} outside (0, inf)",
+                        bad)
+    return powers / z[:, None]
+
+
+def _hybrid_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
+    """D_q = log_q exp(-sum_i rho_i(q) ln p_i) per row (q >= 1/2)."""
+    bad = q < 0.5
+    if bad.any():
+        raise rows.fail(f"hybrid entropy requires q >= 1/2, got q = {q[bad][0]:g} "
+                        f"(maximality fails below)", bad)
+    a = -rows.sum(_escort_rows(rows, q) * rows.log)
+    classical = _classical(q)
+    # log_q(exp(a)) evaluated stably as expm1((1-q)a)/(1-q)
+    e = 1.0 - q
+    return np.where(classical, a, _libm(math.expm1, e * a) / np.where(classical, 1.0, e))
+
+
+def _avg_hybrid_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
+    """A_q = D_{(q+1)/2} per row (q >= 0)."""
+    bad = q < 0.0
+    if bad.any():
+        raise rows.fail(f"average hybrid entropy requires q >= 0, got {q[bad][0]:g}", bad)
+    return _hybrid_rows(rows, transform(q, 2.0))
+
+
+def _hartley_rows(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
+    """<I> and <I^2> of the surprisal I = -ln p per row."""
+    return -rows.sum(rows.s * rows.log), rows.sum(rows.s * rows.log**2)
+
+
+def _quasi_alpha_rows(rows: _Rows) -> np.ndarray:
+    """1 + <I>^2/<I^2> per row, 1 where <I^2> = 0."""
+    mean_info, second = _hartley_rows(rows)
+    degenerate = second == 0.0
+    # float_power is the C library's pow, as for Python floats
+    return np.where(degenerate, 1.0, 1.0 + np.float_power(mean_info, 2.0)
+                    / np.where(degenerate, 1.0, second))
+
+
+def _bound_rows(rows: _Rows, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of Z_{(q+1)/2} <= sqrt(Z_q) per row (q >= 0)."""
+    bad = q < 0.0
+    if bad.any():
+        raise rows.fail(f"bound check requires q >= 0, got {q[bad][0]:g}", bad)
+    return _partition_rows(rows, 0.5 * (q + 1.0)), np.sqrt(_partition_rows(rows, q))
+
+
+def _batch(probs) -> _Rows:
+    """A 2-D batch of probability vectors, one zero-padded vector per row,
+    validated once for the row kernels."""
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 2 or p.size < 1:
+        raise DomainError(f"expected a non-empty 2-D batch, got shape {p.shape}")
+    return _Rows(_checked(p))
+
+
+# --- the 1-D functionals ---------------------------------------------------------
 
 
 def tsallis(probs, q: float) -> float:
     """Nonadditive entropy S_q = (sum p_i^q - 1)/(1 - q); Shannon at q = 1."""
     p = as_distribution(probs)
     q = _finite_q(q)
-    if abs(q - 1.0) < Q_ONE_THRESHOLD:
-        return _shannon_raw(p)
-    return _partition_excess(p, q) / (1.0 - q)
+    _require_support(p, q)
+    return float(_tsallis_rows(_Rows(p), np.array([q]))[0])
 
 
 def shannon(probs) -> float:
     """Shannon entropy -sum p_i ln p_i in nats."""
-    return _shannon_raw(as_distribution(probs))
-
-
-def _shannon_raw(p: np.ndarray) -> float:
-    support = p[p > 0.0]
-    return float(-np.sum(support * np.log(support)))
+    return float(_shannon_rows(_Rows(as_distribution(probs)))[0])
 
 
 def renyi(probs, q: float) -> float:
@@ -135,15 +327,8 @@ def renyi(probs, q: float) -> float:
     """
     p = as_distribution(probs)
     q = _finite_q(q)
-    if abs(q - 1.0) < Q_ONE_THRESHOLD:
-        return _shannon_raw(p)
-    excess = _partition_excess(p, q)
-    # log1p keeps the digits of ln Z_q near q = 1; below Z_q = 1/2 the sum
-    # 1 + excess would lose those that Z_q itself keeps
-    z = 1.0 + excess if excess > -0.5 else _partition_sum_raw(p, q)
-    if z <= 0.0 or math.isinf(z):
-        raise DomainError(f"partition sum {z:g} outside (0, inf)")
-    return (math.log1p(excess) if excess > -0.5 else math.log(z)) / (1.0 - q)
+    _require_support(p, q)
+    return float(_renyi_rows(_Rows(p), np.array([q]))[0])
 
 
 def escort(probs, r: float) -> np.ndarray:
@@ -156,13 +341,10 @@ def escort(probs, r: float) -> np.ndarray:
     r = float(r)
     if r <= 0.0 and np.any(p == 0.0):
         raise DomainError(f"escort undefined: zero probability with r = {r:g} <= 0")
-    powers = np.zeros_like(p)
-    mask = p > 0.0
-    powers[mask] = p[mask] ** r
-    z = float(powers.sum())
-    if z <= 0.0 or not math.isfinite(z):
-        raise DomainError(f"escort normalizer Z_r = {z!r} outside (0, inf)")
-    return powers / z
+    support = p > 0.0
+    rho = np.zeros_like(p)
+    rho[support] = _escort_rows(_Rows(p), np.array([r]))[0, :np.count_nonzero(support)]
+    return rho
 
 
 def escort_mean(probs, levels, r: float) -> float:
@@ -182,12 +364,8 @@ def hartley_moments(probs) -> tuple[float, float]:
     The first moment is the Shannon entropy; the second bounds it from
     below via Jensen: <I^2> >= <I>^2.
     """
-    p = as_distribution(probs)
-    support = p[p > 0.0]
-    log_p = np.log(support)
-    mean_info = float(-np.sum(support * log_p))
-    second = float(np.sum(support * log_p**2))
-    return mean_info, second
+    mean_info, second = _hartley_rows(_Rows(as_distribution(probs)))
+    return float(mean_info[0]), float(second[0])
 
 
 def hybrid(probs, q: float) -> float:
@@ -198,18 +376,7 @@ def hybrid(probs, q: float) -> float:
     weight and are excluded from the average.
     """
     p = as_distribution(probs)
-    q = _finite_q(q)
-    if q < 0.5:
-        raise DomainError(
-            f"hybrid entropy requires q >= 1/2, got q = {q:g} (maximality fails below)"
-        )
-    rho = escort(p, q)
-    mask = p > 0.0
-    a = float(-np.sum(rho[mask] * np.log(p[mask])))
-    if abs(q - 1.0) < Q_ONE_THRESHOLD:
-        return a
-    # log_q(exp(a)) evaluated stably as expm1((1-q)a)/(1-q)
-    return math.expm1((1.0 - q) * a) / (1.0 - q)
+    return float(_hybrid_rows(_Rows(p), np.array([_finite_q(q)]))[0])
 
 
 def avg_hybrid(probs, q: float) -> float:
@@ -219,9 +386,7 @@ def avg_hybrid(probs, q: float) -> float:
     range q >= 0 onto the hybrid domain [1/2, inf).
     """
     q = _finite_q(q)
-    if q < 0.0:
-        raise DomainError(f"average hybrid entropy requires q >= 0, got {q:g}")
-    return hybrid(probs, transform(q, 2.0))
+    return float(_avg_hybrid_rows(_Rows(as_distribution(probs)), np.array([q]))[0])
 
 
 def quasi_additivity_alpha(probs) -> float:
@@ -230,10 +395,7 @@ def quasi_additivity_alpha(probs) -> float:
     Always in [1, 2]: equal to 2 exactly when P is uniform on its support
     and defined as the 0/0 limit 1 for a deterministic distribution.
     """
-    mean_info, second = hartley_moments(probs)
-    if second == 0.0:
-        return 1.0
-    return 1.0 + mean_info**2 / second
+    return float(_quasi_alpha_rows(_Rows(as_distribution(probs)))[0])
 
 
 def quasi_additivity_check(probs, q: float) -> tuple[float, float, float]:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .deformation import transform
-from .entropy import PartitionSum, as_distribution, _partition_sum_raw
+from .entropy import PartitionSum, _bound_rows, _require_support, _Rows, as_distribution
 from .errors import DomainError, NonConvergenceError, NoRealRootError
 from .qalgebra import Q_ONE_THRESHOLD
 from .trinomial import _branch_roots, _lambert_w0, series_radius, trinomial_b
@@ -551,8 +551,6 @@ def partition_bound_check(probs, q: float) -> tuple[float, float]:
     """
     p = as_distribution(probs)
     q = float(q)
-    if q < 0.0:
-        raise DomainError(f"bound check requires q >= 0, got {q:g}")
-    lhs = _partition_sum_raw(p, 0.5 * (q + 1.0))
-    rhs = math.sqrt(_partition_sum_raw(p, q))
-    return lhs, rhs
+    lhs, rhs = _bound_rows(_Rows(p), np.array([q]))
+    _require_support(p, q)
+    return float(lhs[0]), float(rhs[0])

@@ -14,7 +14,8 @@ counterpart that trades q for q_alpha = 1 + (q-1)/alpha, e.g.
 alpha*(x (+)_q y) = (alpha*x) (+)_{q_alpha} (alpha*y) and
 (exp_q x)^alpha = exp_{q_alpha}(alpha*x).  ``scaling_laws`` defines both
 sides of the six identities once; the ``dist_*`` and ``*_scaling`` helpers
-and the ``algebra-check`` command evaluate each side independently.
+and the ``algebra-check`` command evaluate each side independently, and
+``lost_sides`` marks the sides that have lost every digit to cancellation.
 
 Every function is elementwise over NumPy arrays, as in ``deformation``; the
 q = 1 branch, the q < 1 cutoff and the overflow-to-inf rule are masks.
@@ -191,6 +192,30 @@ def scaling_laws(x: float, y: float, q: float, alpha: float) -> dict:
         "log-scaling": (lambda: alpha * q_log(x, q),
                         lambda: q_log(power(x), q_alpha)),
     }
+
+
+def lost_sides(x, y, q, alpha) -> dict:
+    """The sides of the ``scaling_laws`` that have lost every digit to
+    cancellation, as law name -> (lhs, rhs) masks, elementwise.
+
+    The sides of the add law end in the q-sums x (+)_q y and
+    (alpha*x) (+)_{q_alpha} (alpha*y).  A q-sum u + v + (1-r)uv of at most
+    4 ulps of its terms, |u| + |v| + |(1-r)uv|, is their rounding and nothing
+    else: at x = 1e300, y = -2, q = 0.5, alpha = 5 both sides are -10 and
+    come out 0 and 1.2e285.  Such a side says nothing about the law, as an
+    overflowed side says nothing.  The other laws are not listed.
+    """
+    x, y, q, alpha = (np.asarray(a, dtype=float) for a in (x, y, q, alpha))
+    q_alpha = transform(q, alpha)
+    with np.errstate(all="ignore"):
+        return {"add": (_sum_lost(x, y, q), _sum_lost(alpha * x, alpha * y, q_alpha))}
+
+
+def _sum_lost(u, v, r) -> np.ndarray:
+    """Where u (+)_r v, summed as ``q_add`` sums it, is at most 4 ulps of its terms."""
+    uv = (1.0 - r) * (u * v)
+    terms = np.abs(u) + np.abs(v) + np.abs(uv)
+    return np.abs(u + v + uv) <= 4.0 * np.finfo(float).eps * terms
 
 
 def _both_sides(law: str, *point: float) -> tuple[float, float]:

@@ -415,6 +415,47 @@ class TestAlgebraCheckCommand:
         assert statuses <= {"ok", "undefined", "domain-mismatch"}
 
 
+    def test_output_is_pinned(self, runner):
+        result = runner.invoke(cli, [
+            "algebra-check", "--x", "2", "--y", "3", "--q", "0.5", "--alpha", "2"])
+        assert result.output == (
+            '{"q": 0.5, "alpha": 2.0, "q_alpha": 0.75, "laws": ['
+            '{"law": "add", "lhs": 16.0, "rhs": 16.0, "status": "ok"}, '
+            '{"law": "subtract", "lhs": -0.8, "rhs": -0.8, "status": "ok"}, '
+            '{"law": "multiply", "lhs": 21.21938847239805, "rhs": 21.219388472398055, '
+            '"status": "ok"}, '
+            '{"law": "divide", "lhs": 0.2165469220917717, "rhs": 0.2165469220917717, '
+            '"status": "ok"}, '
+            '{"law": "exp-scaling", "lhs": 16.0, "rhs": 16.0, "status": "ok"}, '
+            '{"law": "log-scaling", "lhs": 1.6568542494923806, '
+            '"rhs": 1.6568542494923806, "status": "ok"}]}\n')
+
+    def test_no_law_fails_on_lost_digits(self, runner):
+        # At x = 1e300, y = -2, q = 0.5, alpha = 5 both sides of the add law
+        # are -10, and both lose every digit: 0 against 1.2e285.  Over this
+        # grid 8 add rows used to report such a side as a failed law.
+        failed = []
+        for x in ("1e300", "-1e300", "2", "-2", "1e-300", "-1e-300", "0"):
+            for y in ("-2", "3", "1e300", "1e-300"):
+                for q in ("-3", "0.2", "0.5", "1.5", "3"):
+                    for alpha in ("-5", "-1", "0.5", "2", "5"):
+                        result = runner.invoke(cli, ["algebra-check", "--x", x, "--y", y,
+                                                     "--q", q, "--alpha", alpha])
+                        assert result.exit_code in (0, 4), result.output
+                        if result.exit_code == 0:
+                            failed += [(x, y, q, alpha, row["law"])
+                                       for row in _payload(result)["laws"]
+                                       if row["status"] == "fail"]
+        assert failed == []
+
+    def test_lost_digits_are_undefined(self, runner):
+        result = runner.invoke(cli, ["algebra-check", "--x", "1e300", "--y", "-2",
+                                     "--q", "0.5", "--alpha", "5"])
+        assert result.exit_code == 0
+        add = _payload(result)["laws"][0]
+        assert add == {"law": "add", "lhs": None, "rhs": None, "status": "undefined"}
+
+
 class TestCheckCommand:
     def test_group_suite_passes(self, runner):
         result = runner.invoke(cli, ["check", "--suite", "group", "--seed", "7"])
@@ -456,6 +497,16 @@ def test_import_leaves_scipy_unloaded():
     code = ("import sys, qtherm.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _fresh_python(code).strip() == "[]"
+
+
+def test_entropy_check_leaves_scipy_unloaded():
+    # the batched entropy suite must not pull in a third of a second of import
+    code = ("import sys; from qtherm.cli import cli; "
+            "cli(['check', '--suite', 'entropy', '--seed', '3'], standalone_mode=False); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    lines = _fresh_python(code).strip().splitlines()
+    assert lines[-2] == "11/11 properties passed (suite entropy, seed 3)"
+    assert lines[-1] == "[]"
 
 
 @pytest.mark.parametrize("code,expected", [

@@ -3,9 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from qtherm.checks import _draw
 from qtherm.deformation import transform
 from qtherm.entropy import (
+    NORM_TOL,
     PartitionSum,
+    _avg_hybrid_rows,
+    _batch,
+    _bound_rows,
+    _escort_rows,
+    _excess_rows,
+    _hartley_rows,
+    _hybrid_rows,
+    _partition_rows,
+    _quasi_alpha_rows,
+    _renyi_rows,
+    _shannon_rows,
+    _tsallis_rows,
     as_distribution,
     avg_hybrid,
     escort,
@@ -21,7 +35,8 @@ from qtherm.entropy import (
     tsallis,
 )
 from qtherm.errors import DomainError, RenormalizationWarning
-from qtherm.qalgebra import q_add, q_exp, q_log
+from qtherm.maxent import partition_bound_check
+from qtherm.qalgebra import Q_ONE_THRESHOLD, q_add, q_exp, q_log
 
 # Frozen from direct evaluation of the defining sums on (0.9, 0.1):
 # -0.9 ln 0.9 - 0.1 ln 0.1 and 0.9 (ln 0.9)^2 + 0.1 (ln 0.1)^2.
@@ -345,3 +360,128 @@ class TestProductDistributions:
             lhs = renyi(product_distribution(pa, pb), q)
             rhs = renyi(pa, q) + renyi(pb, q)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def _padded(dists, width=None) -> np.ndarray:
+    width = width or max(len(p) for p in dists)
+    out = np.zeros((len(dists), width))
+    for i, p in enumerate(dists):
+        out[i, :len(p)] = p
+    return out
+
+
+def _ulps(a, b) -> float:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    return float(np.max(np.abs(a - b) / scale))
+
+
+def _assert_rows_match_1d(dists, q):
+    """Every row kernel on the zero-padded batch of ``dists`` (with index
+    q[i] in row i, mapped into each kernel's domain) against the 1-D
+    function on the unpadded vector, to 4 ulps."""
+    q = np.asarray(q, dtype=float)
+    rows = _batch(_padded(dists, width=36))
+    q_half, q_pos = 0.5 + np.abs(q), np.abs(q)
+
+    def expect(fn, index):
+        return [fn(p, qi) for p, qi in zip(dists, index)]
+
+    assert _ulps(_tsallis_rows(rows, q), expect(tsallis, q)) <= 4
+    assert _ulps(_renyi_rows(rows, q), expect(renyi, q)) <= 4
+    assert _ulps(_partition_rows(rows, q), expect(partition_sum, q)) <= 4
+    assert _ulps(_shannon_rows(rows), [shannon(p) for p in dists]) <= 4
+    assert _ulps(np.transpose(_hartley_rows(rows)), [hartley_moments(p) for p in dists]) <= 4
+    assert _ulps(_quasi_alpha_rows(rows), [quasi_additivity_alpha(p) for p in dists]) <= 4
+    assert _ulps(_hybrid_rows(rows, q_half), expect(hybrid, q_half)) <= 4
+    assert _ulps(_avg_hybrid_rows(rows, q_pos), expect(avg_hybrid, q_pos)) <= 4
+    assert _ulps(np.transpose(_bound_rows(rows, q_pos)),
+                 expect(partition_bound_check, q_pos)) <= 4
+    rho = _escort_rows(rows, q)
+    for i, p in enumerate(dists):
+        assert _ulps(rho[i, :len(p)], escort(p, q[i])) <= 4
+        assert np.all(rho[i, len(p):] == 0.0)
+
+
+class TestRowKernels:
+    """The private row kernels behind every 1-D functional."""
+
+    def test_rows_of_length_one_and_thirty_six(self):
+        rng = np.random.default_rng(3)
+        dists = [np.array([1.0])]
+        for _ in range(40):
+            pa, pb = rng.dirichlet(np.ones(6)), rng.dirichlet(np.ones(6))
+            dists.append(product_distribution(pa, pb))
+        dists += [rng.dirichlet(np.ones(n)) for n in range(1, 37)]
+        q = rng.uniform(-1.0, 3.0, len(dists))
+        assert {len(p) for p in dists} >= {1, 36}
+        _assert_rows_match_1d(dists, q)
+
+    def test_nonpositive_q_with_padding(self):
+        # padded zeros lie outside the support for every q: 0^q := 0
+        rng = np.random.default_rng(5)
+        dists = [rng.dirichlet(np.ones(n)) for n in (2, 3, 5, 6, 1, 4)]
+        q = np.array([-1.0, -0.3, 0.0, -2.5, -1.0, 0.0])
+        _assert_rows_match_1d(dists, q)
+        # the 1-D functions keep the zero-entry error for q <= 0
+        with pytest.raises(DomainError, match="zero probability"):
+            tsallis(_padded(dists[:1], width=4)[0], -1.0)
+
+    @pytest.mark.parametrize("seed", [59, 244])
+    def test_q_near_one(self, seed):
+        # the entropy suite's draws at these seeds put q within 2e-6 of 1
+        pa, pb, q, _ = _draw(np.random.default_rng(seed), 1000, 2, (-1.0, 3.0), (0.2, 1.8))
+        near = np.flatnonzero(np.abs(q - 1.0) < 1e-5)
+        assert near.size > 0
+        dists, qs = [], []
+        for i in near:
+            a, b = pa[i][pa[i] > 0.0], pb[i][pb[i] > 0.0]
+            dists += [a, b, product_distribution(a, b)]
+            qs += [q[i]] * 3
+        # and inside the Shannon switch, on both sides of q = 1
+        for dq in (0.5 * Q_ONE_THRESHOLD, -0.5 * Q_ONE_THRESHOLD, 0.0):
+            dists.append(dists[2])
+            qs.append(1.0 + dq)
+        _assert_rows_match_1d(dists, qs)
+
+    def test_renyi_log_branch(self):
+        # Z_q < 1/2, so ln Z_q comes from Z_q itself and not from log1p
+        dists = [np.full(36, 1.0 / 36), np.full(12, 1.0 / 12), np.array([0.5, 0.5])]
+        q = np.array([3.0, 2.5, 1.5])
+        excess = _excess_rows(_batch(_padded(dists)), q)
+        assert list(excess <= -0.5) == [True, True, False]
+        _assert_rows_match_1d(dists, q)
+
+    def test_hybrid_at_q_one(self):
+        rng = np.random.default_rng(11)
+        dists = [rng.dirichlet(np.ones(n)) for n in (2, 6, 36)]
+        rows = _batch(_padded(dists))
+        got = _hybrid_rows(rows, np.ones(3))
+        assert _ulps(got, [hybrid(p, 1.0) for p in dists]) <= 4
+        assert _ulps(got, _shannon_rows(rows)) <= 4
+
+    @pytest.mark.parametrize("row,message", [
+        ([0.5, -0.5, 1.0], "row 2: probability vector contains negative entries"),
+        ([0.5, math.nan, 0.5], "row 2: probability vector contains NaN or infinite"),
+        ([0.5, 0.4, 0.0], r"row 2: probabilities sum to 0\.9, not 1"),
+    ])
+    def test_invalid_row_is_named(self, row, message):
+        batch = [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], row, [0.2, 0.3, 0.5]]
+        with pytest.raises(DomainError, match=f"^{message}"):
+            _batch(batch)
+
+    def test_domain_error_of_a_kernel_names_the_row(self):
+        rows = _batch([[0.5, 0.5], [0.9, 0.1], [1.0, 0.0]])
+        with pytest.raises(DomainError, match=r"^row 1: hybrid entropy requires q >= 1/2"):
+            _hybrid_rows(rows, np.array([1.0, 0.4, 0.3]))
+        with pytest.raises(DomainError, match=r"^row 2: bound check requires q >= 0"):
+            _bound_rows(rows, np.array([1.0, 0.0, -0.1]))
+
+    def test_near_miss_row_is_renormalized(self):
+        with pytest.warns(RenormalizationWarning, match="^row 1: "):
+            rows = _batch([[0.5, 0.5], [0.5, 0.5 + 1e-10]])
+        assert abs(rows.s[1].sum() - 1.0) <= NORM_TOL
+
+    def test_batch_must_be_two_dimensional(self):
+        with pytest.raises(DomainError):
+            _batch([0.5, 0.5])

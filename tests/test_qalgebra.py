@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from qtherm.qalgebra import (
     dist_sub,
     exp_scaling,
     log_scaling,
+    lost_sides,
     q_add,
     q_div,
     q_exp,
@@ -263,6 +265,22 @@ class TestScalingLaws:
         lhs = 2.0 * q_add(1.0, 1.0, 0.5)
         rhs = q_add(2.0, 2.0, 0.5)
         assert abs(lhs - rhs) > 0.5
+
+
+class TestLostSides:
+    def test_flags_cancelled_q_sums_elementwise(self):
+        # 1e300 (+)_0.5 -2 = -2 comes out 0; 2 (+)_0.5 3 = 8 keeps its digits
+        x, y = np.array([1e300, 2.0, 0.0, 1e-300]), np.array([-2.0, 3.0, 3.0, 1e-300])
+        lhs, rhs = lost_sides(x, y, 0.5, 5.0)["add"]
+        assert lhs.tolist() == [True, False, False, False]
+        assert rhs.tolist() == [True, False, False, False]
+
+    def test_lists_only_the_add_law(self):
+        assert set(lost_sides(2.0, 3.0, 0.5, 2.0)) == {"add"}
+
+    def test_never_raises_on_overflow(self):
+        lhs, rhs = lost_sides(np.array([1e308, math.inf, math.nan]), 1e308, 3.0, 5.0)["add"]
+        assert lhs.shape == rhs.shape == (3,)
 
 
 class TestClassicalLimit:
