@@ -345,8 +345,9 @@ def algebra_check(x: float, y: float, q: float, alpha: float, fmt: str) -> None:
 
     Each law reports ok / fail / domain-mismatch / undefined; a law whose
     two sides live on different domains is reported, not asserted.  A side
-    that overflows, or that has lost every digit to cancellation, counts as
-    not evaluated.  Exits 1 if any law evaluates on both sides and disagrees.
+    that overflows, or that has lost every digit to cancellation or
+    underflow, counts as not evaluated.  Exits 1 if any law evaluates on
+    both sides and disagrees.
     """
     if alpha == 0.0:
         raise click.UsageError("alpha must be nonzero")

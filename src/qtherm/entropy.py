@@ -9,8 +9,7 @@ Each functional has one implementation, a private row kernel over a batch of
 distributions (a 2-D array, one zero-padded distribution per row, one index
 per row), which the public 1-D functions call with a batch of one row.  In a
 batch every zero lies outside the support (0^q := 0 for any q).  A row of a
-batch gives its 1-D function's value bit for bit, so a batched check reports
-what a loop over the 1-D functions would.
+batch gives its 1-D function's value to rounding (a few ulps).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 
 from .deformation import transform
 from .errors import DomainError, RenormalizationWarning
-from .qalgebra import Q_ONE_THRESHOLD
+from .qalgebra import _is_classical
 
 # Vectors this close to unit mass are accepted as-is; up to RENORM_TOL they
 # are rescaled with a warning (file round-off), beyond that rejected.
@@ -123,25 +122,15 @@ def _require_support(p: np.ndarray, q: float) -> None:
 class _Rows:
     """A validated 1-D vector or 2-D batch as the row kernels take it.
 
-    Each row's support, its positive entries in their order, is moved to the
-    front, so that the row sums in ``sum`` add exactly what ``np.sum`` adds
-    over the 1-D support.  A 1-D vector is one row, and its errors name no
-    row.
+    A 1-D vector is one row, and its errors name no row.  Row sums run over
+    the whole row, zeros included, and differ from the sums over the 1-D
+    support only in the order of the additions.
     """
 
     def __init__(self, p: np.ndarray):
         self.named = p.ndim == 2
         self.s = np.atleast_2d(p)
         self.on = self.s > 0.0
-        if np.any(self.on[:, 1:] & ~self.on[:, :-1]):
-            order = np.argsort(~self.on, axis=1, kind="stable")
-            self.s = np.take_along_axis(self.s, order, axis=1)
-            self.on = self.s > 0.0
-        size = np.count_nonzero(self.on, axis=1)
-        sizes = sorted(set(size.tolist()))
-        # the rows of each support size, for ``sum``
-        self.groups = ([(n, size == n) for n in sizes] if len(sizes) > 1
-                       else [(sizes[0], slice(None))])
         # 1 off the support, where log and every power are masked anyway
         self.base = np.where(self.on, self.s, 1.0)
         self.log = np.log(self.base)
@@ -151,48 +140,14 @@ class _Rows:
         row = int(np.argmax(bad))
         return DomainError(f"row {row}: {message}" if self.named else message)
 
-    def sum(self, terms: np.ndarray) -> np.ndarray:
-        """Each row's sum of ``terms`` over its support.
-
-        ``np.sum`` adds the first 8 entries of a vector one by one and longer
-        vectors pairwise, so rows are summed in groups of equal support size.
-        """
-        out = np.empty(len(terms))
-        for n, rows in self.groups:
-            out[rows] = terms[rows, :n].sum(axis=1)
-        return out
-
     def power(self, q: np.ndarray) -> np.ndarray:
-        """p**q on the support, 0 off it (0^q := 0), one q per row.
-
-        At q = 2, 1/2 and -1 the power is the correctly rounded square, square
-        root or reciprocal, as NumPy computes ``p ** q`` for a float q; its
-        vectorized pow misses the last bit of those on a few percent of
-        entries.
-        """
-        out = self.base ** q[:, None]
-        if np.any((q == 2.0) | (q == 0.5) | (q == -1.0)):
-            for value, exact in ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal)):
-                rows = q == value
-                out[rows] = exact(self.base[rows])
-        return np.where(self.on, out, 0.0)
-
-
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """``fn``, a ``math`` function, on each element of ``x``.
-
-    NumPy's vectorized log, log1p and expm1 round the last bit differently
-    from the C library's on a few percent of arguments."""
-    return np.array([fn(v) for v in x.tolist()])
-
-
-def _classical(q: np.ndarray) -> np.ndarray:
-    return np.abs(q - 1.0) < Q_ONE_THRESHOLD
+        """p**q on the support, 0 off it (0^q := 0), one q per row."""
+        return np.where(self.on, self.base ** q[:, None], 0.0)
 
 
 def _partition_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
     """Z_q = sum_k p_k^q per row."""
-    return rows.sum(rows.power(q))
+    return rows.power(q).sum(axis=1)
 
 
 def _excess_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
@@ -207,24 +162,24 @@ def _excess_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
     small = np.abs(y) < 1.0
     terms = np.where(small, rows.s * np.expm1(np.where(small, y, 0.0)),
                      rows.power(q) - rows.s)
-    return rows.sum(terms)
+    return terms.sum(axis=1)
 
 
 def _shannon_rows(rows: _Rows) -> np.ndarray:
-    return -rows.sum(rows.s * rows.log)
+    return -(rows.s * rows.log).sum(axis=1)
 
 
 def _tsallis_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
     """S_q = (Z_q - 1)/(1 - q) per row; Shannon where q is within
     ``Q_ONE_THRESHOLD`` of 1."""
-    classical = _classical(q)
+    classical = _is_classical(q)
     value = _excess_rows(rows, q) / np.where(classical, 1.0, 1.0 - q)
     return np.where(classical, _shannon_rows(rows), value) if classical.any() else value
 
 
 def _renyi_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
     """ln(Z_q)/(1 - q) per row; Shannon where q is within ``Q_ONE_THRESHOLD`` of 1."""
-    classical = _classical(q)
+    classical = _is_classical(q)
     excess = _excess_rows(rows, q)
     # log1p keeps the digits of ln Z_q near q = 1; below Z_q = 1/2 the sum
     # 1 + excess would lose those that Z_q itself keeps
@@ -235,16 +190,15 @@ def _renyi_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
     bad = ~classical & ((z <= 0.0) | np.isinf(z))
     if bad.any():
         raise rows.fail(f"partition sum {z[bad][0]:g} outside (0, inf)", bad)
-    log_z = np.array([math.log1p(e) if e > -0.5 else math.log(v)
-                      for e, v in zip(excess.tolist(), z.tolist())])
+    log_z = np.log1p(excess, out=np.log(z), where=near)
     value = log_z / np.where(classical, 1.0, 1.0 - q)
     return np.where(classical, _shannon_rows(rows), value) if classical.any() else value
 
 
 def _escort_rows(rows: _Rows, r: np.ndarray) -> np.ndarray:
-    """rho_k = p_k^r / sum_j p_j^r per row, in the order of ``rows.s``."""
+    """rho_k = p_k^r / sum_j p_j^r per row."""
     powers = rows.power(r)
-    z = rows.sum(powers)
+    z = powers.sum(axis=1)
     bad = ~(z > 0.0) | ~np.isfinite(z)
     if bad.any():
         raise rows.fail(f"escort normalizer Z_r = {float(z[bad][0])!r} outside (0, inf)",
@@ -258,11 +212,11 @@ def _hybrid_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
     if bad.any():
         raise rows.fail(f"hybrid entropy requires q >= 1/2, got q = {q[bad][0]:g} "
                         f"(maximality fails below)", bad)
-    a = -rows.sum(_escort_rows(rows, q) * rows.log)
-    classical = _classical(q)
+    a = -(_escort_rows(rows, q) * rows.log).sum(axis=1)
+    classical = _is_classical(q)
     # log_q(exp(a)) evaluated stably as expm1((1-q)a)/(1-q)
     e = 1.0 - q
-    return np.where(classical, a, _libm(math.expm1, e * a) / np.where(classical, 1.0, e))
+    return np.where(classical, a, np.expm1(e * a) / np.where(classical, 1.0, e))
 
 
 def _avg_hybrid_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
@@ -275,16 +229,14 @@ def _avg_hybrid_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
 
 def _hartley_rows(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
     """<I> and <I^2> of the surprisal I = -ln p per row."""
-    return -rows.sum(rows.s * rows.log), rows.sum(rows.s * rows.log**2)
+    return _shannon_rows(rows), (rows.s * rows.log**2).sum(axis=1)
 
 
 def _quasi_alpha_rows(rows: _Rows) -> np.ndarray:
     """1 + <I>^2/<I^2> per row, 1 where <I^2> = 0."""
     mean_info, second = _hartley_rows(rows)
     degenerate = second == 0.0
-    # float_power is the C library's pow, as for Python floats
-    return np.where(degenerate, 1.0, 1.0 + np.float_power(mean_info, 2.0)
-                    / np.where(degenerate, 1.0, second))
+    return np.where(degenerate, 1.0, 1.0 + mean_info**2 / np.where(degenerate, 1.0, second))
 
 
 def _bound_rows(rows: _Rows, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,10 +293,7 @@ def escort(probs, r: float) -> np.ndarray:
     r = float(r)
     if r <= 0.0 and np.any(p == 0.0):
         raise DomainError(f"escort undefined: zero probability with r = {r:g} <= 0")
-    support = p > 0.0
-    rho = np.zeros_like(p)
-    rho[support] = _escort_rows(_Rows(p), np.array([r]))[0, :np.count_nonzero(support)]
-    return rho
+    return _escort_rows(_Rows(p), np.array([r]))[0]
 
 
 def escort_mean(probs, levels, r: float) -> float:

@@ -15,7 +15,8 @@ alpha*(x (+)_q y) = (alpha*x) (+)_{q_alpha} (alpha*y) and
 (exp_q x)^alpha = exp_{q_alpha}(alpha*x).  ``scaling_laws`` defines both
 sides of the six identities once; the ``dist_*`` and ``*_scaling`` helpers
 and the ``algebra-check`` command evaluate each side independently, and
-``lost_sides`` marks the sides that have lost every digit to cancellation.
+``lost_sides`` marks the sides that have lost every digit to cancellation
+or underflow.
 
 Every function is elementwise over NumPy arrays, as in ``deformation``; the
 q = 1 branch, the q < 1 cutoff and the overflow-to-inf rule are masks.
@@ -196,19 +197,24 @@ def scaling_laws(x: float, y: float, q: float, alpha: float) -> dict:
 
 def lost_sides(x, y, q, alpha) -> dict:
     """The sides of the ``scaling_laws`` that have lost every digit to
-    cancellation, as law name -> (lhs, rhs) masks, elementwise.
+    cancellation or underflow, as law name -> (lhs, rhs) masks, elementwise.
 
     The sides of the add law end in the q-sums x (+)_q y and
     (alpha*x) (+)_{q_alpha} (alpha*y).  A q-sum u + v + (1-r)uv of at most
     4 ulps of its terms, |u| + |v| + |(1-r)uv|, is their rounding and nothing
     else: at x = 1e300, y = -2, q = 0.5, alpha = 5 both sides are -10 and
-    come out 0 and 1.2e285.  Such a side says nothing about the law, as an
-    overflowed side says nothing.  The other laws are not listed.
+    come out 0 and 1.2e285.  The exp-scaling sides (exp_q x)^alpha and
+    exp_{q_alpha}(alpha*x) are positive wherever their brackets are, and one
+    that underflows to 0 there has lost every digit: at x = -1e300, q = 1.5,
+    alpha = 1e-3 exp_q(x) = 4e-600 comes out 0, while both sides are 0.2515.
+    Such a side says nothing about the law, as an overflowed side says
+    nothing.  The other laws are not listed.
     """
     x, y, q, alpha = (np.asarray(a, dtype=float) for a in (x, y, q, alpha))
     q_alpha = transform(q, alpha)
     with np.errstate(all="ignore"):
-        return {"add": (_sum_lost(x, y, q), _sum_lost(alpha * x, alpha * y, q_alpha))}
+        return {"add": (_sum_lost(x, y, q), _sum_lost(alpha * x, alpha * y, q_alpha)),
+                "exp-scaling": (_exp_lost(x, q, alpha), _exp_lost(alpha * x, q_alpha))}
 
 
 def _sum_lost(u, v, r) -> np.ndarray:
@@ -216,6 +222,17 @@ def _sum_lost(u, v, r) -> np.ndarray:
     uv = (1.0 - r) * (u * v)
     terms = np.abs(u) + np.abs(v) + np.abs(uv)
     return np.abs(u + v + uv) <= 4.0 * np.finfo(float).eps * terms
+
+
+def _exp_lost(u, r, alpha=1.0) -> np.ndarray:
+    """Where exp_r(u)**alpha, evaluated as ``q_exp`` and ``_real_power`` do,
+    is 0 although the bracket 1 + (1-r)u (1 at r = 1) is positive, so that
+    its exact value is positive.  The cutoff of a non-positive bracket for
+    r < 1 is exactly 0, not lost."""
+    classical = _is_classical(r)
+    bracket = np.where(classical, 1.0, 1.0 + (1.0 - r) * u)
+    value = np.where(classical, np.exp(u), np.float_power(bracket, 1.0 / (1.0 - r)))
+    return (bracket > 0.0) & (np.float_power(value, alpha) == 0.0)
 
 
 def _both_sides(law: str, *point: float) -> tuple[float, float]:

@@ -448,6 +448,15 @@ class TestAlgebraCheckCommand:
                                        if row["status"] == "fail"]
         assert failed == []
 
+    def test_underflowed_side_is_not_a_failure(self, runner):
+        # exp_q(-1e300) = 4e-600 underflows to 0; both sides are exactly 0.2515
+        result = runner.invoke(cli, ["algebra-check", "--x", "-1e300", "--y", "-2",
+                                     "--q", "1.5", "--alpha", "1e-3"])
+        assert result.exit_code == 0
+        row = {r["law"]: r for r in _payload(result)["laws"]}["exp-scaling"]
+        assert row["lhs"] is None and row["status"] == "domain-mismatch"
+        assert row["rhs"] == pytest.approx(0.2515371060307916, rel=1e-12)
+
     def test_lost_digits_are_undefined(self, runner):
         result = runner.invoke(cli, ["algebra-check", "--x", "1e300", "--y", "-2",
                                      "--q", "0.5", "--alpha", "5"])

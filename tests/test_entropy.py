@@ -403,6 +403,65 @@ def _assert_rows_match_1d(dists, q):
         assert np.all(rho[i, len(p):] == 0.0)
 
 
+def _interior_zeros():
+    """Vectors with zeros strictly inside, at n = 3 and past the 8 entries
+    that ``np.sum`` adds one by one, each with its zeros dropped."""
+    rng = np.random.default_rng(17)
+    for n in (3, 9, 17, 36):
+        for _ in range(25):
+            p = rng.dirichlet(np.ones(n))
+            p[rng.choice(np.arange(1, n - 1), size=max(1, n // 3), replace=False)] = 0.0
+            p /= p.sum()
+            yield p, p[p > 0.0]
+
+
+class TestInteriorZeros:
+    """A zero inside a vector changes a functional only by the rounding of
+    another summation order."""
+
+    @pytest.mark.parametrize("fn,ulps", [
+        # one sum of same-sign terms
+        (partition_sum, 4), (shannon, 4), (hartley_moments, 4),
+        # a sum, then a quotient or a logarithm
+        (tsallis, 8), (renyi, 8), (quasi_additivity_alpha, 8),
+        # the escort normalizer, the escort average, then expm1
+        (hybrid, 16), (avg_hybrid, 16),
+    ])
+    def test_functional_ignores_zeros(self, fn, ulps):
+        for p, support in _interior_zeros():
+            if fn in (shannon, hartley_moments, quasi_additivity_alpha):
+                assert _ulps(fn(p), fn(support)) <= ulps
+            else:
+                for q in (0.5, 0.7, 1.3, 2.5):
+                    assert _ulps(fn(p, q), fn(support, q)) <= ulps
+
+    def test_escort_keeps_zeros_in_place(self):
+        for p, support in _interior_zeros():
+            for r in (0.5, 1.3, 2.5):
+                rho = escort(p, r)
+                assert np.all(rho[p == 0.0] == 0.0)
+                assert _ulps(rho[p > 0.0], escort(support, r)) <= 8
+
+
+class TestContinuityAtQOne:
+    """Across ``Q_ONE_THRESHOLD`` the Shannon branch and the deformed one
+    meet: |dS/dq| at q = 1 is at most <I^2> for all three functionals, and
+    the values move by at most twice that times |dq|."""
+
+    @pytest.mark.parametrize("fn", [tsallis, renyi, hybrid])
+    @pytest.mark.parametrize("n", [2, 9, 36])
+    def test_branches_meet(self, fn, n):
+        p = np.random.default_rng(n).dirichlet(np.ones(n))
+        second = hartley_moments(p)[1]
+        t = Q_ONE_THRESHOLD
+        for side in (1.0, -1.0):
+            shannon_branch = 1.0 + side * 0.5 * t
+            deformed = 1.0 + side * 2.0 * t
+            gap = abs(fn(p, deformed) - fn(p, shannon_branch))
+            assert gap <= 2.0 * abs(deformed - shannon_branch) * second
+        assert abs(fn(p, 1.0 + 2.0 * t) - fn(p, 1.0 - 2.0 * t)) <= 2.0 * 4.0 * t * second
+
+
 class TestRowKernels:
     """The private row kernels behind every 1-D functional."""
 

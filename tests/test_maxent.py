@@ -296,6 +296,20 @@ class TestTargetMeanMode:
         assert sol.stationarity_residual > 1e-8
 
 
+class TestContinuityAtQOne:
+    """The trinomial family just outside ``Q_ONE_THRESHOLD`` and the Gibbs
+    kernel just inside it give the same distribution, on both sides of 1."""
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("mode", [{"omega": 0.3}, {"target_mean": 0.8}])
+    def test_gibbs_meets_trinomial(self, side, mode):
+        e = np.linspace(0.0, 2.0, 30)
+        deformed = solve_maxent(e, 1.0 + side * 2e-9, 1.5, **mode)
+        gibbs = solve_maxent(e, 1.0 + side * 5e-10, 1.5, **mode)
+        assert deformed.converged and gibbs.converged
+        assert np.max(np.abs(deformed.probs - gibbs.probs)) <= 1e-8
+
+
 class TestNewtonJacobian:
     @pytest.mark.parametrize("fam", [
         _Trinomial(np.linspace(0.0, 2.0, 7), 1.2, 1.5, False),

@@ -275,8 +275,20 @@ class TestLostSides:
         assert lhs.tolist() == [True, False, False, False]
         assert rhs.tolist() == [True, False, False, False]
 
-    def test_lists_only_the_add_law(self):
-        assert set(lost_sides(2.0, 3.0, 0.5, 2.0)) == {"add"}
+    def test_lists_the_add_and_exp_scaling_laws(self):
+        assert set(lost_sides(2.0, 3.0, 0.5, 2.0)) == {"add", "exp-scaling"}
+
+    def test_flags_underflowed_q_exps_elementwise(self):
+        # exp_1.5(-1e300) = 4e-600 comes out 0 while both sides are 0.2515;
+        # exp_0.5(-3) is the cutoff 0, exact; exp(-1e300) underflows on both sides
+        x = np.array([-1e300, 2.0, -3.0, -1e300])
+        q = np.array([1.5, 0.5, 0.5, 1.0])
+        lhs, rhs = lost_sides(x, x, q, 1e-3)["exp-scaling"]
+        assert lhs.tolist() == [True, False, False, True]
+        assert rhs.tolist() == [False, False, False, True]
+        # a power of a positive exp_q that underflows is lost as well
+        lhs, rhs = lost_sides(-1e300, -1e300, 1.5, 2.0)["exp-scaling"]
+        assert bool(lhs) and bool(rhs)
 
     def test_never_raises_on_overflow(self):
         lhs, rhs = lost_sides(np.array([1e308, math.inf, math.nan]), 1e308, 3.0, 5.0)["add"]
