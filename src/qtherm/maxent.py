@@ -45,6 +45,7 @@ from .deformation import transform
 from .entropy import PartitionSum, _bound_rows, _require_support, _Rows, as_distribution
 from .errors import DomainError, NonConvergenceError, NoRealRootError
 from .qalgebra import Q_ONE_THRESHOLD
+from .rootfind import brent
 from .trinomial import _branch_roots, _lambert_w0, series_radius, trinomial_b
 
 MAX_ITER = 10_000
@@ -481,7 +482,8 @@ def _solve_for_target(fam, target: float, max_iter: int) -> MaxEntSolution:
 
     def level_map(lam: float) -> np.ndarray:
         if lam not in maps:
-            maps[lam] = fam.level_map(np.clip(lam * de, b_min, b_max))[0]
+            # np.clip does the same at twice the cost on a short array
+            maps[lam] = fam.level_map(np.minimum(np.maximum(lam * de, b_min), b_max))[0]
         return maps[lam]
 
     def gap(lam: float) -> float:
@@ -511,21 +513,17 @@ def _solve_for_target(fam, target: float, max_iter: int) -> MaxEntSolution:
             f"real, the escort mean at this target spans only "
             f"[{target + min(g_lo, g_hi):.17g}, {target + max(g_lo, g_hi):.17g}]"
         )
-    # imported here: scipy.optimize adds about 0.25 s to `import qtherm`
-    from scipy.optimize import brentq
-
     # lambda is O(q - 1) in every family but the Gibbs kernel, so its step
     # tolerance shrinks with q - 1
     xtol = 1e-16 * scale
     if not isinstance(fam, _Gibbs):
         xtol *= min(1.0, abs(fam.q - 1.0))
-    lam, info = brentq(gap, lo, hi, xtol=xtol, maxiter=max_iter,
-                       full_output=True, disp=False)
+    lam, iterations, converged = brent(gap, lo, hi, xtol, maxiter=max_iter)
     p = level_map(lam)
     per_omega = float(fam.per_omega(p, _partition(p, fam.q)))
     omega = float(lam / per_omega)
-    sol = _certify(fam, p, omega, info.iterations, False)
-    if not info.converged:
+    sol = _certify(fam, p, omega, iterations, False)
+    if not converged:
         raise NonConvergenceError(
             f"no convergence after {max_iter} root-find iterations in lambda",
             solution=sol,

@@ -17,10 +17,9 @@ For alpha > 1 the branch ends in a double root at x = alpha/(alpha - 1) when
 b reaches (alpha-1)^(alpha-1)/alpha^alpha; beyond that there is no real root
 and ``NoRealRootError`` is raised for the first such entry.
 ``lambert_w_array`` evaluates the principal Lambert W branch (the
-alpha -> inf member) with ``scipy.special.lambertw``.  The scalar
-``solve_trinomial`` and ``lambert_w`` are thin wrappers over the two kernels.
-SciPy is imported by the functions that use it, so a command that needs
-neither Lambert W nor the series coefficients never loads it.
+alpha -> inf member) by two Halley steps from a close start (Corless et
+al., Adv. Comput. Math. 5 (1996)).  The scalar ``solve_trinomial`` and
+``lambert_w`` are thin wrappers over the two kernels.
 
 The branch-root power series (``trinomial_series``) is the paper's result;
 it serves as a test oracle and is not on the solve path.
@@ -71,10 +70,11 @@ def series_radius(alpha: float) -> float:
 def series_coefficient(alpha: float, n: int) -> float:
     """n-th series coefficient C(alpha*n, n-1)/n.
 
-    Uses log-gamma with sign tracking so large orders neither overflow
-    prematurely nor lose the sign pattern; Gamma poles (integer alpha*n
-    below n-1) correctly yield 0.  At alpha = 2 these are the Catalan
-    numbers.
+    Uses ``math.lgamma`` with the sign of Gamma tracked, so large orders
+    neither overflow prematurely nor lose the sign pattern; Gamma poles
+    (integer alpha*n below n-1) correctly yield 0.  An alpha*n beyond about
+    2.5e305, where log-gamma overflows, raises ``DomainError``.  At alpha = 2
+    these are the Catalan numbers.
     """
     if n < 1:
         raise DomainError("series order n must be >= 1")
@@ -84,17 +84,25 @@ def series_coefficient(alpha: float, n: int) -> float:
 
 def _log_coefficient(alpha: float, n: int) -> tuple[float, float]:
     """Sign and log-magnitude of C(alpha*n, n-1)/n."""
-    from scipy.special import gammaln, gammasgn
-
     z = alpha * n
-    tail = float(gammaln(z - n + 2.0))
-    if math.isinf(tail):
-        # Gamma pole in the denominator: the coefficient is exactly 0
-        # (gammasgn is NaN there on some scipy versions, so short-circuit).
+    try:
+        tail = math.lgamma(z - n + 2.0)
+        head = math.lgamma(z + 1.0)
+    except ValueError:
+        # Gamma pole in the denominator (z - n + 2 a non-positive integer):
+        # the coefficient is exactly 0.  z + 1 is then no pole, as it is
+        # larger by the integer n - 1.
         return 0.0, -math.inf
-    sign = float(gammasgn(z + 1.0) * gammasgn(z - n + 2.0))
-    log_mag = float(gammaln(z + 1.0) - gammaln(n)) - tail - math.log(n)
+    except OverflowError:
+        raise DomainError(f"alpha*n = {z:g} overflows the log-gamma function") from None
+    sign = _gamma_sign(z + 1.0) * _gamma_sign(z - n + 2.0)
+    log_mag = (head - math.lgamma(n)) - tail - math.log(n)
     return sign, log_mag
+
+
+def _gamma_sign(x: float) -> float:
+    """Sign of Gamma(x) away from its poles: negative on (-1, 0), (-3, -2), ..."""
+    return -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
 
 
 def trinomial_series(alpha: float, b: float, n_max: int = 500,
@@ -269,7 +277,9 @@ def _brackets(alpha: float, b: np.ndarray):
             np.copyto(hi, big, where=over & ((1.0 - big) + b * big**alpha <= 0.0))
         return lo, hi, np.where(pos, hi, lo)
     hi = np.where(pos, (alpha * b) ** (1.0 / (1.0 - alpha)), c ** (-1.0 / alpha))
-    f_hi = (1.0 - hi) + b * hi**alpha
+    # at the minimum b*x_m^alpha = x_m/alpha, so f(x_m) = 1 - x_m*(alpha-1)/alpha
+    # without the overflow of x_m^alpha as alpha -> 1+
+    f_hi = np.where(pos, 1.0 - hi * ((alpha - 1.0) / alpha), (1.0 - hi) + b * hi**alpha)
     # f(x_m) >= 0: the double root at the critical b (up to rounding), or
     # no root beyond it
     np.copyto(lo, hi, where=f_hi >= 0.0)
@@ -337,6 +347,28 @@ def trinomial_b(q: float, alpha: float, omega: float, delta_e: float,
 # --- Lambert W ---------------------------------------------------------------
 
 _BRANCH_POINT = -math.exp(-1.0)
+# 1/e as the double-double _INV_E + _INV_E_LO, so that x + 1/e is exact to
+# rounding near the branch point, where it cancels
+_INV_E = -_BRANCH_POINT
+_INV_E_LO = -1.2428753672788363e-17
+_TWO_E = 2.0 * math.e
+# W0 = sum_k c_k p^k with p = sqrt(2*(e*x + 1)) about the branch point
+# (Corless et al., Adv. Comput. Math. 5 (1996), eq. 4.22)
+_BRANCH_SERIES = (-1.0, 1.0, -1.0 / 3.0, 11.0 / 72.0, -43.0 / 540.0, 769.0 / 17280.0,
+                  -221.0 / 8505.0, 680863.0 / 43545600.0, -1963.0 / 204120.0,
+                  226287557.0 / 37623398400.0)
+# Starts of the iteration: the series below _NEAR_BRANCH, Winitzki's form up
+# to _FAR and the logarithmic asymptote beyond, each close enough to W0 that
+# two Halley steps reach rounding.
+_NEAR_BRANCH = -0.25
+_FAR = 100.0
+# Below this p the series is W0 to rounding (its next term is under 4e-16),
+# while a Halley step there would move w by the rounding of x*e^(-w) over
+# the small slope 1 + w.
+_SERIES_ONLY = 0.05
+# Up to this many arguments go one by one through `math`: a NumPy call on a
+# short array costs about as much as a whole scalar evaluation.
+_SCALAR_SIZE = 48
 
 
 def lambert_w(x: float) -> float:
@@ -357,15 +389,16 @@ def lambert_w_array(x) -> np.ndarray:
 
 
 def _lambert_w0(x) -> np.ndarray:
-    """W0 of every entry of ``x`` by ``scipy.special.lambertw``; an argument
-    below -1/e - 1e-15 raises ``NoRealRootError`` naming its index in
-    ``level``."""
-    from scipy.special import lambertw
+    """W0 of every entry of ``x``; an argument below -1/e - 1e-15 raises
+    ``NoRealRootError`` naming its index in ``level``.
 
+    Two Halley steps from a start within 0.03 of W0 reach rounding; close
+    to -1/e the branch-point series alone is the answer (``_w0_array``).
+    """
     x = np.asarray(x, dtype=float)
     shape = x.shape
     x = x.ravel()
-    w = lambertw(x).real
+    snap = None
     if x.size and not (x.min() > _BRANCH_POINT and x.max() < math.inf):
         bad = ~(np.isfinite(x) & (x >= _BRANCH_POINT - 1e-15))
         if bad.any():
@@ -374,6 +407,74 @@ def _lambert_w0(x) -> np.ndarray:
                 raise DomainError(f"argument must be finite, got {x[i]!r}")
             raise NoRealRootError(f"Lambert W argument {x[i]:g} below -1/e",
                                   b=float(x[i]), level=i if shape else None)
-        # the float nearest -1/e lies just below it, where scipy has no W0
-        np.copyto(w, -1.0, where=x <= _BRANCH_POINT)
+        # the float nearest -1/e lies just below it: these snap to W = -1
+        snap = x <= _BRANCH_POINT
+        x = np.where(snap, 0.0, x)
+    if x.size <= _SCALAR_SIZE:
+        w = np.array([_w0_scalar(v) for v in x.tolist()])
+    else:
+        with np.errstate(all="ignore"):
+            w = _w0_array(x)
+    if snap is not None:
+        np.copyto(w, -1.0, where=snap)
     return w.reshape(shape)
+
+
+def _w0_scalar(x: float) -> float:
+    """W0(x) for x > -1/e through `math`: the steps of ``_w0_array`` for one entry."""
+    if x < _NEAR_BRANCH:
+        p = math.sqrt(_TWO_E * ((x + _INV_E) + _INV_E_LO))
+        w = _branch_series(p)
+        if p < _SERIES_ONLY:
+            return w
+    elif x < _FAR:
+        log = math.log1p(x)
+        w = log * (1.0 - math.log1p(log) / (2.0 + log))
+    else:
+        log = math.log(x)
+        log_log = math.log(log)
+        w = log - log_log + log_log / log
+    # the two Halley steps unrolled: a loop here costs a quarter of the call
+    g = w - x * math.exp(-w)
+    wp1 = w + 1.0
+    w -= g / (wp1 - (w + 2.0) * g / (2.0 * wp1))
+    g = w - x * math.exp(-w)
+    wp1 = w + 1.0
+    return w - g / (wp1 - (w + 2.0) * g / (2.0 * wp1))
+
+
+def _w0_array(x: np.ndarray) -> np.ndarray:
+    """W0 of every x > -1/e.  Starts: Winitzki's W0 ~ L(1 - log(1 + L)/(2 + L)),
+    L = log(1 + x) (LNCS 2667 (2003)); beyond _FAR the asymptote log x -
+    log log x + log log x/log x; below _NEAR_BRANCH the branch-point series.
+    Then two Halley steps on g = w - x*e^(-w), which unlike w*e^w - x cannot
+    overflow.  The asymptote and the series are evaluated only when some
+    entry needs them."""
+    log = np.log1p(x)
+    w = log * (1.0 - np.log1p(log) / (2.0 + log))
+    far = x >= _FAR
+    if far.any():
+        log = np.log(x)
+        log_log = np.log(log)
+        w = np.where(far, log - log_log + log_log / log, w)
+    near = x < _NEAR_BRANCH
+    series = None
+    if near.any():
+        p = np.sqrt(_TWO_E * ((x + _INV_E) + _INV_E_LO))
+        series = _branch_series(p)
+        w = np.where(near, series, w)
+    for _ in range(2):
+        g = w - x * np.exp(-w)
+        wp1 = w + 1.0
+        w = w - g / (wp1 - (w + 2.0) * g / (2.0 * wp1))
+    if series is not None:
+        w = np.where(p < _SERIES_ONLY, series, w)
+    return w
+
+
+def _branch_series(p):
+    """W0 from its series about the branch point, by Horner's rule."""
+    w = 0.0
+    for c in reversed(_BRANCH_SERIES):
+        w = w * p + c
+    return w

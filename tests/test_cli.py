@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import qtherm.checks
+from qtherm import maxent
 from qtherm.cli import cli
 from qtherm.entropy import as_distribution, escort, tsallis
 from qtherm.fileio import read_column, read_distribution, read_spectrum
@@ -314,6 +315,39 @@ class TestMaxentCommand:
         assert result.exit_code == 0
         assert _payload(result)["escort_mean"] == pytest.approx(0.6, abs=1e-8)
 
+    def test_target_mode_alpha_just_above_one(self, runner, tmp_path):
+        # exited 1 with a traceback: a level's far root made the gap NaN
+        levels = "\n".join(map(repr, np.round(np.linspace(4006.7, 131073.98, 18), 2).tolist()))
+        path = _write(tmp_path, "e.csv", "E\n" + levels + "\n")
+        result = runner.invoke(cli, [
+            "maxent", "--input", path, "--entropy", "renyi", "--q", "1.0000005982085276",
+            "--alpha", "1.011454735190145", "--target-mean", "106186.1942746612"])
+        assert result.exit_code == 0
+        payload = _payload(result)
+        assert payload["converged"] is True
+        assert payload["residual"] <= 1e-14
+
+    def test_non_finite_gap_is_solver_failure(self, runner, tmp_path, monkeypatch):
+        # the level maps at the two bracket ends are real; every later one is
+        # NaN, which the root find in lambda reports as a solver failure
+        real = maxent._Trinomial.level_map
+        calls = []
+
+        def level_map(fam, b):
+            calls.append(b)
+            p, roots = real(fam, b)
+            return (p if len(calls) <= 2 else p * math.nan), roots
+
+        monkeypatch.setattr(maxent._Trinomial, "level_map", level_map)
+        path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
+        result = runner.invoke(cli, [
+            "maxent", "--input", path, "--q", "1.2", "--alpha", "2",
+            "--target-mean", "0.6"])
+        assert len(calls) == 3
+        assert result.exit_code == 5
+        assert isinstance(result.exception, SystemExit)
+        assert "function value" in result.output
+
     def test_omega_and_target_together_is_flag_error(self, runner, tmp_path):
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
         result = runner.invoke(cli, [
@@ -493,29 +527,27 @@ class TestCheckCommand:
         assert first.output == second.output
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize serves only the target-mean root find, and no module of
-    # scipy is loaded before a command needs one (see the test below)
-    code = "import sys, qtherm.cli; print('scipy.optimize' in sys.modules)"
-    assert _fresh_python(code).strip() == "False"
-
-
-def test_import_leaves_scipy_unloaded():
-    # scipy.special serves only Lambert W and the series coefficients; the
-    # import of any scipy module costs about a third of a second per command
-    code = ("import sys, qtherm.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert _fresh_python(code).strip() == "[]"
-
-
-def test_entropy_check_leaves_scipy_unloaded():
-    # the batched entropy suite must not pull in a third of a second of import
-    code = ("import sys; from qtherm.cli import cli; "
-            "cli(['check', '--suite', 'entropy', '--seed', '3'], standalone_mode=False); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    lines = _fresh_python(code).strip().splitlines()
-    assert lines[-2] == "11/11 properties passed (suite entropy, seed 3)"
-    assert lines[-1] == "[]"
+@pytest.mark.parametrize("args", [
+    ["maxent", "--input", "{path}", "--q", "1.2", "--alpha", "2", "--target-mean", "0.6"],
+    ["maxent", "--input", "{path}", "--q", "1.3", "--alpha", "inf", "--omega", "0.4"],
+    ["check", "--suite", "all", "--seed", "3"],
+], ids=["maxent-target", "maxent-inf", "check-all"])
+def test_commands_leave_scipy_unloaded(tmp_path, args):
+    # SciPy is a test oracle only: the root find in lambda, Lambert W and the
+    # series coefficients are in qtherm, and importing SciPy would cost each
+    # command about half a second
+    path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
+    args = [arg.format(path=path) for arg in args]
+    code = "\n".join([
+        "import sys",
+        "from qtherm.cli import cli",
+        "try:",
+        f"    cli({args!r})",
+        "except SystemExit as exit:",
+        "    assert exit.code in (0, None), exit.code",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    assert _fresh_python(code).strip().splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("code,expected", [

@@ -25,6 +25,10 @@ E5_GAPPED = np.array([0.0, 0.0, 2.0, 0.0, 2.0])
 # O(1/(q - 1)) terms of the trinomial family cancel
 Q_NEAR_ONE = [1.0 + 1e-7, 1.0 + 1e-8, 1.0 + 2e-9, 1.0 - 2e-9, 1.0 + 1e-6]
 
+# a fuzz failure in target mode at alpha just above 1 (see TestTargetMeanMode)
+E18_WIDE = np.round(np.linspace(4006.7, 131073.98, 18), 2)
+Q_FUZZ, ALPHA_FUZZ, TARGET_FUZZ = 1.0000005982085276, 1.011454735190145, 106186.1942746612
+
 
 def independent_gibbs(e, omega):
     """Oracle: direct Boltzmann factor, no shared solver code."""
@@ -294,6 +298,15 @@ class TestTargetMeanMode:
         sol = excinfo.value.solution
         assert not sol.converged
         assert sol.stationarity_residual > 1e-8
+
+    @pytest.mark.parametrize("solve", [solve_maxent, solve_maxent_renyi])
+    def test_alpha_just_above_one_certifies(self, solve):
+        # an 18-level fuzz input: at alpha = 1.0115 a level once took the far
+        # trinomial root (about 5e305), and the gap was NaN inside the bracket
+        sol = solve(E18_WIDE, Q_FUZZ, ALPHA_FUZZ, target_mean=TARGET_FUZZ)
+        assert sol.converged
+        assert sol.stationarity_residual <= 1e-14
+        assert sol.escort_mean == pytest.approx(TARGET_FUZZ, rel=1e-12)
 
 
 class TestContinuityAtQOne:

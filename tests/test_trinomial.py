@@ -197,6 +197,27 @@ class TestSeries:
         assert series_coefficient(0.5, 5) == pytest.approx(
             2.5 * 1.5 * 0.5 * (-0.5) / 24.0 / 5.0, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", (0.3, 0.5, 2.0, 2.5))
+    def test_coefficients_match_scipy_log_gamma(self, alpha):
+        # oracle: the gammaln/gammasgn form; both exponentiate a difference of
+        # log-gammas up to about 200 in size, each a few ulps off
+        for n in range(1, 61):
+            z = alpha * n
+            tail = float(scipy.special.gammaln(z - n + 2.0))
+            coefficient = series_coefficient(alpha, n)
+            if math.isinf(tail):
+                assert coefficient == 0.0, n
+                continue
+            sign = float(scipy.special.gammasgn(z + 1.0) * scipy.special.gammasgn(z - n + 2.0))
+            log_mag = float(scipy.special.gammaln(z + 1.0) - scipy.special.gammaln(n)) - tail
+            assert coefficient == pytest.approx(sign * math.exp(log_mag) / n, rel=1e-12), n
+
+    def test_log_gamma_overflow_is_a_domain_error(self):
+        # math.lgamma overflows beyond about 2.5e305
+        with pytest.raises(DomainError):
+            series_coefficient(1e306, 1)
+        assert series_coefficient(1e300, 1) == 1.0
+
     def test_radius_values(self):
         assert series_radius(1.0) == 1.0
         assert series_radius(2.0) == pytest.approx(0.25, rel=1e-15)
@@ -433,3 +454,67 @@ class TestArrayKernels:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 lambert_w_array([1.0, bad])
+
+
+class TestAlphaJustAboveOne:
+    """Near alpha = 1+ the minimum x_m of 1 - x + b*x^alpha lies far out, where
+    b*x_m^alpha overflows; the branch root must still be the near one."""
+
+    def test_pinned_point_takes_the_branch_root(self):
+        # f(x_m) once overflowed to +inf and passed for a double root at 5e305
+        alpha = 1.011454735190145
+        x = solve_trinomial(alpha, 3.1139e-4)
+        assert x == pytest.approx(1.0003114881055, rel=1e-12)
+        assert abs(residual(alpha, 3.1139e-4, x)) <= 1e-15
+
+    @pytest.mark.parametrize("alpha", (1.001, 1.005, 1.01, 1.02))
+    def test_geometric_grid_stays_on_the_branch(self, alpha):
+        b = np.geomspace(1e-8, 0.999 * series_radius(alpha), 20001)
+        x = solve_trinomial_array(alpha, b)
+        # the branch root lies below the double root alpha/(alpha - 1)
+        assert np.all(x < alpha / (alpha - 1.0))
+        assert np.all(np.abs(1.0 - x + b * x**alpha) <= 1e-15 * x)
+
+
+def _conditioned_gap(w, reference):
+    """|w - reference| relative to max(1, |W|) and times min(1, |1 + W|): near
+    -1/e, where dW/dx = e^-W/(1 + W) blows up, a difference of one rounding of
+    x is then as small as it is elsewhere."""
+    return (np.abs(w - reference) * np.minimum(1.0, np.abs(1.0 + reference))
+            / np.maximum(1.0, np.abs(reference)))
+
+
+class TestLambertWAgainstScipy:
+    X_NEAR = -math.exp(-1.0) + np.geomspace(1e-16, 1e-3, 2000)
+    X = np.concatenate([X_NEAR, np.linspace(-0.36, 5.0, 2000), np.geomspace(5.0, 1e300, 1000)])
+
+    def test_agrees_down_to_the_branch_point(self):
+        w = lambert_w_array(self.X)
+        reference = scipy.special.lambertw(self.X).real
+        assert np.max(_conditioned_gap(w, reference)) <= 1e-14
+        away = self.X >= -math.exp(-1.0) + 1e-4
+        assert np.max(np.abs(w - reference)[away] / np.maximum(1.0, np.abs(reference[away]))) <= 1e-14
+
+    def test_same_backward_error_near_the_branch_point(self):
+        # both are within one rounding of x there
+        one_rounding = np.spacing(math.exp(-1.0))
+        for w in (lambert_w_array(self.X_NEAR), scipy.special.lambertw(self.X_NEAR).real):
+            assert np.max(np.abs(w * np.exp(w) - self.X_NEAR)) <= one_rounding
+
+    def test_scalar_and_array_paths_agree(self):
+        # short arrays go through `math` one entry at a time, long ones through NumPy
+        chunks = np.array_split(self.X, math.ceil(self.X.size / trinomial._SCALAR_SIZE))
+        short = np.concatenate([lambert_w_array(chunk) for chunk in chunks])
+        assert np.max(_conditioned_gap(short, lambert_w_array(self.X))) <= 1e-15
+
+    def test_long_array_snaps_to_branch_point(self):
+        x = np.linspace(-0.3, 1.0, 3 * trinomial._SCALAR_SIZE)
+        x[[5, 70]] = -math.exp(-1.0) - 5e-16, -math.exp(-1.0)
+        w = lambert_w_array(x)
+        assert w[[5, 70]].tolist() == [-1.0, -1.0]
+        keep = np.ones(x.size, dtype=bool)
+        keep[[5, 70]] = False
+        assert np.array_equal(w[keep], lambert_w_array(x[keep]))
+        x[9] = -math.exp(-1.0) - 1e-14
+        with pytest.raises(DomainError):
+            lambert_w_array(x)
