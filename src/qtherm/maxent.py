@@ -518,7 +518,7 @@ def _solve_for_target(fam, target: float, max_iter: int) -> MaxEntSolution:
     xtol = 1e-16 * scale
     if not isinstance(fam, _Gibbs):
         xtol *= min(1.0, abs(fam.q - 1.0))
-    lam, iterations, converged = brent(gap, lo, hi, xtol, maxiter=max_iter)
+    lam, iterations, converged = brent(gap, lo, hi, xtol, max_iter)
     p = level_map(lam)
     per_omega = float(fam.per_omega(p, _partition(p, fam.q)))
     omega = float(lam / per_omega)

@@ -16,15 +16,15 @@ import sys
 from .errors import DomainError, NonConvergenceError
 
 # SciPy's default and smallest relative tolerance
-RTOL = 4.0 * sys.float_info.epsilon
+_RTOL = 4.0 * sys.float_info.epsilon
 
 
-def brent(f, a: float, b: float, xtol: float, rtol: float = RTOL,
-          maxiter: int = 100) -> tuple[float, int, bool]:
+def brent(f, a: float, b: float, xtol: float,
+          maxiter: int) -> tuple[float, int, bool]:
     """A root of ``f`` in [a, b] as ``(root, iterations, converged)``.
 
     f(a) and f(b) must not have the same sign.  The search stops once the
-    bracket is within xtol + rtol*|root|; after ``maxiter`` steps it returns
+    bracket is within xtol + 4*eps*|root|; after ``maxiter`` steps it returns
     the last iterate with ``converged`` false.  A value of ``f`` that is not
     finite raises ``NonConvergenceError``.
     """
@@ -51,7 +51,7 @@ def brent(f, a: float, b: float, xtol: float, rtol: float = RTOL,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
+        delta = (xtol + _RTOL * abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur, i, True

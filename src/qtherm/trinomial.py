@@ -277,13 +277,14 @@ def _brackets(alpha: float, b: np.ndarray):
             np.copyto(hi, big, where=over & ((1.0 - big) + b * big**alpha <= 0.0))
         return lo, hi, np.where(pos, hi, lo)
     hi = np.where(pos, (alpha * b) ** (1.0 / (1.0 - alpha)), c ** (-1.0 / alpha))
-    # at the minimum b*x_m^alpha = x_m/alpha, so f(x_m) = 1 - x_m*(alpha-1)/alpha
-    # without the overflow of x_m^alpha as alpha -> 1+
-    f_hi = np.where(pos, 1.0 - hi * ((alpha - 1.0) / alpha), (1.0 - hi) + b * hi**alpha)
-    # f(x_m) >= 0: the double root at the critical b (up to rounding), or
-    # no root beyond it
+    # at the minimum, f(x_m) = 1 - x_m*(alpha-1)/alpha = -expm1(log(b/b_c)/(1-alpha))
+    # has the sign of b - b_c, b_c the critical b: the double root there (up
+    # to rounding), no root beyond.  Taking that sign from b itself neither
+    # overflows x_m^alpha as alpha -> 1+ nor amplifies the rounding of x_m.
+    b_c = series_radius(alpha)
+    f_hi = np.where(pos, b - b_c, (1.0 - hi) + b * hi**alpha)
     np.copyto(lo, hi, where=f_hi >= 0.0)
-    np.copyto(lo, np.nan, where=(f_hi > 0.0) & (b > series_radius(alpha)))
+    np.copyto(lo, np.nan, where=b > b_c)
     return lo, hi, np.where(pos, lo, hi)
 
 
@@ -367,8 +368,10 @@ _FAR = 100.0
 # the small slope 1 + w.
 _SERIES_ONLY = 0.05
 # Up to this many arguments go one by one through `math`: a NumPy call on a
-# short array costs about as much as a whole scalar evaluation.
-_SCALAR_SIZE = 48
+# short array costs about as much as a whole scalar evaluation.  The two
+# paths took the same time per call at 41-43 entries, with one start branch
+# in use or two (CPython 3.11, 2 shared x86 cores).
+_SCALAR_SIZE = 40
 
 
 def lambert_w(x: float) -> float:
