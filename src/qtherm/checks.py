@@ -1,8 +1,9 @@
 """Deterministic, seeded property suites behind ``qtherm check``.
 
 Each suite replays the library's mathematical invariants on freshly drawn
-random inputs and reports one result per property.  Tolerances live in
-module-level constants so a harness can tighten or corrupt them.
+random inputs and reports one result per property.  Tolerances and sample
+counts live in module-level constants so a harness can tighten or corrupt
+them.
 
 All four suites evaluate each sampled property in array calls over all its
 samples.  The group and algebra suites draw their samples as arrays.  The
@@ -54,6 +55,10 @@ ORACLE_TOL = 1e-4
 GIBBS_LIMIT_TOL = 1e-6
 BOUND_SLACK = 1e-14
 
+# samples per randomized property; the entropy suite draws whole distributions
+SAMPLES = 10_000
+ENTROPY_SAMPLES = 1_000
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -76,11 +81,11 @@ def _worst(suite: str, name: str, gaps, tol: float, count: int) -> CheckResult:
 
 # --- group suite -------------------------------------------------------------
 
-def run_group_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
+def run_group_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    q = rng.uniform(-2.0, 4.0, samples)
+    q = rng.uniform(-2.0, 4.0, SAMPLES)
     # scale factors uniform on 1e-9 < |a| < 4, away from the excluded a = 0
-    a, b, c = rng.uniform(1e-9, 4.0, (3, samples)) * rng.choice([-1.0, 1.0], (3, samples))
+    a, b, c = rng.uniform(1e-9, 4.0, (3, SAMPLES)) * rng.choice([-1.0, 1.0], (3, SAMPLES))
     via_steps = dfm.transform(dfm.transform(q, a), b)
     comp = np.maximum(_rel_gap(via_steps, dfm.transform(q, dfm.compose(a, b))),
                       _rel_gap(via_steps, dfm.transform(dfm.transform(q, b), a)))
@@ -99,24 +104,24 @@ def run_group_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
         mul_dual = _rel_gap(dfm.multiplicative_dual(dfm.multiplicative_dual(q_nonzero)),
                             q_nonzero)
 
-    n_bath = max(samples // 10, 100)
+    n_bath = SAMPLES // 10
     n = rng.integers(2, 1000, n_bath)
     a_bath = rng.uniform(0.01, 4.0, n_bath)
     q_direct = dfm.heat_bath_q(dfm.rescale_bath(n, a_bath))
     q_mapped = dfm.transform(dfm.heat_bath_q(n), a_bath)
     return [
-        _worst("group", "composition", comp, GROUP_TOL, samples),
-        _worst("group", "associativity", assoc, GROUP_TOL, samples),
+        _worst("group", "composition", comp, GROUP_TOL, SAMPLES),
+        _worst("group", "associativity", assoc, GROUP_TOL, SAMPLES),
         CheckResult("group", "neutral element", neutral_ok,
-                    f"{samples} samples, transform(q, 1) == q"),
+                    f"{SAMPLES} samples, transform(q, 1) == q"),
         CheckResult("group", "unit invariant", invariant_ok,
-                    f"{samples} samples, transform(1, a) == 1"),
-        _worst("group", "inverse element", inverse, GROUP_TOL, samples),
+                    f"{SAMPLES} samples, transform(1, a) == 1"),
+        _worst("group", "inverse element", inverse, GROUP_TOL, SAMPLES),
         CheckResult("group", "sign preservation", sign_ok,
-                    f"{samples} samples, sign(q_a - 1) == sign(q - 1)"),
-        _worst("group", "additive dual involution", add_dual, INVOLUTION_TOL, samples),
+                    f"{SAMPLES} samples, sign(q_a - 1) == sign(q - 1)"),
+        _worst("group", "additive dual involution", add_dual, INVOLUTION_TOL, SAMPLES),
         _worst("group", "multiplicative dual involution", mul_dual, INVOLUTION_TOL,
-               samples),
+               SAMPLES),
         _worst("group", "heat bath consistency", _rel_gap(q_direct, q_mapped),
                GROUP_TOL, n_bath),
         CheckResult("group", "rescaled bath stays above q = 1",
@@ -150,9 +155,9 @@ def _algebra_points(rng, samples: int) -> np.ndarray:
     return np.concatenate(chunks, axis=1)[:, :samples]
 
 
-def run_algebra_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
+def run_algebra_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    q, a, x, y, u, v, w = _algebra_points(rng, samples)
+    q, a, x, y, u, v, w = _algebra_points(rng, SAMPLES)
     gaps = {
         "add/sub inverse": _rel_gap(qa.q_sub(qa.q_add(x, y, q), y, q), x),
         "mul/div inverse": _rel_gap(qa.q_div(qa.q_mul(u, v, q), v, q), u),
@@ -177,12 +182,12 @@ def run_algebra_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
     }
     commutative_ok = bool(np.all(qa.q_add(x, y, q) == qa.q_add(y, x, q))
                           and np.all(qa.q_mul(u, v, q) == qa.q_mul(v, u, q)))
-    results = [_worst("algebra", name, gap, ALGEBRA_TOL, samples)
+    results = [_worst("algebra", name, gap, ALGEBRA_TOL, SAMPLES)
                for name, gap in gaps.items()]
     results.append(CheckResult("algebra", "commutativity", commutative_ok,
-                               f"{samples} samples, exact"))
+                               f"{SAMPLES} samples, exact"))
 
-    n_limit = max(samples // 10, 100)
+    n_limit = SAMPLES // 10
     q = 1.0 + rng.choice([-1e-8, 1e-8], n_limit)
     x, y = rng.uniform(0.5, 2.5, (2, n_limit))
     limit = np.maximum.reduce([
@@ -212,8 +217,8 @@ def run_algebra_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
 _N_MAX = 6
 
 
-def _random_distribution(rng, n_max: int = _N_MAX) -> np.ndarray:
-    n = int(rng.integers(2, n_max + 1))
+def _random_distribution(rng) -> np.ndarray:
+    n = int(rng.integers(2, _N_MAX + 1))
     return rng.dirichlet(np.ones(n))
 
 
@@ -241,11 +246,11 @@ def _uniform_rows(sizes) -> np.ndarray:
     return np.where(np.arange(n.max()) < n, 1.0 / n, 0.0)
 
 
-def run_entropy_suite(seed: int, samples: int = 1_000) -> list[CheckResult]:
+def run_entropy_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 
-    pa, pb, q, q_mid = _draw(rng, samples, 2, (-1.0, 3.0), (0.2, 1.8))
+    pa, pb, q, q_mid = _draw(rng, ENTROPY_SAMPLES, 2, (-1.0, 3.0), (0.2, 1.8))
     a, b = ent._batch(pa), ent._batch(pb)
     joint = ent._batch(ent._product_rows(pa, pb))
     pseudo = _rel_gap(ent._tsallis_rows(joint, q),
@@ -257,13 +262,13 @@ def run_entropy_suite(seed: int, samples: int = 1_000) -> list[CheckResult]:
     bridge = _rel_gap(ent._renyi_rows(a_mid, q_mid),
                       np.log(qa.q_exp(ent._tsallis_rows(a_mid, q_mid), q_mid)))
     results.append(_worst("entropy", "nonadditive pseudo-additivity",
-                          pseudo, ENTROPY_TOL, samples))
+                          pseudo, ENTROPY_TOL, ENTROPY_SAMPLES))
     results.append(_worst("entropy", "renyi additivity", renyi,
-                          ENTROPY_TOL, samples))
+                          ENTROPY_TOL, ENTROPY_SAMPLES))
     results.append(_worst("entropy", "renyi = log q-exp of tsallis",
-                          bridge, ENTROPY_TOL, samples))
+                          bridge, ENTROPY_TOL, ENTROPY_SAMPLES))
 
-    n_alpha = max(10 * samples, 1000)
+    n_alpha = 10 * ENTROPY_SAMPLES
     (rows,) = _draw(rng, n_alpha, 1)
     alpha = ent._quasi_alpha_rows(ent._batch(rows))
     in_range = bool(np.all((1.0 - 1e-12 <= alpha) & (alpha <= 2.0 + 1e-12)))
@@ -288,19 +293,19 @@ def run_entropy_suite(seed: int, samples: int = 1_000) -> list[CheckResult]:
         order_ok, f"measured orders {orders[0]:.3f}, {orders[1]:.3f}",
     ))
 
-    pa, pb, q, q_pos = _draw(rng, samples, 2, (0.5, 2.5), (0.0, 3.0))
+    pa, pb, q, q_pos = _draw(rng, ENTROPY_SAMPLES, 2, (0.5, 2.5), (0.0, 3.0))
     a, b = ent._batch(pa), ent._batch(pb)
     joint = ent._batch(ent._product_rows(pa, pb))
     hybrid = _rel_gap(ent._hybrid_rows(joint, q),
                       qa.q_add(ent._hybrid_rows(a, q), ent._hybrid_rows(b, q), q))
-    hybrid_shannon = np.abs(ent._hybrid_rows(a, np.ones(samples)) - ent._shannon_rows(a))
+    hybrid_shannon = np.abs(ent._hybrid_rows(a, np.ones_like(q)) - ent._shannon_rows(a))
     avg = _rel_gap(ent._avg_hybrid_rows(a, q_pos), ent._hybrid_rows(a, 0.5 * (q_pos + 1.0)))
     results.append(_worst("entropy", "hybrid pseudo-additivity", hybrid,
-                          HYBRID_ADDITIVITY_TOL, samples))
+                          HYBRID_ADDITIVITY_TOL, ENTROPY_SAMPLES))
     results.append(_worst("entropy", "hybrid at q = 1 is Shannon",
-                          hybrid_shannon, ENTROPY_TOL, samples))
+                          hybrid_shannon, ENTROPY_TOL, ENTROPY_SAMPLES))
     results.append(_worst("entropy", "average hybrid index rescaling",
-                          avg, ENTROPY_TOL, samples))
+                          avg, ENTROPY_TOL, ENTROPY_SAMPLES))
     try:
         ent.hybrid(p_fixed, 0.4)
         rejects = False
@@ -328,7 +333,7 @@ _B_GRIDS = {
 }
 
 
-def run_maxent_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
+def run_maxent_suite(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
 
@@ -428,7 +433,7 @@ def run_maxent_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
         gap = float(np.max(np.abs(sol.probs - 1.0 / sol.probs.size)))
         results.append(_worst("maxent", name, gap, 1e-12, 1))
 
-    rows, q = _draw(rng, samples, 1, (0.0, 3.0))
+    rows, q = _draw(rng, SAMPLES, 1, (0.0, 3.0))
     lhs, rhs = ent._bound_rows(ent._batch(rows), q)
     violations = int(np.count_nonzero(lhs > rhs + BOUND_SLACK))
     lhs, rhs = ent._bound_rows(ent._batch(_uniform_rows(range(2, 9))), np.full(7, 2.0))
@@ -436,7 +441,7 @@ def run_maxent_suite(seed: int, samples: int = 10_000) -> list[CheckResult]:
     results.append(CheckResult(
         "maxent", "partition-sum Cauchy-Schwarz bound",
         violations == 0 and worst_bound <= BOUND_SLACK,
-        f"{samples} samples, {violations} violations, "
+        f"{SAMPLES} samples, {violations} violations, "
         f"uniform equality gap {worst_bound:.3g}",
     ))
     return results
@@ -449,8 +454,13 @@ def _affinity_residual(p: np.ndarray, e: np.ndarray, q: float) -> float:
     return float(np.max(np.abs(np.polyval(coeffs, e) - y)))
 
 
-def simplex_constrained_maximizer(e, q: float, alpha: float, target_mean: float,
-                                  *, coarse: int = 241, rounds: int = 5) -> np.ndarray:
+# points of the oracle's first p1 grid, and the rounds that refine it
+_ORACLE_COARSE = 241
+_ORACLE_ROUNDS = 5
+
+
+def simplex_constrained_maximizer(e, q: float, alpha: float,
+                                  target_mean: float) -> np.ndarray:
     """Brute-force oracle for 3-level problems.
 
     Maximizes the rescaled nonadditive entropy over the 2-simplex with the
@@ -510,15 +520,15 @@ def simplex_constrained_maximizer(e, q: float, alpha: float, target_mean: float,
     lo, hi = eps, 1.0 - 2.0 * eps
     best_s = -math.inf
     best_p = None
-    spacing = (hi - lo) / (coarse - 1)
-    grid = np.linspace(lo, hi, coarse)
-    for round_idx in range(rounds + 1):
+    spacing = (hi - lo) / (_ORACLE_COARSE - 1)
+    grid = np.linspace(lo, hi, _ORACLE_COARSE)
+    for round_idx in range(_ORACLE_ROUNDS + 1):
         s, p1, p2 = best_on_grid(grid)
         if s > best_s:
             best_s, best_p = s, (p1, p2)
         if best_p is None:
             raise DomainError("oracle found no feasible point on the constraint")
-        if round_idx == rounds:
+        if round_idx == _ORACLE_ROUNDS:
             break
         center = best_p[0]
         span = 2.0 * spacing

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -36,7 +35,7 @@ from .errors import (
     ParseError,
     RenormalizationWarning,
 )
-from .fileio import format_float, read_column, read_spectrum
+from .fileio import format_float, read_column, read_distribution, read_spectrum
 from .maxent import solve_maxent, solve_maxent_renyi, solve_maxent_shannon_limit
 from .trinomial import residual as trinomial_residual
 from .trinomial import solve_trinomial
@@ -46,7 +45,6 @@ EXIT_PARSE_ERROR = 3
 EXIT_DOMAIN_ERROR = 4
 EXIT_SOLVER_FAILURE = 5
 
-RESIDUAL_ACCEPT = 1e-8
 IDENTITY_TOL = 1e-12
 
 _FORMAT_OPTION = click.option(
@@ -183,7 +181,7 @@ def entropy(input_path: str, kind: str, q: float | None, fmt: str) -> None:
 @_exit_codes
 def escort(input_path: str, r: float, fmt: str) -> None:
     """Escort-transform a distribution file."""
-    p = as_distribution(read_column(input_path, "p"))
+    p = read_distribution(input_path)
     rho = ent.escort(p, r)
     pairs = enumerate(zip(p.tolist(), rho.tolist()))
     if fmt == "json":
@@ -201,9 +199,9 @@ def escort(input_path: str, r: float, fmt: str) -> None:
               type=click.Path(exists=True, dir_okay=False),
               help="CSV file with one energy level per line (column 'E').")
 @click.option("--q", type=float, required=True, help="Nonadditivity index.")
-@click.option("--alpha", required=True,
-              help="Positive scale factor, or the literal 'inf' for the "
-                   "Shannon-limit Lambert-W solver.")
+@click.option("--alpha", type=float, required=True,
+              help="Positive scale factor, or 'inf' for the Shannon-limit "
+                   "Lambert-W solver.")
 @click.option("--omega", type=float, default=None,
               help="Fixed Lagrange multiplier for the escort energy constraint.")
 @click.option("--target-mean", type=float, default=None,
@@ -211,12 +209,10 @@ def escort(input_path: str, r: float, fmt: str) -> None:
 @click.option("--entropy", "functional", type=click.Choice(["tsallis", "renyi"]),
               default="tsallis", show_default=True,
               help="Entropy functional to extremize.")
-@click.option("--max-iter", type=int, default=10_000, show_default=True)
 @_FORMAT_OPTION
 @_exit_codes
-def maxent(input_path: str, q: float, alpha: str, omega: float | None,
-           target_mean: float | None, functional: str, max_iter: int,
-           fmt: str) -> None:
+def maxent(input_path: str, q: float, alpha: float, omega: float | None,
+           target_mean: float | None, functional: str, fmt: str) -> None:
     """Solve a MaxEnt problem for an energy spectrum file.
 
     Exits 0 only for a converged solution with stationarity residual at
@@ -224,23 +220,16 @@ def maxent(input_path: str, q: float, alpha: str, omega: float | None,
     """
     if (omega is None) == (target_mean is None):
         raise click.UsageError("exactly one of --omega / --target-mean is required")
-    alpha_is_inf = alpha.strip().lower() in ("inf", "infinity")
-    if not alpha_is_inf:
-        try:
-            alpha_value = float(alpha)
-        except ValueError:
-            raise click.UsageError(f"--alpha must be a number or 'inf', got {alpha!r}")
-        if not math.isfinite(alpha_value) or alpha_value <= 0.0:
-            raise click.UsageError("--alpha must be positive and finite (or 'inf')")
+    if not alpha > 0.0:
+        raise click.UsageError(f"--alpha must be positive (or 'inf'), got {alpha!r}")
     energies = read_spectrum(input_path)
-    kwargs = {"target_mean": target_mean, "max_iter": max_iter}
     try:
-        if alpha_is_inf:
-            sol = solve_maxent_shannon_limit(energies, q, omega, **kwargs)
+        if math.isinf(alpha):
+            sol = solve_maxent_shannon_limit(energies, q, omega, target_mean=target_mean)
         elif functional == "renyi":
-            sol = solve_maxent_renyi(energies, q, alpha_value, omega, **kwargs)
+            sol = solve_maxent_renyi(energies, q, alpha, omega, target_mean=target_mean)
         else:
-            sol = solve_maxent(energies, q, alpha_value, omega, **kwargs)
+            sol = solve_maxent(energies, q, alpha, omega, target_mean=target_mean)
     except NoRealRootError as err:
         _emit_object({
             "error": str(err),
@@ -256,17 +245,11 @@ def maxent(input_path: str, q: float, alpha: str, omega: float | None,
         click.echo(f"error: {err}", err=True)
         sys.exit(EXIT_SOLVER_FAILURE)
     _emit_maxent(sol, energies, fmt)
-    if not alpha_is_inf and alpha_value == 1.0:
+    if alpha == 1.0:
         # alpha = 1 solutions form a q-exponential family: p^(1-q) affine in E
         fit_gap = _affinity_residual(sol.probs, energies, q)
         click.echo(f"# q-exponential family check: max affine-fit residual "
                    f"of p^(1-q) in E is {fit_gap:.3g}", err=True)
-    if not (sol.converged and sol.stationarity_residual <= RESIDUAL_ACCEPT):
-        click.echo(
-            f"error: residual {sol.stationarity_residual:.3g} above "
-            f"{RESIDUAL_ACCEPT:g}", err=True,
-        )
-        sys.exit(EXIT_SOLVER_FAILURE)
 
 
 def _emit_maxent(sol, energies: np.ndarray, fmt: str) -> None:
@@ -392,16 +375,10 @@ def _try_eval(fn):
                                             "maxent", "all"]),
               default="all", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True,
-              help="RNG seed (the QTHERM_SEED environment variable wins).")
+              help="RNG seed.")
 @_exit_codes
 def check(suite: str, seed: int) -> None:
     """Run the seeded property suites and report pass/fail per property."""
-    env_seed = os.environ.get("QTHERM_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise click.UsageError(f"QTHERM_SEED must be an integer, got {env_seed!r}")
     results = run_suite(suite, seed)
     failures = 0
     for result in results:

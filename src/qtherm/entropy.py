@@ -247,6 +247,19 @@ def _bound_rows(rows: _Rows, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _partition_rows(rows, 0.5 * (q + 1.0)), np.sqrt(_partition_rows(rows, q))
 
 
+def partition_bound_check(probs, q: float) -> tuple[float, float]:
+    """Evaluate both sides of the Cauchy-Schwarz bound Z_{(q+1)/2} <= sqrt(Z_q).
+
+    Returns (Z_{(q+1)/2}, sqrt(Z_q)); equality holds exactly for the
+    uniform distribution.
+    """
+    p = as_distribution(probs)
+    q = _finite_q(q)
+    lhs, rhs = _bound_rows(_Rows(p), np.array([q]))
+    _require_support(p, q)
+    return float(lhs[0]), float(rhs[0])
+
+
 def _batch(probs) -> _Rows:
     """A 2-D batch of probability vectors, one zero-padded vector per row,
     validated once for the row kernels."""

@@ -19,8 +19,8 @@ builder certifies each answer by its stationarity residual:
 * fixed Omega: Newton's method on the two equations lambda =
   Omega*per_omega(p) and m = <E>_q(p), with p = p(lambda, m) and the exact
   Jacobian from each family's d log p/db, one level map per step.  It starts
-  from the uniform distribution and stops once the certified residual is at
-  most 1e-9; ``iterations`` counts Newton steps.  Each step is damped by a
+  from the uniform distribution and stops once the answer is converged;
+  ``iterations`` counts Newton steps.  Each step is damped by a
   pseudo-time step (pseudo-transient continuation), which carries it across
   folds of |F| where det J changes sign, and is taken only where every level
   keeps a real root and F is finite; m may leave the spectrum on the way.  A
@@ -30,8 +30,12 @@ builder certifies each answer by its stationarity residual:
   lambda runs over the interval where every level keeps a real root (b_i up
   to (alpha-1)^(alpha-1)/alpha^alpha for alpha > 1, below 1 at alpha = 1,
   from -1/e for Lambert W, unbounded otherwise); Omega follows from lambda
-  and the final p, and an answer whose residual is above 1e-9, or whose
-  coupling lambda/Omega is 0 or not finite, raises ``NonConvergenceError``.
+  and the final p, and an answer whose coupling lambda/Omega is 0 or not
+  finite raises ``NonConvergenceError``.
+
+An answer is converged, and returned, only where no level or partition sum
+underflows to 0 and its residual is at most 1e-9; ``NonConvergenceError``
+carries any other.
 """
 
 from __future__ import annotations
@@ -42,12 +46,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .deformation import transform
-from .entropy import PartitionSum, _bound_rows, _require_support, _Rows, as_distribution
+from .entropy import PartitionSum
 from .errors import DomainError, NonConvergenceError, NoRealRootError
 from .qalgebra import Q_ONE_THRESHOLD
 from .rootfind import brent
 from .trinomial import _branch_roots, _lambert_w0, series_radius, trinomial_b
 
+# Newton steps of a fixed-omega solve, or root-find iterations in lambda of a
+# target-mean solve
 MAX_ITER = 10_000
 # A solve reports converged only at or below this certified residual, a
 # margin below the 1e-8 that a caller accepts; the fixed-omega Newton solve
@@ -83,8 +89,7 @@ class MaxEntSolution:
 
 
 def solve_maxent(energies, q: float, alpha: float, omega: float | None = None, *,
-                 target_mean: float | None = None,
-                 max_iter: int = MAX_ITER) -> MaxEntSolution:
+                 target_mean: float | None = None) -> MaxEntSolution:
     """MaxEnt distribution of S_{q_alpha} under the q-escort energy constraint.
 
     Exactly one of ``omega`` (fixed Lagrange multiplier) or ``target_mean``
@@ -97,17 +102,15 @@ def solve_maxent(energies, q: float, alpha: float, omega: float | None = None, *
     Raises ``NoRealRootError`` (with the first offending level) when that
     solve stalls and its first sweep from the uniform distribution leaves
     some level's real-root region, ``NonConvergenceError`` (carrying the
-    last iterate) when it stalls otherwise, when ``max_iter`` Newton steps
+    last iterate) when it stalls otherwise, when ``MAX_ITER`` Newton steps
     do not settle or when the answer does not certify, and ``DomainError``
     for a target mean outside the attainable range.
     """
-    return _solve_deformed(energies, q, alpha, omega, target_mean, max_iter,
-                           renyi=False)
+    return _solve_deformed(energies, q, alpha, omega, target_mean, renyi=False)
 
 
 def solve_maxent_renyi(energies, q: float, alpha: float, omega: float | None = None, *,
-                       target_mean: float | None = None,
-                       max_iter: int = MAX_ITER) -> MaxEntSolution:
+                       target_mean: float | None = None) -> MaxEntSolution:
     """MaxEnt distribution of the additive entropy R_{q_alpha}.
 
     The gradient differs from the nonadditive case only by a 1/Z_{q_alpha}
@@ -116,11 +119,10 @@ def solve_maxent_renyi(energies, q: float, alpha: float, omega: float | None = N
     reparametrization, and at one target mean they give the same
     distribution.
     """
-    return _solve_deformed(energies, q, alpha, omega, target_mean, max_iter,
-                           renyi=True)
+    return _solve_deformed(energies, q, alpha, omega, target_mean, renyi=True)
 
 
-def _solve_deformed(energies, q, alpha, omega, target_mean, max_iter, *,
+def _solve_deformed(energies, q, alpha, omega, target_mean, *,
                     renyi: bool) -> MaxEntSolution:
     e = as_spectrum(energies)
     q = float(q)
@@ -130,12 +132,11 @@ def _solve_deformed(energies, q, alpha, omega, target_mean, max_iter, *,
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha:g}")
     fam = _Gibbs(e) if abs(q - 1.0) < Q_ONE_THRESHOLD else _Trinomial(e, q, alpha, renyi)
-    return _solve(fam, omega, target_mean, max_iter)
+    return _solve(fam, omega, target_mean)
 
 
 def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *,
-                               target_mean: float | None = None,
-                               max_iter: int = MAX_ITER) -> MaxEntSolution:
+                               target_mean: float | None = None) -> MaxEntSolution:
     """The alpha -> infinity member: Shannon entropy, q-escort constraint.
 
     Stationarity ln p_i + S_1 + q*Omega*DeltaE_i/Z_q * p_i^(q-1) = 0 is
@@ -154,7 +155,7 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
     if not math.isfinite(q):
         raise DomainError("q must be finite")
     fam = _Gibbs(e) if abs(q - 1.0) < Q_ONE_THRESHOLD else _Lambert(e, q)
-    return _solve(fam, omega, target_mean, max_iter)
+    return _solve(fam, omega, target_mean)
 
 
 # --- the families --------------------------------------------------------------
@@ -300,28 +301,34 @@ def _shannon(p: np.ndarray) -> float:
 
 # --- the core --------------------------------------------------------------------
 
-def _solve(fam, omega, target_mean, max_iter) -> MaxEntSolution:
+def _solve(fam, omega, target_mean) -> MaxEntSolution:
     if (omega is None) == (target_mean is None):
         raise DomainError("exactly one of omega and target_mean must be given")
-    if max_iter < 1:
-        raise DomainError("max_iter must be >= 1")
     # a level or a partition sum that underflows to 0 divides to inf or nan
     # on its way to ``_certify``, which reports it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if target_mean is not None:
-            return _solve_for_target(fam, float(target_mean), max_iter)
-        omega = float(omega)
-        if not math.isfinite(omega):
-            raise DomainError("omega must be finite")
-        if isinstance(fam, _Gibbs):
-            return _certify(fam, fam.level_map(omega * fam.e)[0], omega, 0, True)
-        return _fixed_omega(fam, omega, max_iter)
+            sol = _solve_for_target(fam, float(target_mean))
+        else:
+            omega = float(omega)
+            if not math.isfinite(omega):
+                raise DomainError("omega must be finite")
+            if isinstance(fam, _Gibbs):
+                sol = _certify(fam, fam.level_map(omega * fam.e)[0], omega, 0)
+            else:
+                sol = _fixed_omega(fam, omega)
+    if not sol.converged:
+        raise NonConvergenceError(
+            f"the answer does not certify: residual "
+            f"{sol.stationarity_residual:.3g} above {STOP_RESIDUAL:g}", solution=sol)
+    return sol
 
 
-def _certify(fam, p: np.ndarray, omega: float, iterations: int,
-             converged: bool) -> MaxEntSolution:
-    """The solution at p with its stationarity residual at this omega; raises
-    ``NonConvergenceError`` carrying it where a level or a sum underflows to 0."""
+def _certify(fam, p: np.ndarray, omega: float, iterations: int) -> MaxEntSolution:
+    """The solution at p with its stationarity residual at this omega,
+    converged where no level or sum underflows to 0 and the residual is at
+    most ``STOP_RESIDUAL``; raises ``NonConvergenceError`` carrying it where
+    a level or a sum underflows to 0."""
     e = fam.e
     weights = p**fam.q
     # Z_1 is the normalization itself.
@@ -330,15 +337,16 @@ def _certify(fam, p: np.ndarray, omega: float, iterations: int,
     free, phi, z_q_alpha = fam.free_gradient(p)
     constraint = fam.q * omega * (e - mean) / z_q * p ** (fam.q - 1.0)
     underflow = not (p.min() > 0.0 and z_q > 0.0 and z_q_alpha.z > 0.0)
+    residual = float(np.max(np.abs(free - constraint)))
     sol = MaxEntSolution(
         probs=p,
         z_q=PartitionSum(z_q, fam.q),
         z_q_alpha=z_q_alpha,
         phi=phi,
         escort_mean=mean,
-        stationarity_residual=float(np.max(np.abs(free - constraint))),
+        stationarity_residual=residual,
         iterations=iterations,
-        converged=converged and not underflow,
+        converged=not underflow and residual <= STOP_RESIDUAL,
         omega=omega,
     )
     if underflow:
@@ -347,7 +355,7 @@ def _certify(fam, p: np.ndarray, omega: float, iterations: int,
     return sol
 
 
-def _fixed_omega(fam, omega: float, max_iter: int) -> MaxEntSolution:
+def _fixed_omega(fam, omega: float) -> MaxEntSolution:
     """Newton's method in x = (lambda, m) for F = (lambda - Omega*per_omega(p),
     m - <E>_q(p)) = 0, where p = p(lambda, m) is one level map.
 
@@ -366,9 +374,7 @@ def _fixed_omega(fam, omega: float, max_iter: int) -> MaxEntSolution:
     """
     e = fam.e
     p, roots = fam.level_map(np.zeros(e.size))  # the uniform distribution
-    sol = _certify(fam, p, omega, 0, False)
-    if sol.stationarity_residual <= STOP_RESIDUAL:
-        return replace(sol, converged=True)
+    sol = _certify(fam, p, omega, 0)
     x = np.array([0.0, sol.escort_mean])
     f, jac = _newton_system(fam, p, roots, x, omega)
     # lambda is measured against the first sweep, m against the spectrum's
@@ -380,10 +386,10 @@ def _fixed_omega(fam, omega: float, max_iter: int) -> MaxEntSolution:
     dt = 3.0
     norm = 1.0
     iterations = 0
-    while sol.stationarity_residual > STOP_RESIDUAL:
-        if iterations == max_iter:
+    while not sol.converged:
+        if iterations == MAX_ITER:
             raise NonConvergenceError(
-                f"no convergence after {max_iter} Newton steps "
+                f"no convergence after {MAX_ITER} Newton steps "
                 f"(residual {sol.stationarity_residual:.3g})", solution=sol)
         iterations += 1
         while True:
@@ -413,8 +419,8 @@ def _fixed_omega(fam, omega: float, max_iter: int) -> MaxEntSolution:
         new_norm = np.hypot(*(f / scale))
         dt *= norm / new_norm
         norm = new_norm
-        sol = _certify(fam, p, omega, iterations, False)
-    return replace(sol, converged=True)
+        sol = _certify(fam, p, omega, iterations)
+    return sol
 
 
 def _newton_point(fam, x: np.ndarray, omega: float):
@@ -463,14 +469,14 @@ def _feasible(fam, de: np.ndarray) -> tuple[float, float]:
             min(b_max / de.max(), b_min / de.min()))
 
 
-def _solve_for_target(fam, target: float, max_iter: int) -> MaxEntSolution:
+def _solve_for_target(fam, target: float) -> MaxEntSolution:
     """Brent root find in lambda for the escort mean, with m pinned to the target."""
     if not math.isfinite(target):
         raise DomainError("target mean must be finite")
     e = fam.e
     de = e - target
     if not np.any(de):
-        return _certify(fam, _uniform(e.size), 0.0, 0, True)
+        return _certify(fam, _uniform(e.size), 0.0, 0)
     if not de.min() < 0.0 < de.max():
         raise DomainError(
             f"target mean {target:g} outside the attainable range "
@@ -518,37 +524,19 @@ def _solve_for_target(fam, target: float, max_iter: int) -> MaxEntSolution:
     xtol = 1e-16 * scale
     if not isinstance(fam, _Gibbs):
         xtol *= min(1.0, abs(fam.q - 1.0))
-    lam, iterations, converged = brent(gap, lo, hi, xtol, max_iter)
+    lam, iterations, converged = brent(gap, lo, hi, xtol, MAX_ITER)
     p = level_map(lam)
     per_omega = float(fam.per_omega(p, _partition(p, fam.q)))
     omega = float(lam / per_omega)
-    sol = _certify(fam, p, omega, iterations, False)
+    sol = _certify(fam, p, omega, iterations)
     if not converged:
         raise NonConvergenceError(
-            f"no convergence after {max_iter} root-find iterations in lambda",
-            solution=sol,
+            f"no convergence after {MAX_ITER} root-find iterations in lambda",
+            solution=replace(sol, converged=False),
         )
     if not 0.0 < abs(per_omega) < math.inf:
         raise NonConvergenceError(
             f"the coupling lambda/omega is {per_omega:g} at the target, so omega "
-            f"= lambda/{per_omega:g} is lost", solution=sol)
-    if sol.stationarity_residual > STOP_RESIDUAL:
-        raise NonConvergenceError(
-            f"the multiplier that reaches the target does not certify: residual "
-            f"{sol.stationarity_residual:.3g} above {STOP_RESIDUAL:g}",
-            solution=sol,
-        )
-    return replace(sol, converged=True)
+            f"= lambda/{per_omega:g} is lost", solution=replace(sol, converged=False))
+    return sol
 
-
-def partition_bound_check(probs, q: float) -> tuple[float, float]:
-    """Evaluate both sides of the Cauchy-Schwarz bound Z_{(q+1)/2} <= sqrt(Z_q).
-
-    Returns (Z_{(q+1)/2}, sqrt(Z_q)); equality holds exactly for the
-    uniform distribution.
-    """
-    p = as_distribution(probs)
-    q = float(q)
-    lhs, rhs = _bound_rows(_Rows(p), np.array([q]))
-    _require_support(p, q)
-    return float(lhs[0]), float(rhs[0])

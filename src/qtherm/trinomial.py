@@ -71,10 +71,12 @@ def series_coefficient(alpha: float, n: int) -> float:
     """n-th series coefficient C(alpha*n, n-1)/n.
 
     Uses ``math.lgamma`` with the sign of Gamma tracked, so large orders
-    neither overflow prematurely nor lose the sign pattern; Gamma poles
-    (integer alpha*n below n-1) correctly yield 0.  An alpha*n beyond about
-    2.5e305, where log-gamma overflows, raises ``DomainError``.  At alpha = 2
-    these are the Catalan numbers.
+    neither overflow prematurely nor lose the sign pattern.  A non-negative
+    integer alpha*n below n-1 yields 0; a negative integer alpha*n = -m
+    yields (-1)^(n-1)*C(m+n-2, n-1)/n, the limit of the two Gamma poles.
+    An alpha*n beyond about 2.5e305, where log-gamma overflows, raises
+    ``DomainError``.  At alpha = 2 these are the Catalan numbers, and at
+    alpha = -1 they are (-1)^(n-1) times Catalan(n-1).
     """
     if n < 1:
         raise DomainError("series order n must be >= 1")
@@ -86,12 +88,18 @@ def _log_coefficient(alpha: float, n: int) -> tuple[float, float]:
     """Sign and log-magnitude of C(alpha*n, n-1)/n."""
     z = alpha * n
     try:
+        if z < 0.0 and z == math.floor(z):
+            # Gamma(z + 1) and Gamma(z - n + 2) both have poles; their ratio
+            # gives C(-m, n-1) = (-1)^(n-1)*Gamma(m+n-1)/(Gamma(m)*Gamma(n))
+            m = -z
+            sign = -1.0 if n % 2 == 0 else 1.0
+            log_mag = math.lgamma(m + n - 1.0) - math.lgamma(m) - math.lgamma(n)
+            return sign, log_mag - math.log(n)
         tail = math.lgamma(z - n + 2.0)
         head = math.lgamma(z + 1.0)
     except ValueError:
-        # Gamma pole in the denominator (z - n + 2 a non-positive integer):
-        # the coefficient is exactly 0.  z + 1 is then no pole, as it is
-        # larger by the integer n - 1.
+        # Gamma pole in the denominator alone (z - n + 2 a non-positive
+        # integer, z not negative): the coefficient is exactly 0
         return 0.0, -math.inf
     except OverflowError:
         raise DomainError(f"alpha*n = {z:g} overflows the log-gamma function") from None

@@ -24,22 +24,22 @@ SEED = 7
 
 @pytest.fixture(scope="module")
 def group_results():
-    return run_group_suite(SEED, samples=10_000)
+    return run_group_suite(SEED)
 
 
 @pytest.fixture(scope="module")
 def algebra_results():
-    return run_algebra_suite(SEED, samples=10_000)
+    return run_algebra_suite(SEED)
 
 
 @pytest.fixture(scope="module")
 def entropy_results():
-    return run_entropy_suite(SEED, samples=1_000)
+    return run_entropy_suite(SEED)
 
 
 @pytest.fixture(scope="module")
 def maxent_results():
-    return run_maxent_suite(SEED, samples=10_000)
+    return run_maxent_suite(SEED)
 
 
 def _verdict(number, name, results):

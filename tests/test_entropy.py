@@ -26,6 +26,7 @@ from qtherm.entropy import (
     escort_mean,
     hartley_moments,
     hybrid,
+    partition_bound_check,
     partition_sum,
     product_distribution,
     quasi_additivity_alpha,
@@ -35,7 +36,6 @@ from qtherm.entropy import (
     tsallis,
 )
 from qtherm.errors import DomainError, RenormalizationWarning
-from qtherm.maxent import partition_bound_check
 from qtherm.qalgebra import Q_ONE_THRESHOLD, q_add, q_exp, q_log
 
 # Frozen from direct evaluation of the defining sums on (0.9, 0.1):
@@ -313,7 +313,8 @@ class TestAvgHybrid:
 
 class TestNonFiniteIndex:
     @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("fn", [tsallis, renyi, hybrid, avg_hybrid, partition_sum])
+    @pytest.mark.parametrize("fn", [tsallis, renyi, hybrid, avg_hybrid, partition_sum,
+                                    partition_bound_check])
     def test_rejected(self, fn, q):
         with pytest.raises(DomainError, match="q must be finite"):
             fn([0.5, 0.3, 0.2], q)

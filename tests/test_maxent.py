@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from qtherm import maxent
 from qtherm.checks import _affinity_residual, simplex_constrained_maximizer
 from qtherm.deformation import transform
-from qtherm.entropy import escort_mean
+from qtherm.entropy import escort_mean, partition_bound_check
 from qtherm.errors import DomainError, NonConvergenceError, NoRealRootError
 from qtherm.maxent import (
     _Lambert,
     _newton_system,
     _Trinomial,
     as_spectrum,
-    partition_bound_check,
     solve_maxent,
     solve_maxent_renyi,
     solve_maxent_shannon_limit,
@@ -95,6 +95,16 @@ class TestSolveMaxent:
         assert sol.converged
         assert sol.stationarity_residual <= 1e-8
 
+    @pytest.mark.parametrize("offset,omega", [(1e9, 3.0), (1e12, 1e-4)])
+    def test_gibbs_answer_above_the_stop_is_not_converged(self, offset, omega):
+        # the closed-form Gibbs kernel certifies like every other family:
+        # far from E = 0 its residual ends at 1.7e-7 and 1.6e-8
+        with pytest.raises(NonConvergenceError) as excinfo:
+            solve_maxent(offset + np.linspace(0.0, 1.0, 5), 1.0, 2.0, omega)
+        sol = excinfo.value.solution
+        assert not sol.converged
+        assert sol.stationarity_residual > 1e-9
+
     @pytest.mark.parametrize("n", [3, 3000, 30000])
     @pytest.mark.parametrize("alpha", [0.7, 1.5, 2.0])
     @pytest.mark.parametrize("q", [0.8, 1.2])
@@ -175,9 +185,10 @@ class TestSolveMaxent:
                 continue
             assert abs(omega) < 10.0
 
-    def test_non_convergence_carries_last_iterate(self):
+    def test_non_convergence_carries_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(maxent, "MAX_ITER", 2)
         with pytest.raises(NonConvergenceError) as excinfo:
-            solve_maxent(E3, 1.2, 2.0, 0.3, max_iter=2)
+            solve_maxent(E3, 1.2, 2.0, 0.3)
         sol = excinfo.value.solution
         assert sol is not None
         assert not sol.converged
@@ -271,9 +282,10 @@ class TestTargetMeanMode:
         assert sol.omega == 0.0
         assert sol.stationarity_residual <= 1e-12
 
-    def test_non_convergence_carries_last_iterate(self):
+    def test_non_convergence_carries_last_iterate(self, monkeypatch):
+        monkeypatch.setattr(maxent, "MAX_ITER", 2)
         with pytest.raises(NonConvergenceError) as excinfo:
-            solve_maxent(E3, 1.2, 2.0, target_mean=0.6, max_iter=2)
+            solve_maxent(E3, 1.2, 2.0, target_mean=0.6)
         sol = excinfo.value.solution
         assert not sol.converged
         assert sol.iterations == 2

@@ -190,6 +190,18 @@ class TestSeries:
             assert exact == math.comb(2 * n, n) // (n + 1)
             assert series_coefficient(2.0, n) == pytest.approx(exact, rel=1e-12)
 
+    def test_minus_one_coefficients_are_signed_catalan(self):
+        # alpha*n = -n puts Gamma poles above and below; the limit is
+        # C(-n, n-1)/n = (-1)^(n-1) Catalan(n-1): 1, -1, 2, -5, ...
+        for n in range(1, 11):
+            exact = (-1) ** (n - 1) * math.comb(2 * n - 2, n - 1) // n
+            assert series_coefficient(-1.0, n) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", (-2.0, -1.0, -0.5))
+    def test_negative_exponent_series_matches_root(self, alpha):
+        x_series, _ = trinomial_series(alpha, 0.01)
+        assert abs(x_series - solve_trinomial(alpha, 0.01)) <= 1e-14
+
     def test_half_exponent_coefficients_vanish_at_gamma_poles(self):
         # alpha*n integer and below n-1 makes C(alpha*n, n-1) = 0
         assert series_coefficient(0.5, 4) == 0.0
