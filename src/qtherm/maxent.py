@@ -26,12 +26,15 @@ builder certifies each answer by its stationarity residual:
   keeps a real root and F is finite; m may leave the spectrum on the way.  A
   solve that stalls raises the kernel's ``NoRealRootError`` where the first
   sweep Omega*per_omega(uniform) leaves some level's real-root region;
-* target escort mean: m is pinned to the target and one Brent root find in
-  lambda runs over the interval where every level keeps a real root (b_i up
-  to (alpha-1)^(alpha-1)/alpha^alpha for alpha > 1, below 1 at alpha = 1,
-  from -1/e for Lambert W, unbounded otherwise); Omega follows from lambda
-  and the final p, and an answer whose coupling lambda/Omega is 0 or not
-  finite raises ``NonConvergenceError``.
+* target escort mean: m is pinned to the target and a safeguarded Newton
+  iteration in lambda, with the exact slope of the escort mean from the same
+  d log p/db, runs from the uniform distribution inside the interval where
+  every level keeps a real root (b_i up to (alpha-1)^(alpha-1)/alpha^alpha
+  for alpha > 1, below 1 at alpha = 1, from -1/e for Lambert W, unbounded
+  otherwise), bisecting that bracket where a Newton step would leave it;
+  ``iterations`` counts its steps.  Omega follows from lambda and the final
+  p, and an answer whose coupling lambda/Omega is 0 or not finite raises
+  ``NonConvergenceError``.
 
 An answer is converged, and returned, only where no level or partition sum
 underflows to 0 and its residual is at most 1e-9; ``NonConvergenceError``
@@ -49,16 +52,17 @@ from .deformation import transform
 from .entropy import PartitionSum
 from .errors import DomainError, NonConvergenceError, NoRealRootError
 from .qalgebra import Q_ONE_THRESHOLD
-from .rootfind import brent
 from .trinomial import _branch_roots, _lambert_w0, series_radius, trinomial_b
 
-# Newton steps of a fixed-omega solve, or root-find iterations in lambda of a
-# target-mean solve
+# Newton steps of a fixed-omega solve, or in lambda of a target-mean solve
 MAX_ITER = 10_000
 # A solve reports converged only at or below this certified residual, a
 # margin below the 1e-8 that a caller accepts; the fixed-omega Newton solve
 # stops on it.
 STOP_RESIDUAL = 1e-9
+# The target-mean Newton iteration stops on a step in lambda within its
+# absolute tolerance plus this much of |lambda|.
+_RTOL = 4.0 * math.ulp(1.0)
 
 
 def as_spectrum(levels) -> np.ndarray:
@@ -146,8 +150,8 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
         u_i = (q-1) * q * exp(-(q-1) S_1) * Omega * DeltaE_i / Z_q,
 
     solved for self-consistency in S_1, Z_q and the escort mean by the same
-    Newton solve (or, with ``target_mean``, found by the root find in the
-    combined multiplier).  A failed solve whose first sweep puts a W argument
+    Newton solve (or, with ``target_mean``, by the Newton iteration in the
+    combined multiplier alone).  A failed solve whose first sweep puts a W argument
     below -1/e raises ``NoRealRootError``.
     """
     e = as_spectrum(energies)
@@ -171,8 +175,8 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
 # ``free_gradient(p)`` the entropy part of the stationarity condition with the
 # reported phi and Z_{q_alpha}.  A level map is one call of an array kernel of
 # ``trinomial`` over all levels; the branch-root kernel starts from the
-# family's previous roots (``roots``), since successive Newton steps and
-# root-find probes move b only a little.
+# family's previous roots (``roots``), since successive Newton steps move b
+# only a little.
 
 class _Trinomial:
     """Tsallis and Renyi levels: 1 - x + b*x^alpha = 0, p ~ x^(alpha/(q-1))."""
@@ -220,10 +224,15 @@ class _Trinomial:
     def free_gradient(self, p: np.ndarray):
         z_qa = _partition(p, self.q_alpha)
         prefactor = self.q_alpha / (1.0 - self.q_alpha)
-        # lead - phi = prefactor*(p^(q_alpha-1) - Z_{q_alpha}), with the two
-        # O(1/(q_alpha-1)) terms cancelled exactly through sum(p) = 1
-        em = np.expm1((self.q_alpha - 1.0) * np.log(p))
-        free = prefactor * (em - np.dot(p, em))
+        # lead - phi = prefactor*(p^(q_alpha-1) - Z_{q_alpha}).  Near q_alpha =
+        # 1 the two O(1/(q_alpha-1)) terms cancel exactly through sum(p) = 1
+        # in the expm1 form; far from it that form subtracts two numbers near
+        # -1 where the direct one keeps the digits of a small Z_{q_alpha}.
+        if abs(self.q_alpha - 1.0) > 0.5:
+            free = prefactor * (p ** (self.q_alpha - 1.0) - z_qa)
+        else:
+            em = np.expm1((self.q_alpha - 1.0) * np.log(p))
+            free = prefactor * (em - np.dot(p, em))
         if self.renyi:
             return free / z_qa, prefactor, PartitionSum(z_qa, self.q_alpha)
         return free, prefactor * z_qa, PartitionSum(z_qa, self.q_alpha)
@@ -269,6 +278,9 @@ class _Gibbs(_Lambert):
 
     def level_map(self, b: np.ndarray):
         return _normalized(-b), None
+
+    def log_slope(self, b: np.ndarray, roots: None) -> np.ndarray:
+        return np.full(b.shape, -1.0)
 
     def per_omega(self, p: np.ndarray, z_q: float) -> float:
         return 1.0
@@ -470,7 +482,9 @@ def _feasible(fam, de: np.ndarray) -> tuple[float, float]:
 
 
 def _solve_for_target(fam, target: float) -> MaxEntSolution:
-    """Brent root find in lambda for the escort mean, with m pinned to the target."""
+    """Safeguarded Newton iteration in lambda for the escort mean, with m
+    pinned to the target: each probe moves the bracket end of its gap's sign
+    to lambda, and a Newton step that would leave the bracket bisects it."""
     if not math.isfinite(target):
         raise DomainError("target mean must be finite")
     e = fam.e
@@ -484,59 +498,79 @@ def _solve_for_target(fam, target: float) -> MaxEntSolution:
         )
     b_min, b_max = fam.b_range
     lo, hi = _feasible(fam, de)
-    maps: dict[float, np.ndarray] = {}
 
-    def level_map(lam: float) -> np.ndarray:
-        if lam not in maps:
-            # np.clip does the same at twice the cost on a short array
-            maps[lam] = fam.level_map(np.minimum(np.maximum(lam * de, b_min), b_max))[0]
-        return maps[lam]
-
-    def gap(lam: float) -> float:
-        weights = level_map(lam) ** fam.q
+    def probe(lam: float):
+        """p, its roots, the gap <E>_q - target and the escort weights at lambda."""
+        # np.clip does the same at twice the cost on a short array
+        p, roots = fam.level_map(np.minimum(np.maximum(lam * de, b_min), b_max))
+        weights = p**fam.q
         z_q = float(np.sum(weights))
         if z_q == 0.0:
             raise NonConvergenceError(f"the partition sum underflows to 0 at lambda = {lam:g}")
-        return float(np.dot(weights, de)) / z_q
+        return p, roots, float(np.dot(weights, de)) / z_q, weights / z_q
 
     scale = 1.0 / float(np.max(np.abs(de)))
     unbounded = math.isinf(hi)
     if unbounded:
         lo, hi = -scale, scale
-    g_lo, g_hi = gap(lo), gap(hi)
+    g_lo, g_hi = probe(lo)[2], probe(hi)[2]
     # An unbounded interval grows by doubling the end on the target's side
     # until the gap changes sign, stops moving or overflows.
     while unbounded and g_lo * g_hi > 0.0 and g_lo != g_hi and math.isfinite(hi - lo):
         if (g_hi > g_lo) == (g_lo > 0.0):
             lo *= 2.0
-            g_lo = gap(lo)
+            g_lo = probe(lo)[2]
         else:
             hi *= 2.0
-            g_hi = gap(hi)
+            g_hi = probe(hi)[2]
     if not g_lo * g_hi <= 0.0:
         raise DomainError(
             f"target mean {target:g} is not attainable: with every level's root "
             f"real, the escort mean at this target spans only "
             f"[{target + min(g_lo, g_hi):.17g}, {target + max(g_lo, g_hi):.17g}]"
         )
+    rising = g_lo < g_hi
     # lambda is O(q - 1) in every family but the Gibbs kernel, so its step
     # tolerance shrinks with q - 1
     xtol = 1e-16 * scale
     if not isinstance(fam, _Gibbs):
         xtol *= min(1.0, abs(fam.q - 1.0))
-    lam, iterations, converged = brent(gap, lo, hi, xtol, MAX_ITER)
-    p = level_map(lam)
+    lam = 0.0
+    iterations = 0
+    while True:
+        p, roots, g, escort = probe(lam)
+        if not math.isfinite(g):
+            raise NonConvergenceError(f"the escort-mean gap at lambda = {lam!r} is {g!r}")
+        if (g < 0.0) == rising:
+            lo = lam
+        else:
+            hi = lam
+        # g' = q*sum_i P_i*(E_i - <E>_q)*s_i*(E_i - target), with s = d log p/db
+        slope = fam.log_slope(lam * de, roots)
+        step = float(-g / (fam.q * np.dot(escort * (de - g), slope * de)))
+        tol = xtol + _RTOL * abs(lam)
+        # the Newton step is tested before the bracket: once lambda is a
+        # bracket end, a converged iterate would otherwise bisect
+        converged = abs(step) <= tol
+        if not (converged or lo < lam + step < hi):
+            step = 0.5 * (lo + hi) - lam
+            converged = abs(step) <= tol
+        if converged or iterations == MAX_ITER:
+            break
+        iterations += 1
+        lam += step
     per_omega = float(fam.per_omega(p, _partition(p, fam.q)))
-    omega = float(lam / per_omega)
-    sol = _certify(fam, p, omega, iterations)
+    coupled = 0.0 < abs(per_omega) < math.inf
+    # a lost coupling leaves no omega: its answer is reported at omega = 0,
+    # where lambda/inf lands
+    sol = _certify(fam, p, lam / per_omega if coupled else 0.0, iterations)
     if not converged:
         raise NonConvergenceError(
-            f"no convergence after {MAX_ITER} root-find iterations in lambda",
+            f"no convergence after {MAX_ITER} Newton steps in lambda",
             solution=replace(sol, converged=False),
         )
-    if not 0.0 < abs(per_omega) < math.inf:
+    if not coupled:
         raise NonConvergenceError(
             f"the coupling lambda/omega is {per_omega:g} at the target, so omega "
             f"= lambda/{per_omega:g} is lost", solution=replace(sol, converged=False))
     return sol
-

@@ -28,6 +28,7 @@ it serves as a test oracle and is not on the solve path.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -70,23 +71,53 @@ def series_radius(alpha: float) -> float:
 def series_coefficient(alpha: float, n: int) -> float:
     """n-th series coefficient C(alpha*n, n-1)/n.
 
-    Uses ``math.lgamma`` with the sign of Gamma tracked, so large orders
-    neither overflow prematurely nor lose the sign pattern.  A non-negative
-    integer alpha*n below n-1 yields 0; a negative integer alpha*n = -m
-    yields (-1)^(n-1)*C(m+n-2, n-1)/n, the limit of the two Gamma poles.
-    An alpha*n beyond about 2.5e305, where log-gamma overflows, raises
-    ``DomainError``.  At alpha = 2 these are the Catalan numbers, and at
-    alpha = -1 they are (-1)^(n-1) times Catalan(n-1).
+    Up to order 64, where the n - 1 factors alpha*n - k share a sign, it is
+    their product, within 1.6e-15 relative at any alpha*n.  Otherwise it uses
+    ``math.lgamma`` with the sign of Gamma tracked, so large orders neither
+    overflow prematurely nor lose the sign pattern.  A non-negative integer
+    alpha*n below n-1 yields 0; a negative integer alpha*n = -m yields
+    (-1)^(n-1)*C(m+n-2, n-1)/n, the limit of the two Gamma poles.  A
+    coefficient beyond the float range, or an alpha*n beyond about 2.5e305
+    where log-gamma overflows, raises ``DomainError``.  At alpha = 2 these
+    are the Catalan numbers, and at alpha = -1 they are (-1)^(n-1) times
+    Catalan(n-1).
     """
     if n < 1:
         raise DomainError("series order n must be >= 1")
-    sign, log_mag = _log_coefficient(float(alpha), int(n))
-    return sign * math.exp(log_mag)
+    alpha, n = float(alpha), int(n)
+    z = alpha * n
+    if _by_factors(z, n):
+        # exp of a log-magnitude near 80 (z = 1e17) would lose 80 ulps
+        value = math.prod((z - k) / (k + 1.0) for k in range(n - 1)) / n
+    else:
+        sign, log_mag = _log_coefficient(alpha, n)
+        value = sign * math.exp(log_mag) if log_mag < _LOG_MAX else math.inf
+    if math.isinf(value):
+        raise DomainError(f"C(alpha*n, n-1)/n overflows a float at alpha = {alpha:g}, n = {n}")
+    return value
+
+
+# Up to this order a coefficient whose n - 1 factors z - k share a sign is
+# formed factor by factor: two log-gammas near z*ln z lose about eps*z*ln z
+# of their difference (n - 1)*ln z.
+_FACTOR_ORDERS = 64
+# exp overflows beyond this
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _by_factors(z: float, n: int) -> bool:
+    return 1 < n <= _FACTOR_ORDERS and (z > n - 2.0 or z < 0.0)
 
 
 def _log_coefficient(alpha: float, n: int) -> tuple[float, float]:
     """Sign and log-magnitude of C(alpha*n, n-1)/n."""
     z = alpha * n
+    if _by_factors(z, n):
+        # C(z, n-1) = z^(n-1)*prod_k (1 - k/z)/(n-1)!, every factor positive
+        sign = -1.0 if z < 0.0 and n % 2 == 0 else 1.0
+        log_factors = sum(math.log1p(-k / z) for k in range(1, n - 1))
+        return sign, ((n - 1) * math.log(abs(z)) + log_factors
+                      - math.lgamma(n) - math.log(n))
     try:
         if z < 0.0 and z == math.floor(z):
             # Gamma(z + 1) and Gamma(z - n + 2) both have poles; their ratio

@@ -296,6 +296,19 @@ class TestMaxentCommand:
         assert _payload(result)["converged"] is False
         assert "Traceback" not in result.output
 
+    def test_vanishing_coupling_is_solver_failure(self, runner, tmp_path):
+        # exited 1 with a ZeroDivisionError traceback: the coupling underflows
+        # to 0 and omega = lambda/0 was divided before the check
+        levels = "\n".join(map(repr, np.linspace(0.0, 2.0, 30).tolist()))
+        path = _write(tmp_path, "e.csv", "E\n" + levels + "\n")
+        result = runner.invoke(cli, [
+            "maxent", "--input", path, "--q", "-0.98", "--alpha", "0.01",
+            "--target-mean", "1.5"])
+        assert result.exit_code == 5
+        assert isinstance(result.exception, SystemExit)
+        assert "coupling lambda/omega is 0" in result.output
+        assert "Traceback" not in result.output
+
     def test_underflow_is_solver_failure(self, runner, tmp_path):
         levels = "\n".join(str(x) for x in np.linspace(-1e4, 1e4, 100).tolist())
         path = _write(tmp_path, "e.csv", "E\n" + levels + "\n")
@@ -329,7 +342,8 @@ class TestMaxentCommand:
 
     def test_non_finite_gap_is_solver_failure(self, runner, tmp_path, monkeypatch):
         # the level maps at the two bracket ends are real; every later one is
-        # NaN, which the root find in lambda reports as a solver failure
+        # NaN, and the Newton iteration in lambda reports the first of them,
+        # at its uniform start, as a solver failure
         real = maxent._Trinomial.level_map
         calls = []
 
@@ -346,7 +360,7 @@ class TestMaxentCommand:
         assert len(calls) == 3
         assert result.exit_code == 5
         assert isinstance(result.exception, SystemExit)
-        assert "function value" in result.output
+        assert "escort-mean gap at lambda = 0.0 is nan" in result.output
 
     def test_omega_and_target_together_is_flag_error(self, runner, tmp_path):
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
@@ -538,7 +552,7 @@ class TestCheckCommand:
     ["check", "--suite", "all", "--seed", "3"],
 ], ids=["maxent-target", "maxent-inf", "check-all"])
 def test_commands_leave_scipy_unloaded(tmp_path, args):
-    # SciPy is a test oracle only: the root find in lambda, Lambert W and the
+    # SciPy is a test oracle only: Lambert W and the
     # series coefficients are in qtherm, and importing SciPy would cost each
     # command about half a second
     path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtherm import maxent
 from qtherm.checks import _affinity_residual, simplex_constrained_maximizer
 from qtherm.deformation import transform
 from qtherm.entropy import escort_mean, partition_bound_check
-from qtherm.errors import DomainError, NonConvergenceError, NoRealRootError
+from qtherm.errors import DomainError, NonConvergenceError, NoRealRootError, QThermError
 from qtherm.maxent import (
     _Lambert,
     _newton_system,
@@ -263,8 +264,10 @@ class TestTargetMeanMode:
         sol = solve_maxent(np.linspace(0.0, 2.0, 30), q, 1.5, target_mean=0.8)
         assert sol.converged
         assert sol.stationarity_residual <= 1e-8
-        # lambda is O(q - 1) here, and the root find's step in it scales so
+        # lambda is O(q - 1) here, and the Newton step tolerance in it scales so
         assert sol.escort_mean == pytest.approx(0.8, abs=1e-12)
+        # a Brent root find over the O(1) bracket took 17-38 iterations
+        assert sol.iterations <= 8
 
     @pytest.mark.parametrize("solve,match", [
         # the Gibbs weights reach the spectrum's ends only as omega -> inf
@@ -302,6 +305,13 @@ class TestTargetMeanMode:
             solve_maxent(np.linspace(-1e4, 1e4, 100), 2.75, 0.0105, target_mean=3000.0)
         assert not excinfo.value.solution.converged
 
+    def test_vanishing_coupling_raises(self):
+        # q_alpha = -197, so Z_{q_alpha}^(alpha - 1) and with it the coupling
+        # underflow to 0: omega = lambda/0 raised a bare ZeroDivisionError
+        with pytest.raises(NonConvergenceError, match="coupling lambda/omega is 0") as excinfo:
+            solve_maxent(np.linspace(0.0, 2.0, 30), -0.98, 0.01, target_mean=1.5)
+        assert not excinfo.value.solution.converged
+
     def test_uncertified_answer_raises(self):
         # q_alpha = -1 here and omega comes out near -3e15: the stationarity
         # terms are too large for an absolute residual of 1e-8
@@ -319,6 +329,39 @@ class TestTargetMeanMode:
         assert sol.converged
         assert sol.stationarity_residual <= 1e-14
         assert sol.escort_mean == pytest.approx(TARGET_FUZZ, rel=1e-12)
+
+
+# q inside (-0.9, 3.9) or within 1e-9..1e-3 of 1; alpha across seven decades
+# or one of the named values
+TARGET_Q = st.one_of(
+    st.floats(-0.9, 3.9, exclude_min=True, exclude_max=True),
+    st.builds(lambda side, power: 1.0 + side * 10.0**power,
+              st.sampled_from([-1.0, 1.0]), st.floats(-9.0, -3.0)))
+TARGET_ALPHA = st.one_of(st.builds(lambda power: 10.0**power, st.floats(-3.0, 4.0)),
+                         st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(family=st.sampled_from(["tsallis", "renyi", "shannon"]),
+       n=st.one_of(st.integers(2, 40), st.integers(100, 3000)),
+       seed=st.integers(0, 2**32 - 1), q=TARGET_Q, alpha=TARGET_ALPHA,
+       target=st.floats(0.02, 1.98))
+def test_target_mode_certifies_or_raises(family, n, seed, q, alpha, target):
+    # a sorted uniform spectrum on [0, 2] with both ends in it
+    e = np.sort(np.random.default_rng(seed).uniform(0.0, 2.0, n))
+    e[0], e[-1] = 0.0, 2.0
+    try:
+        if family == "shannon":
+            sol = solve_maxent_shannon_limit(e, q, target_mean=target)
+        elif family == "renyi":
+            sol = solve_maxent_renyi(e, q, alpha, target_mean=target)
+        else:
+            sol = solve_maxent(e, q, alpha, target_mean=target)
+    except QThermError:
+        return
+    assert sol.converged
+    assert sol.stationarity_residual <= maxent.STOP_RESIDUAL
+    assert abs(sol.escort_mean - target) <= 1e-10 * max(1.0, abs(target))
 
 
 class TestContinuityAtQOne:
@@ -456,6 +499,15 @@ class TestRenyiVariant:
             sol = solve_maxent_renyi(E3, q, alpha, 0.3)
             assert sol.converged
             assert sol.stationarity_residual <= 1e-8
+
+    def test_certifies_far_from_q_alpha_one(self):
+        # q_alpha = 2.98 and Z_{q_alpha} = 1.4e-7: the expm1 form of the
+        # entropy part subtracts two numbers near -1, and its residual
+        # alternated between 2.0e-9 and 4.3e-9 for 10 000 Newton steps
+        sol = solve_maxent_renyi(np.linspace(0.0, 2.0, 3000), 2.98, 1.0, -0.333)
+        assert sol.converged
+        assert sol.stationarity_residual <= 1e-13
+        assert sol.iterations <= 10
 
     def test_agrees_with_nonadditive_solver_as_omega_vanishes(self):
         gaps = []

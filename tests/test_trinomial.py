@@ -230,6 +230,26 @@ class TestSeries:
             series_coefficient(1e306, 1)
         assert series_coefficient(1e300, 1) == 1.0
 
+    @pytest.mark.parametrize("n", (2, 3, 5, 8, 13))
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_coefficients_exact_at_large_integer_alpha_n(self, n, sign):
+        # two log-gammas near z*ln z lost every digit of C(z, n-1)/n by
+        # z = 1e15: series_coefficient(1e15, 3) gave 1.85e34, not 1.5e30
+        for size in (7, 10**3 + 1, 10**8 + 7, 10**12 + 9, 10**15 + 3, 10**17):
+            alpha = float(sign * (size // n))
+            z = int(alpha * n)
+            # C(-m, n-1) = (-1)^(n-1)*C(m+n-2, n-1)
+            exact = (math.comb(z, n - 1) if z > 0 else
+                     (-1) ** (n - 1) * math.comb(-z + n - 2, n - 1)) / n
+            assert series_coefficient(alpha, n) == pytest.approx(exact, rel=1e-14), z
+
+    def test_coefficient_beyond_float_range_is_a_domain_error(self):
+        # (3e200)^2/6 and the order-2000 Catalan number exceed 1.8e308
+        with pytest.raises(DomainError, match="overflows a float"):
+            series_coefficient(1e200, 3)
+        with pytest.raises(DomainError, match="overflows a float"):
+            series_coefficient(2.0, 2000)
+
     def test_radius_values(self):
         assert series_radius(1.0) == 1.0
         assert series_radius(2.0) == pytest.approx(0.25, rel=1e-15)
