@@ -5,12 +5,12 @@ random inputs and reports one result per property.  Tolerances and sample
 counts live in module-level constants so a harness can tighten or corrupt
 them.
 
-All four suites evaluate each sampled property in array calls over all its
-samples.  The group and algebra suites draw their samples as arrays.  The
-entropy suite and the partition-bound check draw their random distributions
-one at a time, into the zero-padded rows of a batch, and evaluate the batch
-through the row kernels of ``entropy``.  A row gives its 1-D function's value
-to rounding, so each line reports what a loop over the 1-D functions would.
+All four suites draw their samples as arrays and evaluate each sampled
+property in array calls over all its samples.  The entropy suite and the
+partition-bound check draw a batch of random distributions as one array of
+zero-padded rows and evaluate it through the row kernels of ``entropy``.  A
+row gives its 1-D function's value to rounding, so each line reports what a
+loop over the 1-D functions would.
 """
 
 from __future__ import annotations
@@ -26,10 +26,12 @@ from . import entropy as ent
 from . import qalgebra as qa
 from .errors import DomainError, DualityRangeWarning
 from .maxent import (
+    _affinity_residual,
     solve_maxent,
     solve_maxent_renyi,
     solve_maxent_shannon_limit,
 )
+from .qalgebra import _rel_gap
 from .trinomial import (
     lambert_w_array,
     residual as trinomial_residual,
@@ -66,11 +68,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _rel_gap(a, b):
-    """Elementwise |a - b| / max(1, |a|, |b|)."""
-    return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
 def _worst(suite: str, name: str, gaps, tol: float, count: int) -> CheckResult:
@@ -217,27 +214,21 @@ def run_algebra_suite(seed: int) -> list[CheckResult]:
 _N_MAX = 6
 
 
-def _random_distribution(rng) -> np.ndarray:
-    n = int(rng.integers(2, _N_MAX + 1))
-    return rng.dirichlet(np.ones(n))
-
-
 def _draw(rng, samples: int, distributions: int, *ranges) -> list[np.ndarray]:
-    """``samples`` rounds of ``distributions`` draws of ``_random_distribution``
-    and then one uniform draw per (low, high) range, round by round.
+    """``distributions`` zero-padded batches (``samples`` x ``_N_MAX``) of
+    random distributions, then ``samples`` uniform values per (low, high)
+    range, each drawn as one array.
 
-    Returns one zero-padded batch (``samples`` x ``_N_MAX``) per distribution
-    and one array per range, in that order.
+    A row has n ~ U{2, ..., _N_MAX} states and is Dirichlet(1, ..., 1) on
+    them: n standard exponentials over their sum.
     """
-    rows = np.zeros((distributions, samples, _N_MAX))
-    values = np.empty((len(ranges), samples))
-    for i in range(samples):
-        for batch in rows:
-            p = _random_distribution(rng)
-            batch[i, :p.size] = p
-        for j, (low, high) in enumerate(ranges):
-            values[j, i] = rng.uniform(low, high)
-    return [*rows, *values]
+    batches = []
+    for _ in range(distributions):
+        sizes = rng.integers(2, _N_MAX + 1, samples)
+        rows = rng.standard_exponential((samples, _N_MAX))
+        rows[np.arange(_N_MAX) >= sizes[:, None]] = 0.0
+        batches.append(rows / rows.sum(axis=1, keepdims=True))
+    return [*batches, *(rng.uniform(low, high, samples) for low, high in ranges)]
 
 
 def _uniform_rows(sizes) -> np.ndarray:
@@ -445,13 +436,6 @@ def run_maxent_suite(seed: int) -> list[CheckResult]:
         f"uniform equality gap {worst_bound:.3g}",
     ))
     return results
-
-
-def _affinity_residual(p: np.ndarray, e: np.ndarray, q: float) -> float:
-    """Max deviation of p^(1-q) from the best affine fit in E."""
-    y = p ** (1.0 - q)
-    coeffs = np.polyfit(e, y, 1)
-    return float(np.max(np.abs(np.polyval(coeffs, e) - y)))
 
 
 # points of the oracle's first p1 grid, and the rounds that refine it

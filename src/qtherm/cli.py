@@ -1,7 +1,8 @@
 """Command-line front end.
 
 One subcommand per library capability, each emitting a single JSON object
-(default) or a headered CSV block.  Exit codes are stable:
+(default) or a headered CSV block.  JSON has no token for inf or nan, so a
+non-finite float is written as null.  Exit codes are stable:
 
     0  success
     1  property failure (check / algebra-check)
@@ -14,6 +15,7 @@ One subcommand per library capability, each emitting a single JSON object
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
@@ -25,7 +27,6 @@ import numpy as np
 from . import deformation as dfm
 from . import entropy as ent
 from . import qalgebra as qa
-from .checks import _affinity_residual, _rel_gap, run_suite
 from .entropy import as_distribution
 from .errors import (
     DivergentSeriesError,
@@ -36,7 +37,13 @@ from .errors import (
     RenormalizationWarning,
 )
 from .fileio import format_float, read_column, read_distribution, read_spectrum
-from .maxent import solve_maxent, solve_maxent_renyi, solve_maxent_shannon_limit
+from .maxent import (
+    _affinity_residual,
+    solve_maxent,
+    solve_maxent_renyi,
+    solve_maxent_shannon_limit,
+)
+from .qalgebra import _rel_gap
 from .trinomial import residual as trinomial_residual
 from .trinomial import solve_trinomial
 
@@ -55,7 +62,7 @@ _FORMAT_OPTION = click.option(
 
 def _emit_object(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps(payload))
+        click.echo(_json_object(payload))
         return
     click.echo(",".join(payload))
     click.echo(",".join(_csv_cell(v) for v in payload.values()))
@@ -69,6 +76,35 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return format_float(value)
     return str(value)
+
+
+def _json_object(payload: dict) -> str:
+    """``json.dumps(payload)``, with every non-finite float as null: JSON has
+    no token for inf or nan."""
+    return json.dumps({key: None if isinstance(value, float) and not math.isfinite(value)
+                       else value for key, value in payload.items()})
+
+
+def _json_levels(names: tuple[str, ...], *columns: np.ndarray) -> str:
+    """The ``levels`` list, one object per level with its index ``i`` and one
+    value per column, as ``json.dumps`` writes it.
+
+    Every row goes through one ``%`` template: ``%s`` writes a finite float
+    as its repr, as ``json.dumps`` does, and a non-finite one is ``null``.
+    """
+    template = '{"i": %d' + "".join(f', "{name}": %s' for name in names) + "}"
+    values = [c.tolist() if np.isfinite(c).all()
+              else [x if math.isfinite(x) else "null" for x in c.tolist()]
+              for c in columns]
+    return "[" + ", ".join(map(template.__mod__, zip(itertools.count(), *values))) + "]"
+
+
+def _csv_levels(header: str, *columns: np.ndarray) -> str:
+    """The header and one ``i,...`` line per level, each column with 17
+    significant digits as ``format_float`` writes them."""
+    template = "%d" + ",%.17g" * len(columns)
+    rows = map(template.__mod__, zip(itertools.count(), *(c.tolist() for c in columns)))
+    return "\n".join([header, *rows])
 
 
 def _exit_codes(fn):
@@ -183,15 +219,11 @@ def escort(input_path: str, r: float, fmt: str) -> None:
     """Escort-transform a distribution file."""
     p = read_distribution(input_path)
     rho = ent.escort(p, r)
-    pairs = enumerate(zip(p.tolist(), rho.tolist()))
     if fmt == "json":
-        click.echo(json.dumps({
-            "r": r,
-            "levels": [{"i": i, "p": p_i, "rho": rho_i} for i, (p_i, rho_i) in pairs],
-        }))
+        levels = _json_levels(("p", "rho"), p, rho)
+        click.echo(f'{{"r": {json.dumps(r)}, "levels": {levels}}}')
         return
-    click.echo("\n".join(["i,p,rho"] + [
-        f"{i},{format_float(p_i)},{format_float(rho_i)}" for i, (p_i, rho_i) in pairs]))
+    click.echo(_csv_levels("i,p,rho", p, rho))
 
 
 @cli.command()
@@ -253,11 +285,12 @@ def maxent(input_path: str, q: float, alpha: float, omega: float | None,
 
 
 def _emit_maxent(sol, energies: np.ndarray, fmt: str) -> None:
-    """Write the solution with one echo, since each echo flushes stdout."""
-    pairs = enumerate(zip(energies.tolist(), sol.probs.tolist()))
+    """Write the solution with one echo, since each echo flushes stdout.
+
+    A failed solve may carry overflowed values; JSON writes them as null.
+    """
     if fmt == "json":
-        click.echo(json.dumps({
-            "levels": [{"i": i, "E": e, "p": p} for i, (e, p) in pairs],
+        summary = _json_object({
             "Z_q": sol.z_q.z,
             "Z_q_alpha": sol.z_q_alpha.z,
             "phi": sol.phi,
@@ -265,7 +298,9 @@ def _emit_maxent(sol, energies: np.ndarray, fmt: str) -> None:
             "residual": sol.stationarity_residual,
             "iterations": sol.iterations,
             "converged": sol.converged,
-        }))
+        })
+        levels = _json_levels(("E", "p"), energies, sol.probs)
+        click.echo(f'{{"levels": {levels}, {summary[1:]}')
         return
     footer = (
         "# "
@@ -277,8 +312,7 @@ def _emit_maxent(sol, energies: np.ndarray, fmt: str) -> None:
         f"iterations={sol.iterations} "
         f"converged={str(sol.converged).lower()}"
     )
-    click.echo("\n".join(["i,E,p"] + [
-        f"{i},{format_float(e)},{format_float(p)}" for i, (e, p) in pairs] + [footer]))
+    click.echo(_csv_levels("i,E,p", energies, sol.probs) + "\n" + footer)
 
 
 @cli.command()
@@ -379,6 +413,9 @@ def _try_eval(fn):
 @_exit_codes
 def check(suite: str, seed: int) -> None:
     """Run the seeded property suites and report pass/fail per property."""
+    # imported here, since no other command needs the suites
+    from .checks import run_suite
+
     results = run_suite(suite, seed)
     failures = 0
     for result in results:

@@ -311,6 +311,14 @@ def _shannon(p: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
+def _affinity_residual(p: np.ndarray, e: np.ndarray, q: float) -> float:
+    """Max deviation of p^(1-q) from the best affine fit in E; at alpha = 1
+    the solutions form a q-exponential family, where it is 0 to rounding."""
+    y = p ** (1.0 - q)
+    coeffs = np.polyfit(e, y, 1)
+    return float(np.max(np.abs(np.polyval(coeffs, e) - y)))
+
+
 # --- the core --------------------------------------------------------------------
 
 def _solve(fam, omega, target_mean) -> MaxEntSolution:

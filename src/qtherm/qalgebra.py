@@ -166,6 +166,12 @@ def _bracket_power(bracket, q, active, what: str) -> np.ndarray:
 # mismatch" on one side can be observed rather than masked).
 
 
+def _rel_gap(a, b):
+    """Elementwise |a - b| / max(1, |a|, |b|), the gap by which
+    ``algebra-check`` and the property suites compare two sides."""
+    return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
 def scaling_laws(x: float, y: float, q: float, alpha: float) -> dict:
     """The six rescaled laws at one point (or elementwise over arrays), as
     name -> (lhs, rhs) thunks.

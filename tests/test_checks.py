@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from qtherm.checks import (
+    ENTROPY_SAMPLES,
+    _draw,
     run_algebra_suite,
     run_entropy_suite,
     run_group_suite,
@@ -99,10 +102,14 @@ def test_group_and_algebra_suites_pass(seed):
     assert algebra[0].detail.startswith("10000 samples")
 
 
-@pytest.mark.parametrize("seed", [59, 244])
+@pytest.mark.parametrize("seed", [1594, 3578])
 def test_entropy_suite_passes_near_q_one(seed):
-    # these seeds draw q within 2e-6 of 1 for the additivity properties,
-    # where (Z_q - 1)/(1 - q) used to lose digits
+    # these seeds draw q within 2e-6 of 1, above and below, for the additivity
+    # properties, where (Z_q - 1)/(1 - q) used to lose digits; the suite's
+    # first draw is replayed so that a change of draws cannot void the test
+    _, _, q, _ = _draw(np.random.default_rng(seed), ENTROPY_SAMPLES, 2,
+                       (-1.0, 3.0), (0.2, 1.8))
+    assert np.min(np.abs(q - 1.0)) < 2e-6
     assert [r.name for r in run_entropy_suite(seed) if not r.passed] == []
 
 

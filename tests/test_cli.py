@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import qtherm.checks
+from qtherm import cli as cli_module
 from qtherm import maxent
 from qtherm.cli import cli
 from qtherm.entropy import as_distribution, escort, tsallis
@@ -79,6 +80,14 @@ class TestTransformCommand:
     def test_zero_q_has_no_multiplicative_dual(self, runner):
         result = runner.invoke(cli, ["transform", "--q", "0", "--alpha", "2"])
         assert _payload(result)["multiplicative_dual"] is None
+
+    def test_overflowed_dual_is_null(self, runner):
+        # 1/5e-324 overflows; JSON has no Infinity token
+        result = runner.invoke(cli, ["transform", "--q", "5e-324", "--alpha", "1"])
+        assert result.exit_code == 0
+        payload = _payload(result)
+        assert payload["multiplicative_dual"] is None
+        assert payload["multiplicative_dual_in_range"] is False
 
     @pytest.mark.parametrize("alpha", ["1e-320", "-1e-320"])
     def test_overflowing_q_alpha_is_domain_error(self, runner, alpha):
@@ -308,6 +317,14 @@ class TestMaxentCommand:
         assert isinstance(result.exception, SystemExit)
         assert "coupling lambda/omega is 0" in result.output
         assert "Traceback" not in result.output
+        # the overflowed values of the failed solve are JSON nulls, not
+        # Infinity/NaN tokens, and every key stays
+        payload = _payload(result)
+        assert list(payload) == ["levels", "Z_q", "Z_q_alpha", "phi", "escort_mean",
+                                 "residual", "iterations", "converged"]
+        assert payload["Z_q_alpha"] is None and payload["residual"] is None
+        assert payload["converged"] is False
+        assert len(payload["levels"]) == 30
 
     def test_underflow_is_solver_failure(self, runner, tmp_path):
         levels = "\n".join(str(x) for x in np.linspace(-1e4, 1e4, 100).tolist())
@@ -569,7 +586,151 @@ def test_commands_leave_scipy_unloaded(tmp_path, args):
     assert _fresh_python(code).strip().splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("args", [
+    ["transform", "--q", "1.5", "--alpha", "2"],
+    ["entropy", "--input", "{p}", "--kind", "tsallis", "--q", "1.2"],
+    ["maxent", "--input", "{e}", "--q", "1.2", "--alpha", "2", "--omega", "0.3"],
+], ids=["transform", "entropy", "maxent"])
+def test_commands_leave_checks_unloaded(tmp_path, args):
+    # only check, algebra-check and alpha = 1 maxent used qtherm.checks, and
+    # importing it costs every other command its compile and import time
+    paths = {"p": _write(tmp_path, "p.csv", "p\n0.25\n0.25\n0.5\n"),
+             "e": _write(tmp_path, "e.csv", "E\n0\n1\n2\n")}
+    args = [arg.format(**paths) for arg in args]
+    code = "\n".join([
+        "import sys",
+        "from qtherm.cli import cli",
+        "try:",
+        f"    cli({args!r})",
+        "except SystemExit as exit:",
+        "    assert exit.code in (0, None), exit.code",
+        "print('qtherm.checks' in sys.modules)",
+    ])
+    assert _fresh_python(code).strip().splitlines()[-1] == "False"
+
+
+_EMITTED = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+            -1.7976931348623157e308, 0.1, 1.0 / 3.0, 123456789.0, 1e16, 1e-7]
+
+
+def _emitter_columns():
+    rng = np.random.default_rng(17)
+    a = np.concatenate([_EMITTED, rng.standard_normal(500)
+                        * 10.0 ** rng.uniform(-300.0, 300.0, 500)])
+    return a, rng.permutation(a)
+
+
+class TestEmitters:
+    def test_json_levels_match_json_dumps(self):
+        e, p = _emitter_columns()
+        expected = json.dumps([{"i": i, "E": e_i, "p": p_i}
+                               for i, (e_i, p_i) in enumerate(zip(e.tolist(), p.tolist()))])
+        assert cli_module._json_levels(("E", "p"), e, p) == expected
+
+    def test_json_levels_write_non_finite_as_null(self):
+        e, p = _emitter_columns()
+        p[[0, 5, 9]] = [math.inf, -math.inf, math.nan]
+        levels = [{"i": i, "E": e_i, "p": p_i if math.isfinite(p_i) else None}
+                  for i, (e_i, p_i) in enumerate(zip(e.tolist(), p.tolist()))]
+        text = cli_module._json_levels(("E", "p"), e, p)
+        assert text == json.dumps(levels)
+        assert json.loads(text, parse_constant=_not_json) == levels
+
+    def test_csv_levels_match_format_17g(self):
+        e, p = _emitter_columns()
+        p[[0, 5, 9]] = [math.inf, -math.inf, math.nan]
+        expected = ["i,E,p"] + [f"{i},{_g17(e_i)},{_g17(p_i)}"
+                                for i, (e_i, p_i) in enumerate(zip(e.tolist(), p.tolist()))]
+        assert cli_module._csv_levels("i,E,p", e, p) == "\n".join(expected)
+
+
+def _read_column_by_lines(path, column):
+    """The line-by-line reader that ``read_column`` must agree with."""
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    rows = [(lineno, line) for lineno, line in enumerate(lines, start=1)
+            if line.strip()[:1] not in ("", "#")]
+    if not rows:
+        raise ParseError(f"no data rows in {path}")
+    first_line, first = rows[0]
+    header = [cell.strip() for cell in first.split(",")]
+    try:
+        [float(cell) for cell in header]
+        header = None
+    except ValueError:
+        rows = rows[1:]
+        if not rows:
+            raise ParseError("header present but no data rows", line=first_line)
+    if header is None:
+        index = 0
+        if any("," in line for _, line in rows):
+            raise ParseError(f"multi-column file without a header naming {column!r}",
+                             line=rows[0][0])
+    elif column not in header:
+        raise ParseError(f"no column named {column!r} in header {header!r}",
+                         line=first_line)
+    else:
+        index = header.index(column)
+    values = []
+    for lineno, line in rows:
+        cells = line.split(",")
+        if len(cells) <= index:
+            raise ParseError(f"row has {len(cells)} columns, need {index + 1}",
+                             line=lineno)
+        try:
+            values.append(float(cells[index]))
+        except ValueError:
+            raise ParseError(f"not a number: {cells[index].strip()!r}",
+                             line=lineno) from None
+    return np.asarray(values, dtype=float)
+
+
+_EDGE_CELLS = ["1_0", "1_000.5", "1e1_0", "1__0", "_1", "\uff11\uff12", "\u0663.\u0665",
+               "nan", "-NaN", "+inf", "-Infinity", "iNf", "1e400", "-1e400", "1e-400",
+               "5e-324", "-0", ".5", "5.", " 0.5 ", "\t0.5\t", "\u20030.5\u00a0",
+               "0.5 # x", "1,5", "0x10", "nan(1)", "1 2", "1e", "--1", "1.5j", "",
+               "\x0c1"]
+
+
+def _edge_files():
+    for cell in _EDGE_CELLS:
+        yield "p\n0.25\n" + cell + "\n0.75\n"
+        yield "0.25\n" + cell + "\n"
+        yield "p\r\n0.25\r\n" + cell + "\r\n"
+        yield "i,p\n0,0.25\n1," + cell + "\n"
+        yield "p,i\n0.25,0\n" + cell + ",1\n"
+    yield "p\n0.25\n1,5\n"
+    yield "p\n \n\t\n0.25\n   # note, with a comma\n0.75\n"
+    yield "i,p\n0,0.25\n1\n"
+    yield "i,p\n0,0.25\n1,\n"
+    yield "i,p\n0,0.25\n,\n"
+    yield "p\n# only a comment\n"
+    yield "\n\n"
+
+
+def _read_or_error(read, path):
+    try:
+        values = read(path, "p")
+    except ParseError as err:
+        return str(err), err.line
+    return values.dtype, values.tobytes()
+
+
 class TestFileIO:
+    def test_read_column_agrees_with_line_loop(self, tmp_path):
+        # the same values bit for bit, or the same error on the same line
+        path = _write(tmp_path, "p.csv", "")
+        texts = list(_edge_files())
+        outcomes = []
+        for text in texts:
+            with open(path, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+            outcomes.append((_read_or_error(read_column, path),
+                             _read_or_error(_read_column_by_lines, path)))
+        assert [text for text, (fast, slow) in zip(texts, outcomes) if fast != slow] == []
+        errors = sum(isinstance(fast[0], str) for fast, _ in outcomes)
+        assert 0 < errors < len(texts)
+
     def test_single_column_without_header(self, tmp_path):
         path = _write(tmp_path, "p.csv", "0.25\n0.75\n")
         assert read_distribution(path).tolist() == [0.25, 0.75]

@@ -487,9 +487,10 @@ class TestRowKernels:
         with pytest.raises(DomainError, match="zero probability"):
             tsallis(_padded(dists[:1], width=4)[0], -1.0)
 
-    @pytest.mark.parametrize("seed", [59, 244])
+    @pytest.mark.parametrize("seed", [1594, 3578])
     def test_q_near_one(self, seed):
-        # the entropy suite's draws at these seeds put q within 2e-6 of 1
+        # the entropy suite's draws at these seeds put q within 2e-6 of 1,
+        # above and below
         pa, pb, q, _ = _draw(np.random.default_rng(seed), 1000, 2, (-1.0, 3.0), (0.2, 1.8))
         near = np.flatnonzero(np.abs(q - 1.0) < 1e-5)
         assert near.size > 0

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtherm import maxent
-from qtherm.checks import _affinity_residual, simplex_constrained_maximizer
+from qtherm.checks import simplex_constrained_maximizer
 from qtherm.deformation import transform
 from qtherm.entropy import escort_mean, partition_bound_check
 from qtherm.errors import DomainError, NonConvergenceError, NoRealRootError, QThermError
 from qtherm.maxent import (
+    _affinity_residual,
     _Lambert,
     _newton_system,
     _Trinomial,
