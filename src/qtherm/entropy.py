@@ -196,14 +196,18 @@ def _renyi_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
 
 
 def _escort_rows(rows: _Rows, r: np.ndarray) -> np.ndarray:
-    """rho_k = p_k^r / sum_j p_j^r per row."""
-    powers = rows.power(r)
-    z = powers.sum(axis=1)
-    bad = ~(z > 0.0) | ~np.isfinite(z)
-    if bad.any():
-        raise rows.fail(f"escort normalizer Z_r = {float(z[bad][0])!r} outside (0, inf)",
-                        bad)
-    return powers / z[:, None]
+    """rho_k = p_k^r / sum_j p_j^r per row.
+
+    Each p_k is taken relative to the entry with the largest p^r (the largest
+    p for r > 0, the smallest on the support for r <= 0), so every power is
+    at most 1 and the normalizer lies in [1, n]: neither can overflow, and
+    the largest power does not underflow.
+    """
+    ref = np.where(r > 0.0, rows.s.max(axis=1),
+                   np.where(rows.on, rows.s, np.inf).min(axis=1))
+    ratio = np.where(rows.on, rows.s / ref[:, None], 1.0)
+    powers = np.where(rows.on, ratio ** r[:, None], 0.0)
+    return powers / powers.sum(axis=1)[:, None]
 
 
 def _hybrid_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
@@ -299,11 +303,12 @@ def renyi(probs, q: float) -> float:
 def escort(probs, r: float) -> np.ndarray:
     """Escort distribution rho_k = p_k^r / sum_j p_j^r.
 
-    Requires a strictly positive vector when r <= 0; fails if every power
-    under- or overflows.
+    Requires a finite r, and a strictly positive vector when r <= 0.
     """
     p = as_distribution(probs)
     r = float(r)
+    if not math.isfinite(r):
+        raise DomainError(f"r must be finite, got {r!r}")
     if r <= 0.0 and np.any(p == 0.0):
         raise DomainError(f"escort undefined: zero probability with r = {r:g} <= 0")
     return _escort_rows(_Rows(p), np.array([r]))[0]

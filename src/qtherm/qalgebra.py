@@ -24,8 +24,6 @@ q = 1 branch, the q < 1 cutoff and the overflow-to-inf rule are masks.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .deformation import _elementwise, _finite, _first, transform
@@ -101,7 +99,7 @@ def q_exp(x, q):
     """
     x, q = _finite("x", x), _finite("q", q)
     classical = _is_classical(q)
-    return np.where(classical, _at_q_one(_exp, x, classical), _bracket_power(
+    return np.where(classical, np.exp(x), _bracket_power(
         1.0 + (1.0 - q) * x, q, ~classical, "q-exponential"))
 
 
@@ -113,27 +111,7 @@ def q_log(x, q):
         raise DomainError("q-logarithm requires a positive argument")
     e = 1.0 - q
     classical = _is_classical(q)
-    return np.where(classical, _at_q_one(math.log, x, classical),
-                    (np.float_power(x, e) - 1.0) / e)
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _at_q_one(fn, x, classical) -> np.ndarray:
-    """``fn`` (``_exp`` or ``math.log``) where ``classical`` holds, 0 elsewhere.
-
-    NumPy's vectorized exp and log round the last bit differently from the
-    C library's on a few percent of arguments, so the analytic q = 1 branch
-    stays on ``math``; away from q = 1 this touches no element."""
-    x, classical = np.broadcast_arrays(x, classical)
-    out = np.zeros(x.shape)
-    out[classical] = [fn(v) for v in x[classical].tolist()]
-    return out
+    return np.where(classical, np.log(x), (np.float_power(x, e) - 1.0) / e)
 
 
 @_elementwise

@@ -5,13 +5,10 @@ it carries the probabilities of the rescaled MaxEnt problem.  One array
 kernel, ``solve_trinomial_array``, solves for a whole vector of b at once:
 
 * alpha = 1:    x = 1/(1 - b)                       (geometric series)
-* alpha = 1/2:  quadratic in sqrt(x)
+* alpha = 1/2:  x = u^2, u = (b + hypot(b, 2))/2    (rationalized for b < 0)
 * alpha = 2:    x = 2/(1 + sqrt(1 - 4b))            (stable minus branch)
 * otherwise:    safeguarded Newton inside closed-form brackets, from the
                 bracket end where f is convex or concave towards the root.
-
-A closed-form root whose defect |1 - x + b*x^alpha| is more than rounding,
-1e-15*max(1, x, |b|*x^alpha), goes through the same Newton iteration.
 
 For alpha > 1 the branch ends in a double root at x = alpha/(alpha - 1) when
 b reaches (alpha-1)^(alpha-1)/alpha^alpha; beyond that there is no real root
@@ -228,13 +225,15 @@ def _branch_roots(alpha: float, b, x0) -> np.ndarray:
     b = b.ravel()
     with np.errstate(all="ignore"):
         if alpha == 1.0:
-            # one rounding away from the exact root: nothing to polish
             x = 1.0 / (1.0 - b)
         elif alpha == 0.5:
-            u = 0.5 * (b + np.sqrt(b * b + 4.0))
-            x = _refine(alpha, b, u * u)
+            # u = sqrt(x) solves u^2 - b*u - 1 = 0; each sign of b takes the
+            # form without cancellation, and hypot does not overflow b*b
+            root = np.hypot(b, 2.0)
+            u = np.where(b < 0.0, 2.0 / (root - b), 0.5 * (b + root))
+            x = u * u
         elif alpha == 2.0:
-            x = _refine(alpha, b, 2.0 / (1.0 + np.sqrt(1.0 - 4.0 * b)))
+            x = 2.0 / (1.0 + np.sqrt(1.0 - 4.0 * b))
         else:
             lo, hi, start = _brackets(alpha, b)
             if x0 is not None:
@@ -270,16 +269,6 @@ def _defect(alpha: float, b: np.ndarray, x: np.ndarray):
     bxa = b * x**alpha
     f = (1.0 - x) + bxa
     return f, bxa, np.abs(f) > 1e-15 * np.maximum(np.maximum(x, np.abs(bxa)), 1.0)
-
-
-def _refine(alpha: float, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Newton-polish the closed-form roots whose defect is more than rounding."""
-    rough = np.flatnonzero(_defect(alpha, b, x)[2])
-    if rough.size:
-        lo, hi, _ = _brackets(alpha, b[rough])
-        x[rough] = _newton(alpha, b[rough], np.minimum(np.maximum(x[rough], lo), hi),
-                           lo, hi)
-    return x
 
 
 def _brackets(alpha: float, b: np.ndarray):

@@ -44,12 +44,16 @@ def _g17(x: float) -> str:
     return format(x, ".17g")
 
 
+def _fresh_env() -> dict:
+    """The environment of a new interpreter that imports this qtherm."""
+    src = os.path.dirname(os.path.dirname(qtherm.checks.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _fresh_python(code: str) -> str:
     """Stdout of ``code`` run in a new interpreter that imports this qtherm."""
-    src = os.path.dirname(os.path.dirname(qtherm.checks.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return subprocess.run([sys.executable, "-c", code], env=_fresh_env(), check=True,
                           capture_output=True, text=True).stdout
 
 
@@ -95,6 +99,17 @@ class TestTransformCommand:
         assert result.exit_code == 4
         assert "q_alpha overflows" in result.output
         assert result.stdout == ""
+
+    def test_non_finite_q_is_flag_error(self, runner):
+        result = runner.invoke(cli, ["transform", "--q", "nan", "--alpha", "2"])
+        assert result.exit_code == 2
+        assert "q and alpha must be finite" in result.output
+
+    def test_csv_null_dual_is_empty(self, runner):
+        result = runner.invoke(
+            cli, ["transform", "--q", "0", "--alpha", "2", "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[1] == "0,2,0.5,2,true,,"
 
     def test_csv_has_header_row(self, runner):
         result = runner.invoke(
@@ -544,6 +559,31 @@ class TestAlgebraCheckCommand:
         add = _payload(result)["laws"][0]
         assert add == {"law": "add", "lhs": None, "rhs": None, "status": "undefined"}
 
+    def test_csv(self, runner):
+        result = runner.invoke(cli, [
+            "algebra-check", "--x", "2", "--y", "3", "--q", "0.5", "--alpha", "2",
+            "--format", "csv"])
+        assert result.exit_code == 0
+        lines = result.output.splitlines()
+        assert lines[0] == "law,lhs,rhs,status"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "add", "subtract", "multiply", "divide", "exp-scaling", "log-scaling"]
+        assert lines[1] == "add,16,16,ok"
+        assert all(line.endswith(",ok") for line in lines[1:])
+
+    def test_failed_law_exits_one(self, runner, monkeypatch):
+        monkeypatch.setattr(cli_module, "IDENTITY_TOL", -1.0)
+        result = runner.invoke(cli, [
+            "algebra-check", "--x", "2", "--y", "3", "--q", "0.5", "--alpha", "2"])
+        assert result.exit_code == 1
+        assert {row["status"] for row in _payload(result)["laws"]} == {"fail"}
+
+    def test_zero_alpha_is_flag_error(self, runner):
+        result = runner.invoke(cli, [
+            "algebra-check", "--x", "2", "--y", "3", "--q", "0.5", "--alpha", "0"])
+        assert result.exit_code == 2
+        assert "alpha must be nonzero" in result.output
+
 
 class TestCheckCommand:
     def test_group_suite_passes(self, runner):
@@ -607,6 +647,24 @@ def test_commands_leave_checks_unloaded(tmp_path, args):
         "print('qtherm.checks' in sys.modules)",
     ])
     assert _fresh_python(code).strip().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("args,answer", [
+    # 0.5^-2000 overflows, the escort does not
+    (["escort", "--input", "{p}", "--r", "-2000"],
+     lambda out: [level["rho"] for level in out["levels"]] == [0.5, 0.5]),
+    # b*b overflows, the root 1/b^2 = 1e-310 does not
+    (["trinomial", "--alpha", "0.5", "--b", "-1e155"],
+     lambda out: out["x"] == pytest.approx(1e-310, rel=1e-12)),
+], ids=["escort", "trinomial"])
+def test_extreme_inputs_warn_nothing(tmp_path, args, answer):
+    # -W error turns a NumPy RuntimeWarning into a traceback
+    path = _write(tmp_path, "p.csv", "p\n0.5\n0.5\n")
+    args = [arg.format(p=path) for arg in args]
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "qtherm.cli", *args],
+                          env=_fresh_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert answer(json.loads(done.stdout))
 
 
 _EMITTED = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,

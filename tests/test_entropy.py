@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,9 +164,22 @@ class TestEscort:
         assert escort(escort(p, 2.0), 3.0) == pytest.approx(
             escort(p, 6.0), abs=1e-14)
 
-    def test_underflow_is_an_error(self):
-        with pytest.raises(DomainError):
-            escort([0.5, 0.5], 3000.0)
+    def test_extreme_order_is_finite(self):
+        # every p^r under- or overflows here, the escort itself does not
+        assert escort([0.5, 0.5], 3000.0).tolist() == [0.5, 0.5]
+        assert escort([0.5, 0.5], -2000.0).tolist() == [0.5, 0.5]
+        assert escort([0.9, 0.1], -2000.0).tolist() == [0.0, 1.0]
+        assert escort([0.9, 0.1], 3000.0).tolist() == [1.0, 0.0]
+
+    def test_zero_entry_at_extreme_order_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert escort([0.5, 0.5, 0.0], 3000.0).tolist() == [0.5, 0.5, 0.0]
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order_is_a_domain_error(self, r):
+        with pytest.raises(DomainError, match="r must be finite"):
+            escort([0.5, 0.5], r)
 
     def test_mean_symmetric(self):
         assert escort_mean([0.5, 0.5], [0.0, 1.0], 7.3) == pytest.approx(0.5)

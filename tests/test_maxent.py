@@ -212,6 +212,16 @@ class TestSolveMaxent:
         assert not sol.converged
         assert sol.probs.min() == 0.0 or sol.z_q_alpha.z == 0.0
 
+    def test_step_that_no_longer_moves_raises(self):
+        # a spread of 0.005 at an offset of -1e6: E - m keeps too few digits
+        # for a Newton step to change (lambda, m) once the residual is near
+        # 1e-8.  Centring the spectrum before the solve (ROADMAP item 2)
+        # would certify this input and turn this test around.
+        with pytest.raises(NonConvergenceError,
+                           match=r"no longer moves \(lambda, m\) at step 11") as excinfo:
+            solve_maxent_renyi(-1e6 + np.linspace(0.0, 0.005, 300), 1.0 + 9e-7, 0.04, -305.0)
+        assert not excinfo.value.solution.converged
+
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(DomainError):
             solve_maxent(E3, 1.2, -1.0, 0.3)
@@ -285,6 +295,26 @@ class TestTargetMeanMode:
         assert sol.probs == pytest.approx([1 / 3] * 3, abs=1e-15)
         assert sol.omega == 0.0
         assert sol.stationarity_residual <= 1e-12
+
+    @pytest.mark.parametrize("q,alpha", [(1.0, 2.0), (0.8, 0.5)])
+    def test_unbounded_interval_doubles_its_lower_end(self, monkeypatch, q, alpha):
+        # a target by the top of the spectrum: the probes start at
+        # lambda = -/+1/max|E - target| and double the lower end six times
+        # before the gap changes sign
+        e, target = np.linspace(0.0, 2.0, 30), 1.99
+        lams = []
+        for family in (_Trinomial, maxent._Gibbs):
+            def recorded(self, b, level_map=family.level_map):
+                lams.append(b[0] / (e[0] - target))
+                return level_map(self, b)
+            monkeypatch.setattr(family, "level_map", recorded)
+        sol = solve_maxent(e, q, alpha, target_mean=target)
+        assert sol.converged
+        assert sol.escort_mean == pytest.approx(target, abs=1e-9)
+        doubled = [-1.0, 1.0, -2.0, -4.0, -8.0, -16.0, -32.0, -64.0]
+        assert lams[:8] == pytest.approx(np.array(doubled) / (target - e[0]), rel=1e-15)
+        # then Newton's first probe, from lambda = 0
+        assert lams[8] == 0.0
 
     def test_non_convergence_carries_last_iterate(self, monkeypatch):
         monkeypatch.setattr(maxent, "MAX_ITER", 2)

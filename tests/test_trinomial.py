@@ -384,6 +384,13 @@ class TestArrayKernels:
         u = np.where(b < 0.0, 2.0 / (root - b), 0.5 * (b + root))
         assert solve_trinomial_array(0.5, b) == pytest.approx(u * u, rel=1e-13)
 
+    def test_sqrt_case_far_below_zero(self):
+        # b*b overflows beyond |b| = 1.34e154, the root 1/b^2 does not
+        assert solve_trinomial(0.5, -1e155) == pytest.approx(1e-310, rel=1e-12)
+        assert solve_trinomial(0.5, -1e160) == pytest.approx(1e-320, rel=1e-3)
+        with pytest.raises(NoRealRootError, match="underflows to 0"):
+            solve_trinomial(0.5, -1e163)
+
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_against_brentq(self, alpha):
         # up to the critical b, where the root turns double and loses half
