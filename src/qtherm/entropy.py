@@ -141,13 +141,19 @@ class _Rows:
         return DomainError(f"row {row}: {message}" if self.named else message)
 
     def power(self, q: np.ndarray) -> np.ndarray:
-        """p**q on the support, 0 off it (0^q := 0), one q per row."""
+        """p**q on the support, 0 off it (0^q := 0), one q per row; inf where
+        p**q overflows, which the callers let pass without a warning."""
         return np.where(self.on, self.base ** q[:, None], 0.0)
 
 
 def _partition_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
-    """Z_q = sum_k p_k^q per row."""
-    return rows.power(q).sum(axis=1)
+    """Z_q = sum_k p_k^q per row, raising where it overflows."""
+    with np.errstate(over="ignore"):
+        z = rows.power(q).sum(axis=1)
+    bad = np.isinf(z)
+    if bad.any():
+        raise rows.fail(f"partition sum Z_q overflows at q = {q[bad][0]:g}", bad)
+    return z
 
 
 def _excess_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
@@ -158,11 +164,13 @@ def _excess_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
     of losing about eps/|q - 1| of them.  Terms with |(q-1)*ln p_k| >= 1 are
     taken as p_k^q - p_k, where exp would inherit the rounding of the product.
     """
-    y = (q[:, None] - 1.0) * rows.log
-    small = np.abs(y) < 1.0
-    terms = np.where(small, rows.s * np.expm1(np.where(small, y, 0.0)),
-                     rows.power(q) - rows.s)
-    return terms.sum(axis=1)
+    # inf where Z_q overflows
+    with np.errstate(over="ignore"):
+        y = (q[:, None] - 1.0) * rows.log
+        small = np.abs(y) < 1.0
+        terms = np.where(small, rows.s * np.expm1(np.where(small, y, 0.0)),
+                         rows.power(q) - rows.s)
+        return terms.sum(axis=1)
 
 
 def _shannon_rows(rows: _Rows) -> np.ndarray:
@@ -173,7 +181,11 @@ def _tsallis_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
     """S_q = (Z_q - 1)/(1 - q) per row; Shannon where q is within
     ``Q_ONE_THRESHOLD`` of 1."""
     classical = _is_classical(q)
-    value = _excess_rows(rows, q) / np.where(classical, 1.0, 1.0 - q)
+    with np.errstate(over="ignore"):
+        value = _excess_rows(rows, q) / np.where(classical, 1.0, 1.0 - q)
+    bad = ~classical & np.isinf(value)
+    if bad.any():
+        raise rows.fail(f"Tsallis entropy overflows at q = {q[bad][0]:g}", bad)
     return np.where(classical, _shannon_rows(rows), value) if classical.any() else value
 
 
@@ -181,32 +193,38 @@ def _renyi_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
     """ln(Z_q)/(1 - q) per row; Shannon where q is within ``Q_ONE_THRESHOLD`` of 1."""
     classical = _is_classical(q)
     excess = _excess_rows(rows, q)
-    # log1p keeps the digits of ln Z_q near q = 1; below Z_q = 1/2 the sum
-    # 1 + excess would lose those that Z_q itself keeps
-    near = excess > -0.5
-    z = 1.0 + excess
+    # log1p keeps the digits of ln Z_q near q = 1.  Below Z_q = 1/2 the sum
+    # 1 + excess would lose those that Z_q itself keeps, and Z_q may under-
+    # or overflow, so there ln Z_q = q ln p_ref + ln sum_k (p_k/p_ref)^q,
+    # relative to the entry with the largest p^q, whose sum lies in [1, n].
+    near = (excess > -0.5) & (excess < math.inf)
+    one_less_q = np.where(classical, 1.0, 1.0 - q)
+    value = np.log1p(np.where(near, excess, 0.0)) / one_less_q
     if not near.all():
-        z = np.where(near, z, _partition_rows(rows, q))
-    bad = ~classical & ((z <= 0.0) | np.isinf(z))
-    if bad.any():
-        raise rows.fail(f"partition sum {z[bad][0]:g} outside (0, inf)", bad)
-    log_z = np.log1p(excess, out=np.log(z), where=near)
-    value = log_z / np.where(classical, 1.0, 1.0 - q)
+        ref, powers = _relative_powers(rows, q)
+        far = q / one_less_q * np.log(ref) + np.log(powers.sum(axis=1)) / one_less_q
+        value = np.where(near, value, far)
     return np.where(classical, _shannon_rows(rows), value) if classical.any() else value
 
 
-def _escort_rows(rows: _Rows, r: np.ndarray) -> np.ndarray:
-    """rho_k = p_k^r / sum_j p_j^r per row.
+def _relative_powers(rows: _Rows, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p_ref and the powers (p_k/p_ref)^r per row, p_ref the entry with the
+    largest p^r (the largest p for r > 0, the smallest on the support for
+    r <= 0).
 
-    Each p_k is taken relative to the entry with the largest p^r (the largest
-    p for r > 0, the smallest on the support for r <= 0), so every power is
-    at most 1 and the normalizer lies in [1, n]: neither can overflow, and
-    the largest power does not underflow.
+    Every power is at most 1 and their sum lies in [1, n]: neither can
+    overflow, and the largest power does not underflow.
     """
     ref = np.where(r > 0.0, rows.s.max(axis=1),
                    np.where(rows.on, rows.s, np.inf).min(axis=1))
     ratio = np.where(rows.on, rows.s / ref[:, None], 1.0)
-    powers = np.where(rows.on, ratio ** r[:, None], 0.0)
+    return ref, np.where(rows.on, ratio ** r[:, None], 0.0)
+
+
+def _escort_rows(rows: _Rows, r: np.ndarray) -> np.ndarray:
+    """rho_k = p_k^r / sum_j p_j^r per row, from the powers relative to the
+    entry with the largest p^r."""
+    powers = _relative_powers(rows, r)[1]
     return powers / powers.sum(axis=1)[:, None]
 
 

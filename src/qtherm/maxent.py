@@ -14,18 +14,21 @@ of ``solve_maxent_renyi``); then p_i ~ x_i^(alpha/(q-1)).  The alpha -> inf
 member ``solve_maxent_shannon_limit`` has p_i ~ exp(-W(b_i)/(q-1)) with the
 principal Lambert W branch, and q within 1e-9 of 1 is the closed-form Gibbs
 kernel.  So every family maps the two scalars (lambda, m) to p, and one
-builder certifies each answer by its stationarity residual:
+evaluation of each point gives both its Newton system and the stationarity
+residual that certifies it.  At b = 0 every family's roots are known
+exactly (p = 1/n), so the uniform start of either mode costs no level map:
 
 * fixed Omega: Newton's method on the two equations lambda =
-  Omega*per_omega(p) and m = <E>_q(p), with p = p(lambda, m) and the exact
-  Jacobian from each family's d log p/db, one level map per step.  It starts
-  from the uniform distribution and stops once the answer is converged;
-  ``iterations`` counts Newton steps.  Each step is damped by a
+  Omega*coupling(p) and m = <E>_q(p), with p = p(lambda, m) and the exact
+  Jacobian from each family's d log p/db.  It starts from the uniform
+  distribution and stops once the answer is converged; ``iterations``
+  counts Newton steps, and a solve of k steps makes k level maps plus one
+  per rejected trial point.  Each step is damped by a
   pseudo-time step (pseudo-transient continuation), which carries it across
   folds of |F| where det J changes sign, and is taken only where every level
   keeps a real root and F is finite; m may leave the spectrum on the way.  A
   solve that stalls raises the kernel's ``NoRealRootError`` where the first
-  sweep Omega*per_omega(uniform) leaves some level's real-root region;
+  sweep Omega*coupling(uniform) leaves some level's real-root region;
 * target escort mean: m is pinned to the target and a safeguarded Newton
   iteration in lambda, with the exact slope of the escort mean from the same
   d log p/db, runs from the uniform distribution inside the interval where
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,16 +171,17 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
 # A family holds the spectrum and the indices.  ``q`` is the escort index of
 # the constraint, ``b_range`` the interval of b = lambda*(E_i - m) where every
 # level has a real root, ``level_map(b)`` the normalized distribution of the
-# coefficients b with the per-level roots it came from, ``log_slope(b,
-# roots)`` the derivative in b of each level's log weight at those roots,
-# ``per_omega(p, z_q)`` the coupling lambda/Omega of p,
-# ``log_coupling_grad(p, weights)`` the gradient of its log in log p (weights
-# = p^q), and
-# ``free_gradient(p)`` the entropy part of the stationarity condition with the
-# reported phi and Z_{q_alpha}.  A level map is one call of an array kernel of
-# ``trinomial`` over all levels; the branch-root kernel starts from the
-# family's previous roots (``roots``), since successive Newton steps move b
-# only a little.
+# coefficients b with the per-level roots it came from, ``uniform()`` the same
+# at b = 0 without a kernel call (p = 1/n with every trinomial root 1 or every
+# W 0, which the kernels return there exactly), ``log_slope(b, roots)`` the
+# derivative in b of each level's log weight at those roots, and
+# ``terms(p, weights, z_q)``, from p, its escort weights p^q and their sum
+# Z_q, the coupling lambda/Omega of p, the gradient of its log in log p, the
+# entropy part of the stationarity condition, phi and Z_{q_alpha}.  A level
+# map is one call of an array kernel of ``trinomial`` over all levels; the
+# branch-root kernel starts from the family's previous roots (``roots``,
+# which ``uniform`` resets), since successive Newton steps move b only a
+# little.
 
 class _Trinomial:
     """Tsallis and Renyi levels: 1 - x + b*x^alpha = 0, p ~ x^(alpha/(q-1))."""
@@ -185,6 +190,10 @@ class _Trinomial:
         self.e, self.q, self.alpha, self.renyi = e, q, alpha, renyi
         self.roots = None
         self.q_alpha = transform(q, alpha)
+        if self.q_alpha == 1.0:
+            raise DomainError(
+                f"q_alpha = 1 + (q - 1)/alpha rounds to 1 at q = {q!r}, alpha = "
+                f"{alpha!r}; take alpha = inf, the Shannon limit")
         # q(1-q)/(q+alpha-1), raising at the rescaled-index pole q_alpha = 0
         self.coupling = trinomial_b(q, alpha, 1.0, 1.0, 1.0, 1.0)
         # b reaches the double root for alpha > 1 and stays below the pole
@@ -204,38 +213,39 @@ class _Trinomial:
         log_roots = np.log1p(shift, out=np.log(self.roots), where=shift > -0.5)
         return _normalized(self.alpha / (self.q - 1.0) * log_roots), self.roots
 
+    def uniform(self):
+        self.roots = np.ones(self.e.size)
+        return _uniform(self.e.size), self.roots
+
     def log_slope(self, b: np.ndarray, roots: np.ndarray) -> np.ndarray:
         # d log x/db = x^(alpha-1)/(1 - alpha*b*x^(alpha-1)) on the trinomial
         xa1 = roots ** (self.alpha - 1.0)
         return self.alpha / (self.q - 1.0) * xa1 / (1.0 - self.alpha * b * xa1)
 
-    def per_omega(self, p: np.ndarray, z_q: float) -> float:
-        z_qa = _partition(p, self.q_alpha)
+    def terms(self, p: np.ndarray, weights: np.ndarray, z_q: float):
+        q_alpha = self.q_alpha
+        p_qa = p**q_alpha
+        # a NumPy scalar, so that a sum underflowed to 0 divides without raising
+        z_qa = p_qa.sum()
+        # Z_{q_alpha} enters the coupling to the power alpha - 1, or alpha for
+        # Renyi
         scale = z_qa if self.renyi else 1.0
-        return self.coupling * z_qa ** (self.alpha - 1.0) / z_q * scale
-
-    def log_coupling_grad(self, p: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        # Z_{q_alpha} enters per_omega to the power alpha - 1, or alpha for Renyi
-        p_qa = p**self.q_alpha
+        coupling = self.coupling * z_qa ** (self.alpha - 1.0) / z_q * scale
         power = self.alpha - 1.0 + self.renyi
-        return (power * self.q_alpha * p_qa / np.sum(p_qa)
-                - self.q * weights / np.sum(weights))
-
-    def free_gradient(self, p: np.ndarray):
-        z_qa = _partition(p, self.q_alpha)
-        prefactor = self.q_alpha / (1.0 - self.q_alpha)
+        grad = power * q_alpha * p_qa / z_qa - self.q * weights / z_q
+        prefactor = q_alpha / (1.0 - q_alpha)
         # lead - phi = prefactor*(p^(q_alpha-1) - Z_{q_alpha}).  Near q_alpha =
         # 1 the two O(1/(q_alpha-1)) terms cancel exactly through sum(p) = 1
         # in the expm1 form; far from it that form subtracts two numbers near
         # -1 where the direct one keeps the digits of a small Z_{q_alpha}.
-        if abs(self.q_alpha - 1.0) > 0.5:
-            free = prefactor * (p ** (self.q_alpha - 1.0) - z_qa)
+        if abs(q_alpha - 1.0) > 0.5:
+            free = prefactor * (p ** (q_alpha - 1.0) - z_qa)
         else:
-            em = np.expm1((self.q_alpha - 1.0) * np.log(p))
+            em = np.expm1((q_alpha - 1.0) * np.log(p))
             free = prefactor * (em - np.dot(p, em))
         if self.renyi:
-            return free / z_qa, prefactor, PartitionSum(z_qa, self.q_alpha)
-        return free, prefactor * z_qa, PartitionSum(z_qa, self.q_alpha)
+            return coupling, grad, free / z_qa, prefactor, PartitionSum(z_qa, q_alpha)
+        return coupling, grad, free, prefactor * z_qa, PartitionSum(z_qa, q_alpha)
 
 
 class _Lambert:
@@ -253,19 +263,20 @@ class _Lambert:
             raise _at_level(err, self.e) from err
         return _normalized(-w / (self.q - 1.0)), w
 
+    def uniform(self):
+        return _uniform(self.e.size), np.zeros(self.e.size)
+
     def log_slope(self, b: np.ndarray, w: np.ndarray) -> np.ndarray:
         # dW/db = exp(-W)/(1 + W), finite at b = 0
         return -np.exp(-w) / ((1.0 + w) * (self.q - 1.0))
 
-    def per_omega(self, p: np.ndarray, z_q: float) -> float:
-        return (self.q - 1.0) * self.q * math.exp(-(self.q - 1.0) * _shannon(p)) / z_q
-
-    def log_coupling_grad(self, p: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return (self.q - 1.0) * p * np.log(p) - self.q * weights / np.sum(weights)
-
-    def free_gradient(self, p: np.ndarray):
-        s1 = _shannon(p)
-        return -(np.log(p) + s1), s1 - 1.0, PartitionSum(1.0, 1.0)
+    def terms(self, p: np.ndarray, weights: np.ndarray, z_q: float):
+        q = self.q
+        log_p = np.log(p)
+        s1 = float(-(p * log_p).sum())
+        coupling = (q - 1.0) * q * math.exp(-(q - 1.0) * s1) / z_q
+        grad = (q - 1.0) * p * log_p - q * weights / z_q
+        return coupling, grad, -(log_p + s1), s1 - 1.0, PartitionSum(1.0, 1.0)
 
 
 class _Gibbs(_Lambert):
@@ -282,8 +293,11 @@ class _Gibbs(_Lambert):
     def log_slope(self, b: np.ndarray, roots: None) -> np.ndarray:
         return np.full(b.shape, -1.0)
 
-    def per_omega(self, p: np.ndarray, z_q: float) -> float:
-        return 1.0
+    def terms(self, p: np.ndarray, weights: np.ndarray, z_q: float):
+        # the coupling is 1, whose log has no gradient
+        log_p = np.log(p)
+        s1 = float(-(p * log_p).sum())
+        return 1.0, np.zeros(p.size), -(log_p + s1), s1 - 1.0, PartitionSum(1.0, 1.0)
 
 
 def _at_level(err: NoRealRootError, e: np.ndarray) -> NoRealRootError:
@@ -302,15 +316,6 @@ def _uniform(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def _partition(p: np.ndarray, q: float) -> np.float64:
-    # a NumPy scalar, so that a sum underflowed to 0 divides without raising
-    return np.sum(p**q)
-
-
-def _shannon(p: np.ndarray) -> float:
-    return float(-np.sum(p * np.log(p)))
-
-
 def _affinity_residual(p: np.ndarray, e: np.ndarray, q: float) -> float:
     """Max deviation of p^(1-q) from the best affine fit in E; at alpha = 1
     the solutions form a q-exponential family, where it is 0 to rounding."""
@@ -325,7 +330,7 @@ def _solve(fam, omega, target_mean) -> MaxEntSolution:
     if (omega is None) == (target_mean is None):
         raise DomainError("exactly one of omega and target_mean must be given")
     # a level or a partition sum that underflows to 0 divides to inf or nan
-    # on its way to ``_certify``, which reports it
+    # on its way to ``_solution``, which reports it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if target_mean is not None:
             sol = _solve_for_target(fam, float(target_mean))
@@ -334,7 +339,8 @@ def _solve(fam, omega, target_mean) -> MaxEntSolution:
             if not math.isfinite(omega):
                 raise DomainError("omega must be finite")
             if isinstance(fam, _Gibbs):
-                sol = _certify(fam, fam.level_map(omega * fam.e)[0], omega, 0)
+                p = fam.level_map(omega * fam.e)[0]
+                sol = _solution(_evaluate(fam, p, omega, omega), 0)
             else:
                 sol = _fixed_omega(fam, omega)
     if not sol.converged:
@@ -344,81 +350,143 @@ def _solve(fam, omega, target_mean) -> MaxEntSolution:
     return sol
 
 
-def _certify(fam, p: np.ndarray, omega: float, iterations: int) -> MaxEntSolution:
-    """The solution at p with its stationarity residual at this omega,
-    converged where no level or sum underflows to 0 and the residual is at
-    most ``STOP_RESIDUAL``; raises ``NonConvergenceError`` carrying it where
-    a level or a sum underflows to 0."""
-    e = fam.e
-    weights = p**fam.q
+class _Point(NamedTuple):
+    """One evaluation of p: its certificate at ``omega`` and, for a Newton
+    point, F and its Jacobian at (lambda, m), flattened row by row."""
+
+    p: np.ndarray
+    z_q: PartitionSum
+    z_q_alpha: PartitionSum
+    phi: float
+    escort_mean: float
+    residual: float
+    underflow: bool
+    omega: float
+    coupling: float
+    f: tuple | None = None
+    jac: tuple | None = None
+
+    @property
+    def converged(self) -> bool:
+        return not self.underflow and self.residual <= STOP_RESIDUAL
+
+
+def _evaluate(fam, p: np.ndarray, lam: float, omega: float | None,
+              newton_at=None) -> _Point:
+    """The certificate of p at this omega and, where ``newton_at`` = (roots,
+    m) is given, F and its Jacobian at (lambda, m), for p, roots =
+    fam.level_map(lambda*(E - m)).
+
+    ``omega`` None is lambda over the coupling of p, as in target mode.  A
+    lost coupling, 0 or not finite, leaves no omega: its answer is reported
+    at omega = 0, where lambda/inf lands.  ``m`` None is the certificate's
+    escort mean, as at the uniform start.
+    """
+    e, q = fam.e, fam.q
+    weights = p**q
+    total = weights.sum()
+    coupling, grad, free, phi, z_q_alpha = fam.terms(p, weights, total)
     # Z_1 is the normalization itself.
-    z_q = 1.0 if fam.q == 1.0 else float(np.sum(weights))
+    z_q = 1.0 if q == 1.0 else float(total)
     mean = float(np.dot(weights, e) / z_q)
-    free, phi, z_q_alpha = fam.free_gradient(p)
-    constraint = fam.q * omega * (e - mean) / z_q * p ** (fam.q - 1.0)
+    if omega is None:
+        omega = lam / float(coupling) if 0.0 < abs(coupling) < math.inf else 0.0
+    constraint = q * omega * (e - mean) / z_q * p ** (q - 1.0)
+    residual = float(np.abs(free - constraint).max())
     underflow = not (p.min() > 0.0 and z_q > 0.0 and z_q_alpha.z > 0.0)
-    residual = float(np.max(np.abs(free - constraint)))
+    certificate = (p, PartitionSum(z_q, q), z_q_alpha, phi, mean, residual,
+                   underflow, omega, coupling)
+    if newton_at is None:
+        return _Point(*certificate)
+    roots, m = newton_at
+    if m is None:
+        m = mean
+    # F = (lambda - Omega*coupling, m - <E>_q) and its Jacobian, from d log
+    # p/d(lambda, m): each level's slope times db_i, less the p-weighted mean
+    # that the normalization takes out
+    escort = weights / total
+    escort_mean = float(np.dot(escort, e))
+    wc = omega * coupling
+    de = e - m
+    slope = fam.log_slope(lam * de, roots)
+    d_lam = slope * de
+    d_lam -= np.dot(p, d_lam)
+    d_m = -lam * slope
+    d_m -= np.dot(p, d_m)
+    d_mean = q * escort * (e - escort_mean)
+    return _Point(*certificate, (lam - wc, m - escort_mean),
+                  (1.0 - wc * np.dot(grad, d_lam), -wc * np.dot(grad, d_m),
+                   -np.dot(d_mean, d_lam), 1.0 - np.dot(d_mean, d_m)))
+
+
+def _solution(point: _Point, iterations: int) -> MaxEntSolution:
+    """The solution at a point, converged where no level or sum underflows
+    to 0 and the residual is at most ``STOP_RESIDUAL``; raises
+    ``NonConvergenceError`` carrying it where a level or a sum underflows."""
     sol = MaxEntSolution(
-        probs=p,
-        z_q=PartitionSum(z_q, fam.q),
-        z_q_alpha=z_q_alpha,
-        phi=phi,
-        escort_mean=mean,
-        stationarity_residual=residual,
+        probs=point.p,
+        z_q=point.z_q,
+        z_q_alpha=point.z_q_alpha,
+        phi=point.phi,
+        escort_mean=point.escort_mean,
+        stationarity_residual=point.residual,
         iterations=iterations,
-        converged=not underflow and residual <= STOP_RESIDUAL,
-        omega=omega,
+        converged=point.converged,
+        omega=point.omega,
     )
-    if underflow:
+    if point.underflow:
         raise NonConvergenceError(f"a level or a partition sum underflows to 0 "
                                   f"(iteration {iterations})", solution=sol)
     return sol
 
 
 def _fixed_omega(fam, omega: float) -> MaxEntSolution:
-    """Newton's method in x = (lambda, m) for F = (lambda - Omega*per_omega(p),
+    """Newton's method in x = (lambda, m) for F = (lambda - Omega*coupling(p),
     m - <E>_q(p)) = 0, where p = p(lambda, m) is one level map.
 
-    It starts from the uniform distribution, lambda = 0, which is certified
-    first.  Each step solves (J + I/dt) d = -F with the exact Jacobian J, one
-    level map per step, and is taken only where every level keeps a real
-    root and F is finite; m is not held inside the spectrum.  The pseudo-time
-    step dt (pseudo-transient continuation) starts at 3: it halves on a step
-    that is not taken and grows by the fall of the scaled |F| on one that
-    is, so the steps follow the damped fixed-point flow until F is small and
-    are Newton steps from there.  A step that cannot be taken even with dt
-    below the square root of the float precision stalls the solve: it raises
-    the kernel's ``NoRealRootError`` where the first sweep
-    Omega*per_omega(uniform) has a level without a real root, and
+    It starts from the uniform distribution, lambda = 0, which costs no level
+    map and is certified first.  Each step solves (J + I/dt) d = -F with the
+    exact Jacobian J and is taken only where every level keeps a real root
+    and F and J are finite; m is not held inside the spectrum.  A solve of k
+    steps makes k level maps plus one per rejected trial point.  The
+    pseudo-time step dt (pseudo-transient continuation) starts at 3: it
+    halves on a step that is not taken and grows by the fall of the scaled
+    |F| on one that is, so the steps follow the damped fixed-point flow until
+    F is small and are Newton steps from there.  A step that cannot be taken
+    even with dt below the square root of the float precision stalls the
+    solve: it raises the kernel's ``NoRealRootError`` where the first sweep
+    Omega*coupling(uniform) has a level without a real root, and
     ``NonConvergenceError`` otherwise, as does a step that no longer moves x.
     """
     e = fam.e
-    p, roots = fam.level_map(np.zeros(e.size))  # the uniform distribution
-    sol = _certify(fam, p, omega, 0)
-    x = np.array([0.0, sol.escort_mean])
-    f, jac = _newton_system(fam, p, roots, x, omega)
+    p, roots = fam.uniform()
+    point = _evaluate(fam, p, 0.0, omega, (roots, None))
+    lam, m = 0.0, point.escort_mean
+    f0, f1 = point.f
     # lambda is measured against the first sweep, m against the spectrum's
     # width, so the scaled |F| is 1 at the start
-    scale = np.array([abs(f[0]), e.max() - e.min()])
-    sweep = x - [f[0], 0.0]
+    scale0, scale1 = abs(f0), e.max() - e.min()
+    sweep = (lam - f0, m)
     # J = [[1, 0], [c, 1]] at the uniform start, so the first step moves
     # lambda by dt/(1 + dt) of the sweep: three quarters at dt = 3
     dt = 3.0
     norm = 1.0
     iterations = 0
-    while not sol.converged:
+    while not (point.converged or point.underflow):
         if iterations == MAX_ITER:
             raise NonConvergenceError(
                 f"no convergence after {MAX_ITER} Newton steps "
-                f"(residual {sol.stationarity_residual:.3g})", solution=sol)
+                f"(residual {point.residual:.3g})",
+                solution=_solution(point, iterations))
         iterations += 1
+        j00, j01, j10, j11 = point.jac
         while True:
-            a = jac + np.eye(2) / dt
-            det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-            step = np.array([a[0, 1] * f[1] - a[1, 1] * f[0],
-                             a[1, 0] * f[0] - a[0, 0] * f[1]]) / det
-            point = _newton_point(fam, x + step, omega)
-            if point is not None:
+            a00, a11 = j00 + 1.0 / dt, j11 + 1.0 / dt
+            det = a00 * a11 - j01 * j10
+            step0 = (j01 * f1 - a11 * f0) / det
+            step1 = (j10 * f0 - a00 * f1) / det
+            trial = _newton_point(fam, lam + step0, m + step1, omega)
+            if trial is not None:
                 break
             dt *= 0.5
             # a pseudo-time step below the square root of the float precision
@@ -428,57 +496,33 @@ def _fixed_omega(fam, omega: float) -> MaxEntSolution:
                 fam.level_map(sweep[0] * (e - sweep[1]))
                 raise NonConvergenceError(
                     f"the Newton step stalls at step {iterations} "
-                    f"(residual {sol.stationarity_residual:.3g})", solution=sol)
-        if np.all(x + step == x):
+                    f"(residual {point.residual:.3g})",
+                    solution=_solution(point, iterations - 1))
+        if lam + step0 == lam and m + step1 == m:
             raise NonConvergenceError(
                 f"the Newton step no longer moves (lambda, m) at step "
-                f"{iterations} (residual {sol.stationarity_residual:.3g})",
-                solution=sol)
-        x = x + step
-        p, roots, f, jac = point
-        new_norm = np.hypot(*(f / scale))
+                f"{iterations} (residual {point.residual:.3g})",
+                solution=_solution(point, iterations - 1))
+        lam, m = lam + step0, m + step1
+        point = trial
+        f0, f1 = point.f
+        new_norm = np.hypot(f0 / scale0, f1 / scale1)
         dt *= norm / new_norm
         norm = new_norm
-        sol = _certify(fam, p, omega, iterations)
-    return sol
+    return _solution(point, iterations)
 
 
-def _newton_point(fam, x: np.ndarray, omega: float):
-    """(p, roots, F, Jacobian) at x = (lambda, m), or ``None`` where some
-    level has no real root or b or F is not finite."""
+def _newton_point(fam, lam: float, m: float, omega: float) -> _Point | None:
+    """The point at (lambda, m), or ``None`` where some level has no real
+    root or b, F or J is not finite."""
     try:
-        p, roots = fam.level_map(x[0] * (fam.e - x[1]))
+        p, roots = fam.level_map(lam * (fam.e - m))
     except (NoRealRootError, DomainError):  # the kernels' error for a b not finite
         return None
-    f, jac = _newton_system(fam, p, roots, x, omega)
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(jac))):
+    point = _evaluate(fam, p, lam, omega, (roots, m))
+    if not all(map(math.isfinite, point.f + point.jac)):
         return None
-    return p, roots, f, jac
-
-
-def _newton_system(fam, p: np.ndarray, roots: np.ndarray, x: np.ndarray,
-                   omega: float):
-    """F of the fixed-Omega solve and its Jacobian at x = (lambda, m), where
-    p, roots = fam.level_map(lambda*(E - m))."""
-    e, q = fam.e, fam.q
-    lam, m = x
-    weights = p**q
-    escort = weights / np.sum(weights)
-    mean = float(np.dot(escort, e))
-    wc = omega * fam.per_omega(p, np.sum(weights))
-    grad = fam.log_coupling_grad(p, weights)
-    slope = fam.log_slope(lam * (e - m), roots)
-    # d log p/d(lambda, m): each level's slope times db_i, less the p-weighted
-    # mean that the normalization takes out
-    d_lam = slope * (e - m)
-    d_lam -= np.dot(p, d_lam)
-    d_m = -lam * slope
-    d_m -= np.dot(p, d_m)
-    d_mean = q * escort * (e - mean)
-    f = x - [wc, mean]
-    jac = np.array([[1.0 - wc * np.dot(grad, d_lam), -wc * np.dot(grad, d_m)],
-                    [-np.dot(d_mean, d_lam), 1.0 - np.dot(d_mean, d_m)]])
-    return f, jac
+    return point
 
 
 def _feasible(fam, de: np.ndarray) -> tuple[float, float]:
@@ -492,13 +536,14 @@ def _feasible(fam, de: np.ndarray) -> tuple[float, float]:
 def _solve_for_target(fam, target: float) -> MaxEntSolution:
     """Safeguarded Newton iteration in lambda for the escort mean, with m
     pinned to the target: each probe moves the bracket end of its gap's sign
-    to lambda, and a Newton step that would leave the bracket bisects it."""
+    to lambda, and a Newton step that would leave the bracket bisects it.
+    It starts from the uniform distribution, lambda = 0, without a level map."""
     if not math.isfinite(target):
         raise DomainError("target mean must be finite")
     e = fam.e
     de = e - target
     if not np.any(de):
-        return _certify(fam, _uniform(e.size), 0.0, 0)
+        return _solution(_evaluate(fam, _uniform(e.size), 0.0, 0.0), 0)
     if not de.min() < 0.0 < de.max():
         raise DomainError(
             f"target mean {target:g} outside the attainable range "
@@ -507,17 +552,21 @@ def _solve_for_target(fam, target: float) -> MaxEntSolution:
     b_min, b_max = fam.b_range
     lo, hi = _feasible(fam, de)
 
-    def probe(lam: float):
-        """p, its roots, the gap <E>_q - target and the escort weights at lambda."""
-        # np.clip does the same at twice the cost on a short array
-        p, roots = fam.level_map(np.minimum(np.maximum(lam * de, b_min), b_max))
+    def gap(p: np.ndarray, lam: float):
+        """The gap <E>_q - target and the escort weights of p at lambda."""
         weights = p**fam.q
-        z_q = float(np.sum(weights))
+        z_q = float(weights.sum())
         if z_q == 0.0:
             raise NonConvergenceError(f"the partition sum underflows to 0 at lambda = {lam:g}")
-        return p, roots, float(np.dot(weights, de)) / z_q, weights / z_q
+        return float(np.dot(weights, de)) / z_q, weights / z_q
 
-    scale = 1.0 / float(np.max(np.abs(de)))
+    def probe(lam: float):
+        """p, its roots, and the gap and escort weights of p at lambda."""
+        # np.clip does the same at twice the cost on a short array
+        p, roots = fam.level_map(np.minimum(np.maximum(lam * de, b_min), b_max))
+        return (p, roots, *gap(p, lam))
+
+    scale = 1.0 / float(np.abs(de).max())
     unbounded = math.isinf(hi)
     if unbounded:
         lo, hi = -scale, scale
@@ -544,9 +593,10 @@ def _solve_for_target(fam, target: float) -> MaxEntSolution:
     if not isinstance(fam, _Gibbs):
         xtol *= min(1.0, abs(fam.q - 1.0))
     lam = 0.0
+    p, roots = fam.uniform()
+    g, escort = gap(p, lam)
     iterations = 0
     while True:
-        p, roots, g, escort = probe(lam)
         if not math.isfinite(g):
             raise NonConvergenceError(f"the escort-mean gap at lambda = {lam!r} is {g!r}")
         if (g < 0.0) == rising:
@@ -567,18 +617,16 @@ def _solve_for_target(fam, target: float) -> MaxEntSolution:
             break
         iterations += 1
         lam += step
-    per_omega = float(fam.per_omega(p, _partition(p, fam.q)))
-    coupled = 0.0 < abs(per_omega) < math.inf
-    # a lost coupling leaves no omega: its answer is reported at omega = 0,
-    # where lambda/inf lands
-    sol = _certify(fam, p, lam / per_omega if coupled else 0.0, iterations)
+        p, roots, g, escort = probe(lam)
+    point = _evaluate(fam, p, lam, None)
+    sol = _solution(point, iterations)
     if not converged:
         raise NonConvergenceError(
             f"no convergence after {MAX_ITER} Newton steps in lambda",
             solution=replace(sol, converged=False),
         )
-    if not coupled:
+    if not 0.0 < abs(point.coupling) < math.inf:
         raise NonConvergenceError(
-            f"the coupling lambda/omega is {per_omega:g} at the target, so omega "
-            f"= lambda/{per_omega:g} is lost", solution=replace(sol, converged=False))
+            f"the coupling lambda/omega is {point.coupling:g} at the target, so omega "
+            f"= lambda/{point.coupling:g} is lost", solution=replace(sol, converged=False))
     return sol

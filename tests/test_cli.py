@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -374,8 +375,9 @@ class TestMaxentCommand:
 
     def test_non_finite_gap_is_solver_failure(self, runner, tmp_path, monkeypatch):
         # the level maps at the two bracket ends are real; every later one is
-        # NaN, and the Newton iteration in lambda reports the first of them,
-        # at its uniform start, as a solver failure
+        # NaN, and the Newton iteration in lambda, which starts from the
+        # uniform distribution without a map, reports the first of them, its
+        # first probe, as a solver failure
         real = maxent._Trinomial.level_map
         calls = []
 
@@ -392,7 +394,7 @@ class TestMaxentCommand:
         assert len(calls) == 3
         assert result.exit_code == 5
         assert isinstance(result.exception, SystemExit)
-        assert "escort-mean gap at lambda = 0.0 is nan" in result.output
+        assert re.search(r"escort-mean gap at lambda = -0\.0\d* is nan", result.output)
 
     def test_omega_and_target_together_is_flag_error(self, runner, tmp_path):
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
@@ -418,6 +420,16 @@ class TestMaxentCommand:
             "--omega", "0.3"])
         assert result.exit_code == 0
         assert _payload(result)["residual"] <= 1e-8
+
+    @pytest.mark.parametrize("entropy", ["tsallis", "renyi"])
+    def test_alpha_rounding_q_alpha_to_one_is_domain_error(self, runner, tmp_path, entropy):
+        path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
+        result = runner.invoke(cli, [
+            "maxent", "--input", path, "--q", "1.2", "--alpha", "1e300",
+            "--omega", "0.3", "--entropy", entropy])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        assert "alpha = inf" in result.output
 
     def test_renyi_functional(self, runner, tmp_path):
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")

@@ -145,6 +145,26 @@ class TestRenyi:
             assert renyi(p, q) == pytest.approx(
                 math.log(q_exp(tsallis(p, q), q)), abs=1e-12)
 
+    @pytest.mark.parametrize("p,q,exact", [
+        # Z_q overflows: ln(1e600)/3
+        ([1e-300, 1 - 1e-300], -2.0, 200.0 * math.log(10.0)),
+        # Z_q underflows to 0
+        ([0.5, 0.5], 1e308, math.log(2.0)),
+        ([0.1] * 10, -1e308, math.log(10.0)),
+    ])
+    def test_partition_sum_out_of_range_stays_finite(self, p, q, exact):
+        assert renyi(p, q) == pytest.approx(exact, rel=1e-15)
+
+
+@pytest.mark.parametrize("fn,match", [
+    (tsallis, "Tsallis entropy overflows"),
+    (partition_sum, "partition sum Z_q overflows"),
+])
+@pytest.mark.parametrize("p,q", [([1e-300, 1 - 1e-300], -2.0), ([0.5, 0.5], -1023.9)])
+def test_overflowing_partition_sum_is_domain_error(fn, match, p, q):
+    with pytest.raises(DomainError, match=match):
+        fn(p, q)
+
 
 class TestEscort:
     def test_identity_order(self):
@@ -520,7 +540,8 @@ class TestRowKernels:
         _assert_rows_match_1d(dists, qs)
 
     def test_renyi_log_branch(self):
-        # Z_q < 1/2, so ln Z_q comes from Z_q itself and not from log1p
+        # Z_q < 1/2, so ln Z_q comes from the powers relative to the largest
+        # p and not from log1p
         dists = [np.full(36, 1.0 / 36), np.full(12, 1.0 / 12), np.array([0.5, 0.5])]
         q = np.array([3.0, 2.5, 1.5])
         excess = _excess_rows(_batch(_padded(dists)), q)

@@ -11,8 +11,8 @@ from qtherm.entropy import escort_mean, partition_bound_check
 from qtherm.errors import DomainError, NonConvergenceError, NoRealRootError, QThermError
 from qtherm.maxent import (
     _affinity_residual,
+    _evaluate,
     _Lambert,
-    _newton_system,
     _Trinomial,
     as_spectrum,
     solve_maxent,
@@ -83,7 +83,7 @@ class TestSolveMaxent:
          for n in (3, 3000, 30000) for alpha in (0.7, 1.5, 2.0)]
       # the q -> 1 crossover just outside the Gibbs branch
       + [(np.linspace(0.0, 2.0, 30), q, 1.5, 0.3) for q in Q_NEAR_ONE]
-      # Omega*per_omega of the uniform distribution puts b past the critical
+      # Omega*coupling of the uniform distribution puts b past the critical
       # value, yet a certified solution exists
       + [(np.linspace(0.0, 2.0, 30), 1.5, 3.0, 2.0),
          (np.linspace(0.0, 2.0, 3000), 1.2, 1.5, 3.0)]
@@ -115,6 +115,32 @@ class TestSolveMaxent:
         sol = solve_maxent(np.linspace(0.0, 2.0, n), q, alpha, 0.3)
         assert sol.converged
         assert sol.iterations <= 10
+
+    @pytest.mark.parametrize("solve,rejected", [
+        (lambda: solve_maxent(np.linspace(0.0, 2.0, 30), 1.2, 1.5, 0.3), 0),
+        # each of these takes one trial point where a level has no real root
+        (lambda: solve_maxent(E3, 3.0, 2.0, -5.0), 1),
+        (lambda: solve_maxent_renyi(E3, 3.0, 2.0, -20.0), 1),
+        (lambda: solve_maxent_shannon_limit(E3, 2.0, 5.0), 1),
+    ], ids=["tsallis", "tsallis-rejected", "renyi-rejected", "shannon-rejected"])
+    def test_one_level_map_per_step_and_rejected_trial(self, monkeypatch, solve, rejected):
+        # the uniform start costs no level map, so a solve of k Newton steps
+        # makes k maps plus one per trial point that is not taken
+        maps, failed = [], []
+        for family in (_Trinomial, _Lambert):
+            def recorded(self, b, level_map=family.level_map):
+                maps.append(b)
+                try:
+                    return level_map(self, b)
+                except NoRealRootError:
+                    failed.append(b)
+                    raise
+            monkeypatch.setattr(family, "level_map", recorded)
+        sol = solve()
+        assert sol.converged
+        assert len(failed) == rejected
+        assert len(maps) == sol.iterations + rejected
+        assert all(np.any(b) for b in maps)
 
     @pytest.mark.parametrize("q", [0.8, 1.2])
     def test_alpha_one_is_q_exponential(self, q):
@@ -226,6 +252,15 @@ class TestSolveMaxent:
         with pytest.raises(DomainError):
             solve_maxent(E3, 1.2, -1.0, 0.3)
 
+    @pytest.mark.parametrize("solve", [solve_maxent, solve_maxent_renyi])
+    @pytest.mark.parametrize("q,alpha", [(1.2, 1e16), (1.2, 1e300), (0.8, 1e17)])
+    @pytest.mark.parametrize("mode", [{"omega": 0.3}, {"target_mean": 0.8}])
+    def test_q_alpha_rounded_to_one_is_domain_error(self, solve, q, alpha, mode):
+        # 1 + (q - 1)/alpha rounds to 1 although q does not, which would
+        # leave the entropy prefactor q_alpha/(1 - q_alpha) dividing by 0
+        with pytest.raises(DomainError, match=r"rounds to 1 .* alpha = inf"):
+            solve(E3, q, alpha, **mode)
+
     def test_needs_exactly_one_mode(self):
         with pytest.raises(DomainError):
             solve_maxent(E3, 1.2, 2.0)
@@ -313,8 +348,10 @@ class TestTargetMeanMode:
         assert sol.escort_mean == pytest.approx(target, abs=1e-9)
         doubled = [-1.0, 1.0, -2.0, -4.0, -8.0, -16.0, -32.0, -64.0]
         assert lams[:8] == pytest.approx(np.array(doubled) / (target - e[0]), rel=1e-15)
-        # then Newton's first probe, from lambda = 0
-        assert lams[8] == 0.0
+        # then one map per Newton step: the start at lambda = 0 is the
+        # uniform distribution, which costs none
+        assert len(lams) == 8 + sol.iterations
+        assert 0.0 not in lams
 
     def test_non_convergence_carries_last_iterate(self, monkeypatch):
         monkeypatch.setattr(maxent, "MAX_ITER", 2)
@@ -418,7 +455,8 @@ class TestNewtonJacobian:
     def test_matches_central_differences(self, fam):
         def system(x):
             p, roots = fam.level_map(x[0] * (fam.e - x[1]))
-            return _newton_system(fam, p, roots, x, 0.3)
+            point = _evaluate(fam, p, x[0], 0.3, (roots, x[1]))
+            return np.array(point.f), np.reshape(point.jac, (2, 2))
 
         x = np.array([0.1, 0.8])
         _, jac = system(x)
