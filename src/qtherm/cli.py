@@ -248,7 +248,7 @@ def maxent(input_path: str, q: float, alpha: float, omega: float | None,
     """Solve a MaxEnt problem for an energy spectrum file.
 
     Exits 0 only for a converged solution with stationarity residual at
-    most 1e-8; solver failures exit 5 with the diagnostics still emitted.
+    most 1e-9; solver failures exit 5 with the diagnostics still emitted.
     """
     if (omega is None) == (target_mean is None):
         raise click.UsageError("exactly one of --omega / --target-mean is required")
@@ -364,11 +364,16 @@ def algebra_check(x: float, y: float, q: float, alpha: float, fmt: str) -> None:
     two sides live on different domains is reported, not asserted.  A side
     that overflows, or that has lost every digit to cancellation or
     underflow, counts as not evaluated.  Exits 1 if any law evaluates on
-    both sides and disagrees.
+    both sides and disagrees, and 4 where q_alpha rounds to 1 while q does
+    not.
     """
     if alpha == 0.0:
         raise click.UsageError("alpha must be nonzero")
     q_alpha = dfm.transform(q, alpha)
+    if q_alpha == 1.0 and q != 1.0:
+        # each law would compare a deformed side with a classical one
+        raise DomainError(f"q_alpha = 1 + (q - 1)/alpha rounds to 1 at q = {q!r}, "
+                          f"alpha = {alpha!r}")
     rows = []
     any_failed = False
     lost = qa.lost_sides(x, y, q, alpha)
@@ -408,7 +413,7 @@ def _try_eval(fn):
 @click.option("--suite", type=click.Choice(["group", "algebra", "entropy",
                                             "maxent", "all"]),
               default="all", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="RNG seed.")
 @_exit_codes
 def check(suite: str, seed: int) -> None:

@@ -13,14 +13,15 @@ Z_{q_alpha}^(alpha-1)/Z_q * Omega (times Z_{q_alpha} for the additive entropy
 of ``solve_maxent_renyi``); then p_i ~ x_i^(alpha/(q-1)).  The alpha -> inf
 member ``solve_maxent_shannon_limit`` has p_i ~ exp(-W(b_i)/(q-1)) with the
 principal Lambert W branch, and q within 1e-9 of 1 is the closed-form Gibbs
-kernel.  So every family maps the two scalars (lambda, m) to p, and one
-evaluation of each point gives both its Newton system and the stationarity
-residual that certifies it.  At b = 0 every family's roots are known
-exactly (p = 1/n), so the uniform start of either mode costs no level map:
+kernel.  So every family maps the two scalars (lambda, m) to p, with each
+level's slope d log p/db at the same b, and one evaluation of each point
+gives both its Newton system and the stationarity residual that certifies
+it.  At b = 0 every family's roots are known exactly (p = 1/n), so the
+uniform start of either mode costs no level map:
 
 * fixed Omega: Newton's method on the two equations lambda =
   Omega*coupling(p) and m = <E>_q(p), with p = p(lambda, m) and the exact
-  Jacobian from each family's d log p/db.  It starts from the uniform
+  Jacobian from the level map's slopes.  It starts from the uniform
   distribution and stops once the answer is converged; ``iterations``
   counts Newton steps, and a solve of k steps makes k level maps plus one
   per rejected trial point.  Each step is damped by a
@@ -31,7 +32,7 @@ exactly (p = 1/n), so the uniform start of either mode costs no level map:
   sweep Omega*coupling(uniform) leaves some level's real-root region;
 * target escort mean: m is pinned to the target and a safeguarded Newton
   iteration in lambda, with the exact slope of the escort mean from the same
-  d log p/db, runs from the uniform distribution inside the interval where
+  slopes, runs from the uniform distribution inside the interval where
   every level keeps a real root (b_i up to (alpha-1)^(alpha-1)/alpha^alpha
   for alpha > 1, below 1 at alpha = 1, from -1/e for Lambert W, unbounded
   otherwise), bisecting that bracket where a Newton step would leave it;
@@ -39,15 +40,16 @@ exactly (p = 1/n), so the uniform start of either mode costs no level map:
   p, and an answer whose coupling lambda/Omega is 0 or not finite raises
   ``NonConvergenceError``.
 
-An answer is converged, and returned, only where no level or partition sum
-underflows to 0 and its residual is at most 1e-9; ``NonConvergenceError``
-carries any other.
+Either mode returns its last point with the failure that stopped it, if
+any, and ``_solve`` alone judges it: an answer is converged, and returned,
+only where no level or partition sum underflows to 0, the mode did not fail
+and its residual is at most 1e-9; ``NonConvergenceError`` carries any other.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -156,7 +158,8 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
     solved for self-consistency in S_1, Z_q and the escort mean by the same
     Newton solve (or, with ``target_mean``, by the Newton iteration in the
     combined multiplier alone).  A failed solve whose first sweep puts a W argument
-    below -1/e raises ``NoRealRootError``.
+    below -1/e raises ``NoRealRootError``, and a q far enough below 1 that
+    exp(-(q-1) S_1) overflows raises ``DomainError``.
     """
     e = as_spectrum(energies)
     q = float(q)
@@ -170,18 +173,17 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
 #
 # A family holds the spectrum and the indices.  ``q`` is the escort index of
 # the constraint, ``b_range`` the interval of b = lambda*(E_i - m) where every
-# level has a real root, ``level_map(b)`` the normalized distribution of the
-# coefficients b with the per-level roots it came from, ``uniform()`` the same
-# at b = 0 without a kernel call (p = 1/n with every trinomial root 1 or every
-# W 0, which the kernels return there exactly), ``log_slope(b, roots)`` the
-# derivative in b of each level's log weight at those roots, and
-# ``terms(p, weights, z_q)``, from p, its escort weights p^q and their sum
-# Z_q, the coupling lambda/Omega of p, the gradient of its log in log p, the
-# entropy part of the stationarity condition, phi and Z_{q_alpha}.  A level
-# map is one call of an array kernel of ``trinomial`` over all levels; the
-# branch-root kernel starts from the family's previous roots (``roots``,
-# which ``uniform`` resets), since successive Newton steps move b only a
-# little.
+# level has a real root, ``level_map(b)`` the normalized distribution p of
+# the coefficients b with its slope, the derivative in b of each level's log
+# weight at that same b, ``uniform()`` the same at b = 0 without a kernel call
+# (p = 1/n with every trinomial root 1 or every W 0, which the kernels return
+# there exactly), and ``terms(p, weights, z_q)``, from p, its escort weights
+# p^q and their sum Z_q, the coupling lambda/Omega of p, the gradient of its
+# log in log p, the entropy part of the stationarity condition, phi and
+# Z_{q_alpha}.  A level map is one call of an array kernel of ``trinomial``
+# over all levels; the branch-root kernel starts from the family's previous
+# roots, which ``uniform`` resets, since successive Newton steps move b only
+# a little.
 
 class _Trinomial:
     """Tsallis and Renyi levels: 1 - x + b*x^alpha = 0, p ~ x^(alpha/(q-1))."""
@@ -211,16 +213,14 @@ class _Trinomial:
         # log(x) loses near x = 1; log(x) keeps those of a root far below 1
         shift = b * self.roots**self.alpha
         log_roots = np.log1p(shift, out=np.log(self.roots), where=shift > -0.5)
-        return _normalized(self.alpha / (self.q - 1.0) * log_roots), self.roots
+        # d log x/db = x^(alpha-1)/(1 - alpha*b*x^(alpha-1)) on the trinomial
+        xa1 = self.roots ** (self.alpha - 1.0)
+        power = self.alpha / (self.q - 1.0)
+        return _normalized(power * log_roots), power * xa1 / (1.0 - self.alpha * b * xa1)
 
     def uniform(self):
         self.roots = np.ones(self.e.size)
-        return _uniform(self.e.size), self.roots
-
-    def log_slope(self, b: np.ndarray, roots: np.ndarray) -> np.ndarray:
-        # d log x/db = x^(alpha-1)/(1 - alpha*b*x^(alpha-1)) on the trinomial
-        xa1 = roots ** (self.alpha - 1.0)
-        return self.alpha / (self.q - 1.0) * xa1 / (1.0 - self.alpha * b * xa1)
+        return _uniform(self.e.size), np.full(self.e.size, self.alpha / (self.q - 1.0))
 
     def terms(self, p: np.ndarray, weights: np.ndarray, z_q: float):
         q_alpha = self.q_alpha
@@ -261,20 +261,22 @@ class _Lambert:
             w = _lambert_w0(b)
         except NoRealRootError as err:
             raise _at_level(err, self.e) from err
-        return _normalized(-w / (self.q - 1.0)), w
+        # dW/db = exp(-W)/(1 + W), finite at b = 0
+        return _normalized(-w / (self.q - 1.0)), -np.exp(-w) / ((1.0 + w) * (self.q - 1.0))
 
     def uniform(self):
-        return _uniform(self.e.size), np.zeros(self.e.size)
-
-    def log_slope(self, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-        # dW/db = exp(-W)/(1 + W), finite at b = 0
-        return -np.exp(-w) / ((1.0 + w) * (self.q - 1.0))
+        return _uniform(self.e.size), np.full(self.e.size, -1.0 / (self.q - 1.0))
 
     def terms(self, p: np.ndarray, weights: np.ndarray, z_q: float):
         q = self.q
         log_p = np.log(p)
         s1 = float(-(p * log_p).sum())
-        coupling = (q - 1.0) * q * math.exp(-(q - 1.0) * s1) / z_q
+        try:
+            coupling = (q - 1.0) * q * math.exp(-(q - 1.0) * s1) / z_q
+        except OverflowError:
+            raise DomainError(
+                f"exp(-(q - 1)*S_1) in the Shannon-limit coupling overflows at q = "
+                f"{q!r}, S_1 = {s1:.17g}") from None
         grad = (q - 1.0) * p * log_p - q * weights / z_q
         return coupling, grad, -(log_p + s1), s1 - 1.0, PartitionSum(1.0, 1.0)
 
@@ -288,10 +290,10 @@ class _Gibbs(_Lambert):
         super().__init__(e, 1.0)
 
     def level_map(self, b: np.ndarray):
-        return _normalized(-b), None
+        return _normalized(-b), np.full(b.shape, -1.0)
 
-    def log_slope(self, b: np.ndarray, roots: None) -> np.ndarray:
-        return np.full(b.shape, -1.0)
+    def uniform(self):
+        return _uniform(self.e.size), np.full(self.e.size, -1.0)
 
     def terms(self, p: np.ndarray, weights: np.ndarray, z_q: float):
         # the coupling is 1, whose log has no gradient
@@ -327,26 +329,43 @@ def _affinity_residual(p: np.ndarray, e: np.ndarray, q: float) -> float:
 # --- the core --------------------------------------------------------------------
 
 def _solve(fam, omega, target_mean) -> MaxEntSolution:
+    """Run one mode and judge its last point.  The error that carries a
+    failed solution names an underflow before the mode's own failure, and
+    that before the certificate."""
     if (omega is None) == (target_mean is None):
         raise DomainError("exactly one of omega and target_mean must be given")
     # a level or a partition sum that underflows to 0 divides to inf or nan
-    # on its way to ``_solution``, which reports it
+    # on its way to the verdict below, which reports it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if target_mean is not None:
-            sol = _solve_for_target(fam, float(target_mean))
+            point, iterations, failure = _solve_for_target(fam, float(target_mean))
         else:
             omega = float(omega)
             if not math.isfinite(omega):
                 raise DomainError("omega must be finite")
             if isinstance(fam, _Gibbs):
                 p = fam.level_map(omega * fam.e)[0]
-                sol = _solution(_evaluate(fam, p, omega, omega), 0)
+                point, iterations, failure = _evaluate(fam, p, omega, omega), 0, None
             else:
-                sol = _fixed_omega(fam, omega)
-    if not sol.converged:
-        raise NonConvergenceError(
-            f"the answer does not certify: residual "
-            f"{sol.stationarity_residual:.3g} above {STOP_RESIDUAL:g}", solution=sol)
+                point, iterations, failure = _fixed_omega(fam, omega)
+    sol = MaxEntSolution(
+        probs=point.p,
+        z_q=point.z_q,
+        z_q_alpha=point.z_q_alpha,
+        phi=point.phi,
+        escort_mean=point.escort_mean,
+        stationarity_residual=point.residual,
+        iterations=iterations,
+        converged=point.converged and failure is None,
+        omega=point.omega,
+    )
+    if point.underflow:
+        failure = f"a level or a partition sum underflows to 0 (iteration {iterations})"
+    elif failure is None and not point.converged:
+        failure = (f"the answer does not certify: residual "
+                   f"{point.residual:.3g} above {STOP_RESIDUAL:g}")
+    if failure is not None:
+        raise NonConvergenceError(failure, solution=sol)
     return sol
 
 
@@ -373,8 +392,8 @@ class _Point(NamedTuple):
 
 def _evaluate(fam, p: np.ndarray, lam: float, omega: float | None,
               newton_at=None) -> _Point:
-    """The certificate of p at this omega and, where ``newton_at`` = (roots,
-    m) is given, F and its Jacobian at (lambda, m), for p, roots =
+    """The certificate of p at this omega and, where ``newton_at`` = (slope,
+    m) is given, F and its Jacobian at (lambda, m), for p, slope =
     fam.level_map(lambda*(E - m)).
 
     ``omega`` None is lambda over the coupling of p, as in target mode.  A
@@ -398,7 +417,7 @@ def _evaluate(fam, p: np.ndarray, lam: float, omega: float | None,
                    underflow, omega, coupling)
     if newton_at is None:
         return _Point(*certificate)
-    roots, m = newton_at
+    slope, m = newton_at
     if m is None:
         m = mean
     # F = (lambda - Omega*coupling, m - <E>_q) and its Jacobian, from d log
@@ -408,7 +427,6 @@ def _evaluate(fam, p: np.ndarray, lam: float, omega: float | None,
     escort_mean = float(np.dot(escort, e))
     wc = omega * coupling
     de = e - m
-    slope = fam.log_slope(lam * de, roots)
     d_lam = slope * de
     d_lam -= np.dot(p, d_lam)
     d_m = -lam * slope
@@ -419,28 +437,7 @@ def _evaluate(fam, p: np.ndarray, lam: float, omega: float | None,
                    -np.dot(d_mean, d_lam), 1.0 - np.dot(d_mean, d_m)))
 
 
-def _solution(point: _Point, iterations: int) -> MaxEntSolution:
-    """The solution at a point, converged where no level or sum underflows
-    to 0 and the residual is at most ``STOP_RESIDUAL``; raises
-    ``NonConvergenceError`` carrying it where a level or a sum underflows."""
-    sol = MaxEntSolution(
-        probs=point.p,
-        z_q=point.z_q,
-        z_q_alpha=point.z_q_alpha,
-        phi=point.phi,
-        escort_mean=point.escort_mean,
-        stationarity_residual=point.residual,
-        iterations=iterations,
-        converged=point.converged,
-        omega=point.omega,
-    )
-    if point.underflow:
-        raise NonConvergenceError(f"a level or a partition sum underflows to 0 "
-                                  f"(iteration {iterations})", solution=sol)
-    return sol
-
-
-def _fixed_omega(fam, omega: float) -> MaxEntSolution:
+def _fixed_omega(fam, omega: float):
     """Newton's method in x = (lambda, m) for F = (lambda - Omega*coupling(p),
     m - <E>_q(p)) = 0, where p = p(lambda, m) is one level map.
 
@@ -455,12 +452,15 @@ def _fixed_omega(fam, omega: float) -> MaxEntSolution:
     F is small and are Newton steps from there.  A step that cannot be taken
     even with dt below the square root of the float precision stalls the
     solve: it raises the kernel's ``NoRealRootError`` where the first sweep
-    Omega*coupling(uniform) has a level without a real root, and
-    ``NonConvergenceError`` otherwise, as does a step that no longer moves x.
+    Omega*coupling(uniform) has a level without a real root.
+
+    Returns the last point, the Newton steps that reached it and ``None``,
+    or the failure that stopped it: a stall, a step that no longer moves x
+    or ``MAX_ITER`` steps.
     """
     e = fam.e
-    p, roots = fam.uniform()
-    point = _evaluate(fam, p, 0.0, omega, (roots, None))
+    p, slope = fam.uniform()
+    point = _evaluate(fam, p, 0.0, omega, (slope, None))
     lam, m = 0.0, point.escort_mean
     f0, f1 = point.f
     # lambda is measured against the first sweep, m against the spectrum's
@@ -474,10 +474,8 @@ def _fixed_omega(fam, omega: float) -> MaxEntSolution:
     iterations = 0
     while not (point.converged or point.underflow):
         if iterations == MAX_ITER:
-            raise NonConvergenceError(
-                f"no convergence after {MAX_ITER} Newton steps "
-                f"(residual {point.residual:.3g})",
-                solution=_solution(point, iterations))
+            return point, iterations, (f"no convergence after {MAX_ITER} Newton steps "
+                                       f"(residual {point.residual:.3g})")
         iterations += 1
         j00, j01, j10, j11 = point.jac
         while True:
@@ -494,32 +492,28 @@ def _fixed_omega(fam, omega: float) -> MaxEntSolution:
             if not dt >= math.ulp(1.0) ** 0.5:
                 # the kernel names the first level without a real root
                 fam.level_map(sweep[0] * (e - sweep[1]))
-                raise NonConvergenceError(
-                    f"the Newton step stalls at step {iterations} "
-                    f"(residual {point.residual:.3g})",
-                    solution=_solution(point, iterations - 1))
+                return point, iterations - 1, (f"the Newton step stalls at step {iterations} "
+                                               f"(residual {point.residual:.3g})")
         if lam + step0 == lam and m + step1 == m:
-            raise NonConvergenceError(
-                f"the Newton step no longer moves (lambda, m) at step "
-                f"{iterations} (residual {point.residual:.3g})",
-                solution=_solution(point, iterations - 1))
+            return point, iterations - 1, (f"the Newton step no longer moves (lambda, m) at "
+                                           f"step {iterations} (residual {point.residual:.3g})")
         lam, m = lam + step0, m + step1
         point = trial
         f0, f1 = point.f
         new_norm = np.hypot(f0 / scale0, f1 / scale1)
         dt *= norm / new_norm
         norm = new_norm
-    return _solution(point, iterations)
+    return point, iterations, None
 
 
 def _newton_point(fam, lam: float, m: float, omega: float) -> _Point | None:
     """The point at (lambda, m), or ``None`` where some level has no real
     root or b, F or J is not finite."""
     try:
-        p, roots = fam.level_map(lam * (fam.e - m))
+        p, slope = fam.level_map(lam * (fam.e - m))
     except (NoRealRootError, DomainError):  # the kernels' error for a b not finite
         return None
-    point = _evaluate(fam, p, lam, omega, (roots, m))
+    point = _evaluate(fam, p, lam, omega, (slope, m))
     if not all(map(math.isfinite, point.f + point.jac)):
         return None
     return point
@@ -533,17 +527,21 @@ def _feasible(fam, de: np.ndarray) -> tuple[float, float]:
             min(b_max / de.max(), b_min / de.min()))
 
 
-def _solve_for_target(fam, target: float) -> MaxEntSolution:
+def _solve_for_target(fam, target: float):
     """Safeguarded Newton iteration in lambda for the escort mean, with m
     pinned to the target: each probe moves the bracket end of its gap's sign
     to lambda, and a Newton step that would leave the bracket bisects it.
-    It starts from the uniform distribution, lambda = 0, without a level map."""
+    It starts from the uniform distribution, lambda = 0, without a level map.
+
+    Returns the last point, the steps that reached it and ``None``, or the
+    failure that stopped it: ``MAX_ITER`` steps or a lost coupling.
+    """
     if not math.isfinite(target):
         raise DomainError("target mean must be finite")
     e = fam.e
     de = e - target
     if not np.any(de):
-        return _solution(_evaluate(fam, _uniform(e.size), 0.0, 0.0), 0)
+        return _evaluate(fam, _uniform(e.size), 0.0, 0.0), 0, None
     if not de.min() < 0.0 < de.max():
         raise DomainError(
             f"target mean {target:g} outside the attainable range "
@@ -561,10 +559,10 @@ def _solve_for_target(fam, target: float) -> MaxEntSolution:
         return float(np.dot(weights, de)) / z_q, weights / z_q
 
     def probe(lam: float):
-        """p, its roots, and the gap and escort weights of p at lambda."""
+        """p, its slope, and the gap and escort weights of p at lambda."""
         # np.clip does the same at twice the cost on a short array
-        p, roots = fam.level_map(np.minimum(np.maximum(lam * de, b_min), b_max))
-        return (p, roots, *gap(p, lam))
+        p, slope = fam.level_map(np.minimum(np.maximum(lam * de, b_min), b_max))
+        return (p, slope, *gap(p, lam))
 
     scale = 1.0 / float(np.abs(de).max())
     unbounded = math.isinf(hi)
@@ -593,7 +591,7 @@ def _solve_for_target(fam, target: float) -> MaxEntSolution:
     if not isinstance(fam, _Gibbs):
         xtol *= min(1.0, abs(fam.q - 1.0))
     lam = 0.0
-    p, roots = fam.uniform()
+    p, slope = fam.uniform()
     g, escort = gap(p, lam)
     iterations = 0
     while True:
@@ -604,7 +602,6 @@ def _solve_for_target(fam, target: float) -> MaxEntSolution:
         else:
             hi = lam
         # g' = q*sum_i P_i*(E_i - <E>_q)*s_i*(E_i - target), with s = d log p/db
-        slope = fam.log_slope(lam * de, roots)
         step = float(-g / (fam.q * np.dot(escort * (de - g), slope * de)))
         tol = xtol + _RTOL * abs(lam)
         # the Newton step is tested before the bracket: once lambda is a
@@ -617,16 +614,11 @@ def _solve_for_target(fam, target: float) -> MaxEntSolution:
             break
         iterations += 1
         lam += step
-        p, roots, g, escort = probe(lam)
+        p, slope, g, escort = probe(lam)
     point = _evaluate(fam, p, lam, None)
-    sol = _solution(point, iterations)
     if not converged:
-        raise NonConvergenceError(
-            f"no convergence after {MAX_ITER} Newton steps in lambda",
-            solution=replace(sol, converged=False),
-        )
+        return point, iterations, f"no convergence after {MAX_ITER} Newton steps in lambda"
     if not 0.0 < abs(point.coupling) < math.inf:
-        raise NonConvergenceError(
-            f"the coupling lambda/omega is {point.coupling:g} at the target, so omega "
-            f"= lambda/{point.coupling:g} is lost", solution=replace(sol, converged=False))
-    return sol
+        return point, iterations, (f"the coupling lambda/omega is {point.coupling:g} at the "
+                                   f"target, so omega = lambda/{point.coupling:g} is lost")
+    return point, iterations, None

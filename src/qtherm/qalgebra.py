@@ -195,7 +195,8 @@ def lost_sides(x, y, q, alpha) -> dict:
     nothing.  The other laws are not listed.
     """
     x, y, q, alpha = (np.asarray(a, dtype=float) for a in (x, y, q, alpha))
-    q_alpha = transform(q, alpha)
+    # an array even at one point, so that q_alpha = 1 divides as NumPy does
+    q_alpha = np.asarray(transform(q, alpha))
     with np.errstate(all="ignore"):
         return {"add": (_sum_lost(x, y, q), _sum_lost(alpha * x, alpha * y, q_alpha)),
                 "exp-scaling": (_exp_lost(x, q, alpha), _exp_lost(alpha * x, q_alpha))}

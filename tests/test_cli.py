@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -383,8 +384,8 @@ class TestMaxentCommand:
 
         def level_map(fam, b):
             calls.append(b)
-            p, roots = real(fam, b)
-            return (p if len(calls) <= 2 else p * math.nan), roots
+            p, slope = real(fam, b)
+            return (p if len(calls) <= 2 else p * math.nan), slope
 
         monkeypatch.setattr(maxent._Trinomial, "level_map", level_map)
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
@@ -402,6 +403,14 @@ class TestMaxentCommand:
             "maxent", "--input", path, "--q", "1.2", "--alpha", "2",
             "--omega", "0.3", "--target-mean", "0.6"])
         assert result.exit_code == 2
+
+    def test_overflowing_shannon_coupling_is_domain_error(self, runner, tmp_path):
+        # exp(-(q - 1)*S_1) overflows at the uniform start: a bare OverflowError
+        path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
+        result = runner.invoke(cli, ["maxent", "--input", path, "--q", "-1e300",
+                                     "--alpha", "inf", "--omega", "0.5"])
+        assert result.exit_code == 4
+        assert "overflows at q = -1e+300" in result.output
 
     def test_alpha_inf_selects_lambert_solver(self, runner, tmp_path):
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
@@ -596,6 +605,23 @@ class TestAlgebraCheckCommand:
         assert result.exit_code == 2
         assert "alpha must be nonzero" in result.output
 
+    def test_classical_q_holds_every_law(self, runner):
+        # q = 1 gives q_alpha = 1 exactly; the exp-scaling side divided by
+        # 1 - q_alpha as a Python float and raised ZeroDivisionError
+        result = runner.invoke(cli, [
+            "algebra-check", "--x", "1", "--y", "2", "--q", "1", "--alpha", "2"])
+        assert result.exit_code == 0
+        assert [row["status"] for row in _payload(result)["laws"]] == ["ok"] * 6
+
+    @pytest.mark.parametrize("q,alpha", [("0", "1e300"), ("1.5", "1e17")])
+    def test_q_alpha_rounded_to_one_is_domain_error(self, runner, q, alpha):
+        # q_alpha = 1 + (q - 1)/alpha rounds to 1 although q does not: the
+        # subtract law would compare a deformed side with a classical one
+        result = runner.invoke(cli, [
+            "algebra-check", "--x", "1", "--y", "2", "--q", q, "--alpha", alpha])
+        assert result.exit_code == 4
+        assert "rounds to 1" in result.output
+
 
 class TestCheckCommand:
     def test_group_suite_passes(self, runner):
@@ -613,6 +639,39 @@ class TestCheckCommand:
         first = runner.invoke(cli, ["check", "--suite", "entropy", "--seed", "5"])
         second = runner.invoke(cli, ["check", "--suite", "entropy", "--seed", "5"])
         assert first.output == second.output
+
+    def test_negative_seed_is_flag_error(self, runner):
+        # NumPy refuses a negative seed, which exited 1 like a failed property
+        result = runner.invoke(cli, ["check", "--suite", "group", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+
+
+# zeros of both signs, units, a subnormal, the float range's ends and nan
+_EXTREMES = ["0", "-0", "1", "-1", "0.5", "1e-320", "1e300", "-1e300", "inf", "-inf", "nan"]
+
+
+def test_exit_codes_over_extreme_values(runner, tmp_path):
+    # every command exits with a documented code and no traceback, i.e. no
+    # exception but the SystemExit that carries the code
+    path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
+    grid = list(itertools.product(_EXTREMES, _EXTREMES))
+    runs = ([["transform", "--q", q, "--alpha", a] for q, a in grid]
+            + [["trinomial", "--alpha", a, "--b", b] for a, b in grid]
+            + [["heatbath", "--n", "2", "--alpha", a] for a in _EXTREMES]
+            + [["algebra-check", "--x", "1", "--y", "2", "--q", q, "--alpha", a]
+               for q, a in grid]
+            + [["algebra-check", "--x", x, "--y", y, "--q", "0.5", "--alpha", "2"]
+               for x, y in grid]
+            + [["maxent", "--input", path, "--q", q, "--alpha", "inf", mode, v]
+               for q, v in grid for mode in ("--omega", "--target-mean")])
+    crashed = []
+    for args in runs:
+        result = runner.invoke(cli, args)
+        if not (result.exit_code in range(6)
+                and (result.exception is None or isinstance(result.exception, SystemExit))):
+            crashed.append((args, result.exit_code, repr(result.exception)))
+    assert crashed == []
 
 
 @pytest.mark.parametrize("args", [

@@ -432,6 +432,51 @@ def test_target_mode_certifies_or_raises(family, n, seed, q, alpha, target):
     assert abs(sol.escort_mean - target) <= 1e-10 * max(1.0, abs(target))
 
 
+# Every way a solve ends with a carried solution, as (MAX_ITER or None, the
+# solve, the start of its message, the iterations of the carried solution)
+CARRIED_FAILURES = {
+    "no-longer-moves": (None, lambda: solve_maxent_renyi(
+        -1e6 + np.linspace(0.0, 0.005, 300), 1.0 + 9e-7, 0.04, -305.0),
+        "the Newton step no longer moves (lambda, m) at step 11 (residual", 10),
+    # every level keeps a real root on the first sweep, so no NoRealRootError
+    "stall": (None, lambda: solve_maxent_renyi(np.array([-0.6, 1.0, 2.6]), 0.6, 2.0, 1.0),
+              "the Newton step stalls at step 14 (residual", 13),
+    "fixed-omega-max-iter": (2, lambda: solve_maxent(E3, 1.2, 2.0, 0.3),
+                             "no convergence after 2 Newton steps (residual", 2),
+    "not-certified": (None, lambda: solve_maxent(
+        np.linspace(0.0, 2.0, 10), 0.8, 0.1, target_mean=1e-6),
+        "the answer does not certify: residual", 24),
+    "not-certified-gibbs": (None, lambda: solve_maxent(
+        1e9 + np.linspace(0.0, 1.0, 5), 1.0, 2.0, 3.0),
+        "the answer does not certify: residual", 0),
+    "underflow": (None, lambda: solve_maxent(np.linspace(-1e4, 1e4, 100), 2.75, 0.0105, -0.01),
+                  "a level or a partition sum underflows to 0 (iteration 0)", 0),
+    "underflow-target": (None, lambda: solve_maxent(
+        np.linspace(-1e4, 1e4, 100), 2.75, 0.0105, target_mean=-0.01),
+        "a level or a partition sum underflows to 0 (iteration 6)", 6),
+    "lost-coupling": (None, lambda: solve_maxent(
+        np.linspace(0.0, 2.0, 30), -0.98, 0.01, target_mean=1.5),
+        "the coupling lambda/omega is 0 at the target, so omega = lambda/0 is lost", 6),
+    "target-max-iter": (2, lambda: solve_maxent(E3, 1.2, 2.0, target_mean=0.6),
+                        "no convergence after 2 Newton steps in lambda", 2),
+}
+
+
+@pytest.mark.parametrize("max_iter,solve,message,iterations", CARRIED_FAILURES.values(),
+                         ids=CARRIED_FAILURES.keys())
+def test_carried_failure(monkeypatch, max_iter, solve, message, iterations):
+    # the underflow is named before the mode's own failure, and that before
+    # the certificate; the carried solution is never converged
+    if max_iter is not None:
+        monkeypatch.setattr(maxent, "MAX_ITER", max_iter)
+    with pytest.raises(NonConvergenceError) as excinfo:
+        solve()
+    assert str(excinfo.value).startswith(message)
+    sol = excinfo.value.solution
+    assert sol.converged is False
+    assert sol.iterations == iterations
+
+
 class TestContinuityAtQOne:
     """The trinomial family just outside ``Q_ONE_THRESHOLD`` and the Gibbs
     kernel just inside it give the same distribution, on both sides of 1."""
@@ -454,8 +499,8 @@ class TestNewtonJacobian:
     ], ids=["tsallis", "renyi", "shannon"])
     def test_matches_central_differences(self, fam):
         def system(x):
-            p, roots = fam.level_map(x[0] * (fam.e - x[1]))
-            point = _evaluate(fam, p, x[0], 0.3, (roots, x[1]))
+            p, slope = fam.level_map(x[0] * (fam.e - x[1]))
+            point = _evaluate(fam, p, x[0], 0.3, (slope, x[1]))
             return np.array(point.f), np.reshape(point.jac, (2, 2))
 
         x = np.array([0.1, 0.8])
@@ -539,6 +584,18 @@ class TestShannonLimit:
         with pytest.raises(NoRealRootError) as excinfo:
             solve_maxent_shannon_limit(np.array([0.0, 1.0]), 0.7, -10.0)
         assert excinfo.value.level is not None
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_maxent_shannon_limit(E3, -1000.0, 0.5),
+        # p stays near uniform, whose entropy ln 1000 puts the exponent at 711
+        lambda: solve_maxent_shannon_limit(np.linspace(0.0, 2.0, 1000), -102.0,
+                                           target_mean=1.0),
+    ], ids=["fixed-omega", "target-mean"])
+    def test_overflowing_coupling_is_domain_error(self, solve):
+        # exp(-(q - 1)*S_1) in the coupling leaves the float range; it raised
+        # a bare OverflowError
+        with pytest.raises(DomainError, match=r"overflows at q = -10"):
+            solve()
 
     def test_five_levels(self):
         sol = solve_maxent_shannon_limit(E5, 0.8, 0.3)

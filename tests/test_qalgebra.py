@@ -290,6 +290,12 @@ class TestLostSides:
         lhs, rhs = lost_sides(-1e300, -1e300, 1.5, 2.0)["exp-scaling"]
         assert bool(lhs) and bool(rhs)
 
+    def test_classical_point_loses_nothing(self):
+        # q = 1 gives q_alpha = 1 exactly at one point, which divided by
+        # 1 - q_alpha as a Python float
+        lost = lost_sides(1.0, 2.0, 1.0, 2.0)
+        assert [bool(side) for sides in lost.values() for side in sides] == [False] * 4
+
     def test_never_raises_on_overflow(self):
         lhs, rhs = lost_sides(np.array([1e308, math.inf, math.nan]), 1e308, 3.0, 5.0)["add"]
         assert lhs.shape == rhs.shape == (3,)
