@@ -26,6 +26,7 @@ from . import entropy as ent
 from . import qalgebra as qa
 from .errors import DomainError, DualityRangeWarning
 from .maxent import (
+    Q_ONE_THRESHOLD,
     _affinity_residual,
     solve_maxent,
     solve_maxent_renyi,
@@ -55,6 +56,7 @@ STATIONARITY_TOL = 1e-8
 AFFINITY_TOL = 1e-8
 ORACLE_TOL = 1e-4
 GIBBS_LIMIT_TOL = 1e-6
+THRESHOLD_CONTINUITY_TOL = 1e-8
 BOUND_SLACK = 1e-14
 
 # samples per randomized property; the entropy suite draws whole distributions
@@ -139,10 +141,9 @@ def _algebra_points(rng, samples: int) -> np.ndarray:
         u, v, w = rng.uniform(0.5, 2.5, (3, samples))
         e = 1.0 - q
         ue, ve, we = u**e, v**e, w**e
-        # Stay away from q = 1, where the 1/(1-q) exponents amplify rounding
-        # without bound (the classical limit is checked separately below), and
-        # from the q_sub pole and the cutoffs of exp_q and of the q-products.
-        ok = ((np.abs(q - 1.0) >= 0.05) & (np.abs(1.0 + e * y) >= 0.05)
+        # Stay away from the q_sub pole and the cutoffs of exp_q and of the
+        # q-products.
+        ok = ((np.abs(1.0 + e * y) >= 0.05)
               & (1.0 + e * x >= 0.05) & (1.0 + e * y >= 0.05)
               & (1.0 + e * (x + y) >= 0.05)
               & (ue + ve - 1.0 >= 0.05) & (ve + we - 1.0 >= 0.05)
@@ -415,6 +416,18 @@ def run_maxent_suite(seed: int) -> list[CheckResult]:
     sol_w2 = solve_maxent_shannon_limit(np.array([0.0, 1.0]), 1.3, 0.4)
     results.append(_worst("maxent", "shannon-limit stationarity residual",
                           sol_w2.stationarity_residual, STATIONARITY_TOL, 1))
+
+    # the one switch left at q = 1: the trinomial family just outside
+    # Q_ONE_THRESHOLD and the Gibbs kernel just inside it, on both sides
+    e30 = np.linspace(0.0, 2.0, 30)
+    worst_switch = 0.0
+    for side in (1.0, -1.0):
+        for mode in ({"omega": 0.3}, {"target_mean": 0.8}):
+            deformed = solve_maxent(e30, 1.0 + side * 2.0 * Q_ONE_THRESHOLD, 1.5, **mode)
+            gibbs = solve_maxent(e30, 1.0 + side * 0.5 * Q_ONE_THRESHOLD, 1.5, **mode)
+            worst_switch = max(worst_switch, float(np.max(np.abs(deformed.probs - gibbs.probs))))
+    results.append(_worst("maxent", "Gibbs meets trinomial across Q_ONE_THRESHOLD",
+                          worst_switch, THRESHOLD_CONTINUITY_TOL, 4))
 
     for name, sol in (
         ("omega = 0 gives uniform", solve_maxent(e3, 1.2, 2.0, 0.0)),

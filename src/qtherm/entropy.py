@@ -22,7 +22,7 @@ import numpy as np
 
 from .deformation import transform
 from .errors import DomainError, RenormalizationWarning
-from .qalgebra import _is_classical
+from .qalgebra import _expm1_div, _log1p_ratio
 
 # Vectors this close to unit mass are accepted as-is; up to RENORM_TOL they
 # are rescaled with a warning (file round-off), beyond that rejected.
@@ -156,55 +156,44 @@ def _partition_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
     return z
 
 
-def _excess_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
-    """Z_q - 1 per row, as the sum of the terms p_k^q - p_k = p_k*expm1((q-1)*ln p_k).
-
-    Through sum(p) = 1 the leading 1 cancels exactly, and every term has the
-    sign of 1 - q, so (Z_q - 1)/(1 - q) keeps its digits as q -> 1 instead
-    of losing about eps/|q - 1| of them.  Terms with |(q-1)*ln p_k| >= 1 are
-    taken as p_k^q - p_k, where exp would inherit the rounding of the product.
-    """
-    # inf where Z_q overflows
-    with np.errstate(over="ignore"):
-        y = (q[:, None] - 1.0) * rows.log
-        small = np.abs(y) < 1.0
-        terms = np.where(small, rows.s * np.expm1(np.where(small, y, 0.0)),
-                         rows.power(q) - rows.s)
-        return terms.sum(axis=1)
-
-
 def _shannon_rows(rows: _Rows) -> np.ndarray:
     return -(rows.s * rows.log).sum(axis=1)
 
 
+def _tsallis_sums(rows: _Rows, q: np.ndarray) -> np.ndarray:
+    """S_q = -sum_k p_k ln p_k E((q-1) ln p_k) per row, inf where Z_q overflows.
+
+    As p E(y) = p^q E(-y), a term is max(p, p^q) E(-|y|) ln p, finite where
+    p^q is; the weights max(p, p^q) sum to max(Z_q, 1)."""
+    weight = np.maximum(rows.s, rows.power(q))
+    s = -(weight * _expm1_div(rows.log, np.abs(q - 1.0)[:, None])).sum(axis=1)
+    return np.where(np.isinf(weight.sum(axis=1)), np.inf, s)
+
+
 def _tsallis_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
-    """S_q = (Z_q - 1)/(1 - q) per row; Shannon where q is within
-    ``Q_ONE_THRESHOLD`` of 1."""
-    classical = _is_classical(q)
+    """S_q = (Z_q - 1)/(1 - q) per row, raising where Z_q overflows."""
     with np.errstate(over="ignore"):
-        value = _excess_rows(rows, q) / np.where(classical, 1.0, 1.0 - q)
-    bad = ~classical & np.isinf(value)
+        value = _tsallis_sums(rows, q)
+    bad = np.isinf(value)
     if bad.any():
         raise rows.fail(f"Tsallis entropy overflows at q = {q[bad][0]:g}", bad)
-    return np.where(classical, _shannon_rows(rows), value) if classical.any() else value
+    return value
 
 
 def _renyi_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
-    """ln(Z_q)/(1 - q) per row; Shannon where q is within ``Q_ONE_THRESHOLD`` of 1."""
-    classical = _is_classical(q)
-    excess = _excess_rows(rows, q)
-    # log1p keeps the digits of ln Z_q near q = 1.  Below Z_q = 1/2 the sum
-    # 1 + excess would lose those that Z_q itself keeps, and Z_q may under-
-    # or overflow, so there ln Z_q = q ln p_ref + ln sum_k (p_k/p_ref)^q,
-    # relative to the entry with the largest p^q, whose sum lies in [1, n].
-    near = (excess > -0.5) & (excess < math.inf)
-    one_less_q = np.where(classical, 1.0, 1.0 - q)
-    value = np.log1p(np.where(near, excess, 0.0)) / one_less_q
-    if not near.all():
+    """ln(Z_q)/(1 - q) per row, S_q L(Z_q - 1) with Z_q - 1 = (1 - q)S_q."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = _tsallis_sums(rows, q)
+        excess = (1.0 - q) * s
+        # Below Z_q = 1/2, where 1 + excess would lose digits, and where Z_q
+        # overflows: ln Z_q from the powers relative to the largest p^q
+        near = (excess > -0.5) & (excess < math.inf)
+        value = s * _log1p_ratio(np.where(near, excess, 0.0))
+        if near.all():
+            return value
         ref, powers = _relative_powers(rows, q)
-        far = q / one_less_q * np.log(ref) + np.log(powers.sum(axis=1)) / one_less_q
-        value = np.where(near, value, far)
-    return np.where(classical, _shannon_rows(rows), value) if classical.any() else value
+        far = q / (1.0 - q) * np.log(ref) + np.log(powers.sum(axis=1)) / (1.0 - q)
+        return np.where(near, value, far)
 
 
 def _relative_powers(rows: _Rows, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,10 +224,7 @@ def _hybrid_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
         raise rows.fail(f"hybrid entropy requires q >= 1/2, got q = {q[bad][0]:g} "
                         f"(maximality fails below)", bad)
     a = -(_escort_rows(rows, q) * rows.log).sum(axis=1)
-    classical = _is_classical(q)
-    # log_q(exp(a)) evaluated stably as expm1((1-q)a)/(1-q)
-    e = 1.0 - q
-    return np.where(classical, a, np.expm1(e * a) / np.where(classical, 1.0, e))
+    return _expm1_div(a, 1.0 - q)  # log_q(exp(a)) = a E((1-q)a)
 
 
 def _avg_hybrid_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:

@@ -4,10 +4,10 @@ Operators (all reduce to the ordinary ones as q -> 1):
 
     x (+)_q y = x + y + (1-q)xy
     x (-)_q y = (x - y) / (1 + (1-q)y)
-    x (*)_q y = [x^(1-q) + y^(1-q) - 1]^(1/(1-q))
-    x (/)_q y = [x^(1-q) - y^(1-q) + 1]^(1/(1-q))
-    exp_q(x)  = [1 + (1-q)x]^(1/(1-q))
-    log_q(x)  = (x^(1-q) - 1) / (1-q)
+    x (*)_q y = [x^(1-q) + y^(1-q) - 1]^(1/(1-q)) = exp_q(log_q x + log_q y)
+    x (/)_q y = [x^(1-q) - y^(1-q) + 1]^(1/(1-q)) = exp_q(log_q x - log_q y)
+    exp_q(x)  = [1 + (1-q)x]^(1/(1-q))            = exp(x L((1-q)x))
+    log_q(x)  = (x^(1-q) - 1) / (1-q)             = ln x E((1-q) ln x)
 
 The operators are not distributive, but each plain identity has a rescaled
 counterpart that trades q for q_alpha = 1 + (q-1)/alpha, e.g.
@@ -18,8 +18,9 @@ and the ``algebra-check`` command evaluate each side independently, and
 ``lost_sides`` marks the sides that have lost every digit to cancellation
 or underflow.
 
-Every function is elementwise over NumPy arrays, as in ``deformation``; the
-q = 1 branch, the q < 1 cutoff and the overflow-to-inf rule are masks.
+Every function is elementwise over NumPy arrays, as in ``deformation``, and
+takes the last form above, E(u) = expm1(u)/u and L(u) = log1p(u)/u (1 at
+u = 0): one form across q = 1, exact at it and with no digits lost near it.
 """
 
 from __future__ import annotations
@@ -29,13 +30,18 @@ import numpy as np
 from .deformation import _elementwise, _finite, _first, transform
 from .errors import DomainError
 
-# Below this distance from q = 1 the deformed power forms lose all precision,
-# so every function switches to its analytic q = 1 branch.
-Q_ONE_THRESHOLD = 1e-9
+
+def _expm1_div(z, c):
+    """z E(c z) = expm1(c z)/c, continued to z where c z = 0 (at c = 0)."""
+    u = c * z
+    zero = u == 0.0
+    return np.where(zero, z, np.expm1(u) / np.where(zero, 1.0, c))
 
 
-def _is_classical(q: np.ndarray) -> np.ndarray:
-    return np.abs(q - 1.0) < Q_ONE_THRESHOLD
+def _log1p_ratio(u):
+    """L(u), 1 at u = 0 and inf at u = inf: z L(c z) is +-inf where c z overflows."""
+    zero = u == 0.0
+    return np.where(zero, 1.0, np.log1p(u) / np.where(zero | (u == np.inf), 1.0, u))
 
 
 @_elementwise
@@ -64,12 +70,13 @@ def q_mul(x, y, q):
     same convention as exp_q); for q > 1 it is a domain error because the
     power would diverge or turn complex.
     """
-    x, y, q = _finite("x", x), _finite("y", y), _finite("q", q)
-    if np.any((x <= 0.0) | (y <= 0.0)):
-        raise DomainError("q-multiplication requires positive operands")
-    classical = _is_classical(q)
-    bracket = np.float_power(x, 1.0 - q) + np.float_power(y, 1.0 - q) - 1.0
-    return np.where(classical, x * y, _bracket_power(bracket, q, ~classical, "q-product"))
+    x, y, q, a, b, lx, ly = _q_logs(x, y, q, "q-multiplication")
+    u = (1.0 - q) * (a + b)
+    l = _log1p_ratio(u)
+    # e^(a l) e^(b l), each factor its operand times e^(a l - ln x), 1 at q = 1;
+    # e^((a + b) l), 0 or inf, where u overflows
+    shares = (x * np.exp(a * l - lx)) * (y * np.exp(b * l - ly))
+    return _cut_off(np.where(np.isinf(u), np.exp((a + b) * l), shares), 1.0 + u, q, "q-product")
 
 
 @_elementwise
@@ -79,15 +86,39 @@ def q_div(x, y, q):
     The bracket x^(1-q)-y^(1-q)+1 must stay positive: there is no cutoff
     convention for division.
     """
+    x, y, q, a, b, lx, ly = _q_logs(x, y, q, "q-division")
+    u = (1.0 - q) * (a - b)
+    bad = ~(u > -1.0)
+    if bad.any():
+        raise DomainError(f"q-division bracket is not positive ({_first(1.0 + u, bad):g})")
+    # x over x/r, r = x (/)_q y: x/r = y e^(ln(x/y) - ln r) stays in range
+    # where x/y need not, and is y at q = 1
+    return x / (y * np.exp((lx - ly) - (a - b) * _log1p_ratio(u)))
+
+
+def _q_logs(x, y, q, what: str):
+    """Checked positive operands with log_q x, log_q y, ln x and ln y."""
     x, y, q = _finite("x", x), _finite("y", y), _finite("q", q)
     if np.any((x <= 0.0) | (y <= 0.0)):
-        raise DomainError("q-division requires positive operands")
-    classical = _is_classical(q)
-    bracket = np.float_power(x, 1.0 - q) - np.float_power(y, 1.0 - q) + 1.0
-    bad = ~classical & ~(bracket > 0.0)
+        raise DomainError(f"{what} requires positive operands")
+    lx, ly = np.log(x), np.log(y)
+    return x, y, q, _expm1_div(lx, 1.0 - q), _expm1_div(ly, 1.0 - q), lx, ly
+
+
+def _exp_q(x, q):
+    """exp_q(x) before its cutoff, and its bracket 1 + (1-q)x; raises nothing."""
+    u = (1.0 - q) * x
+    return np.exp(x * _log1p_ratio(u)), 1.0 + u
+
+
+def _cut_off(value, bracket, q, what: str) -> np.ndarray:
+    """``value`` where its bracket is positive, else 0 (q < 1) or an error."""
+    dead = ~(bracket > 0.0)
+    bad = dead & (q >= 1.0)
     if bad.any():
-        raise DomainError(f"q-division bracket is not positive ({_first(bracket, bad):g})")
-    return np.where(classical, x / y, _bracket_power(bracket, q, ~classical, "q-quotient"))
+        raise DomainError(f"{what} undefined: bracket {_first(bracket, bad):g} "
+                          f"not positive for q = {_first(q, bad):g}")
+    return np.where(dead, 0.0, value)
 
 
 @_elementwise
@@ -98,9 +129,7 @@ def q_exp(x, q):
     x = -1/(1-q) return 0.  For q > 1 a non-positive base is a domain error.
     """
     x, q = _finite("x", x), _finite("q", q)
-    classical = _is_classical(q)
-    return np.where(classical, np.exp(x), _bracket_power(
-        1.0 + (1.0 - q) * x, q, ~classical, "q-exponential"))
+    return _cut_off(*_exp_q(x, q), q, "q-exponential")
 
 
 @_elementwise
@@ -109,9 +138,7 @@ def q_log(x, q):
     x, q = _finite("x", x), _finite("q", q)
     if np.any(x <= 0.0):
         raise DomainError("q-logarithm requires a positive argument")
-    e = 1.0 - q
-    classical = _is_classical(q)
-    return np.where(classical, np.log(x), (np.float_power(x, e) - 1.0) / e)
+    return _expm1_div(np.log(x), 1.0 - q)
 
 
 @_elementwise
@@ -124,17 +151,6 @@ def _real_power(base, exponent):
         raise DomainError(f"{_first(base, complex_):g}**{_first(exponent, complex_):g} "
                           f"is not real")
     return np.where(np.isinf(value), np.inf, value)
-
-
-def _bracket_power(bracket, q, active, what: str) -> np.ndarray:
-    """bracket^(1/(1-q)) where ``active``: a non-positive bracket is cut off
-    to 0 for q < 1 and a domain error for q > 1."""
-    dead = active & ~(bracket > 0.0)
-    bad = dead & (q >= 1.0)
-    if bad.any():
-        raise DomainError(f"{what} undefined: bracket {_first(bracket, bad):g} "
-                          f"not positive for q = {_first(q, bad):g}")
-    return np.where(dead, 0.0, np.float_power(bracket, 1.0 / (1.0 - q)))
 
 
 # --- generalized distributive and scaling identities -------------------------
@@ -195,8 +211,7 @@ def lost_sides(x, y, q, alpha) -> dict:
     nothing.  The other laws are not listed.
     """
     x, y, q, alpha = (np.asarray(a, dtype=float) for a in (x, y, q, alpha))
-    # an array even at one point, so that q_alpha = 1 divides as NumPy does
-    q_alpha = np.asarray(transform(q, alpha))
+    q_alpha = transform(q, alpha)
     with np.errstate(all="ignore"):
         return {"add": (_sum_lost(x, y, q), _sum_lost(alpha * x, alpha * y, q_alpha)),
                 "exp-scaling": (_exp_lost(x, q, alpha), _exp_lost(alpha * x, q_alpha))}
@@ -211,12 +226,10 @@ def _sum_lost(u, v, r) -> np.ndarray:
 
 def _exp_lost(u, r, alpha=1.0) -> np.ndarray:
     """Where exp_r(u)**alpha, evaluated as ``q_exp`` and ``_real_power`` do,
-    is 0 although the bracket 1 + (1-r)u (1 at r = 1) is positive, so that
-    its exact value is positive.  The cutoff of a non-positive bracket for
-    r < 1 is exactly 0, not lost."""
-    classical = _is_classical(r)
-    bracket = np.where(classical, 1.0, 1.0 + (1.0 - r) * u)
-    value = np.where(classical, np.exp(u), np.float_power(bracket, 1.0 / (1.0 - r)))
+    is 0 although the bracket 1 + (1-r)u is positive, so that its exact
+    value is positive.  The cutoff of a non-positive bracket for r < 1 is
+    exactly 0, not lost."""
+    value, bracket = _exp_q(u, r)
     return (bracket > 0.0) & (np.float_power(value, alpha) == 0.0)
 
 

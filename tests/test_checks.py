@@ -78,6 +78,7 @@ ALL_PROPERTIES = [
     ("maxent.n = 3 simplex-grid oracle agreement", "3 samples"),
     ("maxent.shannon-limit solver matches Gibbs near q = 1", "1 samples"),
     ("maxent.shannon-limit stationarity residual", "1 samples"),
+    ("maxent.Gibbs meets trinomial across Q_ONE_THRESHOLD", "4 samples"),
     ("maxent.omega = 0 gives uniform", "1 samples"),
     ("maxent.degenerate spectrum gives uniform", "1 samples"),
     ("maxent.partition-sum Cauchy-Schwarz bound", "10000 samples"),
@@ -88,7 +89,7 @@ def test_all_properties_and_sample_counts():
     results = run_suite("all", 7)
     assert [(f"{r.suite}.{r.name}", r.detail.split(",")[0]) for r in results] \
         == ALL_PROPERTIES
-    assert len(results) == 53
+    assert len(results) == 54
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -538,13 +538,22 @@ class TestAlgebraCheckCommand:
             '{"q": 0.5, "alpha": 2.0, "q_alpha": 0.75, "laws": ['
             '{"law": "add", "lhs": 16.0, "rhs": 16.0, "status": "ok"}, '
             '{"law": "subtract", "lhs": -0.8, "rhs": -0.8, "status": "ok"}, '
-            '{"law": "multiply", "lhs": 21.21938847239805, "rhs": 21.219388472398055, '
+            '{"law": "multiply", "lhs": 21.219388472398037, "rhs": 21.219388472398045, '
             '"status": "ok"}, '
-            '{"law": "divide", "lhs": 0.2165469220917717, "rhs": 0.2165469220917717, '
+            '{"law": "divide", "lhs": 0.2165469220917713, "rhs": 0.21654692209177137, '
             '"status": "ok"}, '
-            '{"law": "exp-scaling", "lhs": 16.0, "rhs": 16.0, "status": "ok"}, '
-            '{"law": "log-scaling", "lhs": 1.6568542494923806, '
-            '"rhs": 1.6568542494923806, "status": "ok"}]}\n')
+            '{"law": "exp-scaling", "lhs": 16.0, "rhs": 15.999999999999998, "status": "ok"}, '
+            '{"law": "log-scaling", "lhs": 1.6568542494923801, '
+            '"rhs": 1.6568542494923801, "status": "ok"}]}\n')
+
+    @pytest.mark.parametrize("q", ["1.0000000015", "0.9999999985"])
+    def test_q_and_q_alpha_across_one_agree(self, runner, q):
+        # q_alpha = 1 + (q - 1)/2 lies within 1e-9 of 1 and q does not; each
+        # q-function is one form across q = 1, so both sides keep their digits
+        result = runner.invoke(cli, ["algebra-check", "--x", "1", "--y", "2", "--q", q,
+                                     "--alpha", "2"])
+        assert result.exit_code == 0, result.output
+        assert [row["status"] for row in _payload(result)["laws"]] == ["ok"] * 6
 
     def test_no_law_fails_on_lost_digits(self, runner):
         # At x = 1e300, y = -2, q = 0.5, alpha = 5 both sides of the add law

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +14,6 @@ from qtherm.entropy import (
     _batch,
     _bound_rows,
     _escort_rows,
-    _excess_rows,
     _hartley_rows,
     _hybrid_rows,
     _partition_rows,
@@ -37,7 +37,7 @@ from qtherm.entropy import (
     tsallis,
 )
 from qtherm.errors import DomainError, RenormalizationWarning
-from qtherm.qalgebra import Q_ONE_THRESHOLD, q_add, q_exp, q_log
+from qtherm.qalgebra import q_add, q_exp, q_log
 
 # Frozen from direct evaluation of the defining sums on (0.9, 0.1):
 # -0.9 ln 0.9 - 0.1 ln 0.1 and 0.9 (ln 0.9)^2 + 0.1 (ln 0.1)^2.
@@ -479,22 +479,40 @@ class TestInteriorZeros:
 
 
 class TestContinuityAtQOne:
-    """Across ``Q_ONE_THRESHOLD`` the Shannon branch and the deformed one
-    meet: |dS/dq| at q = 1 is at most <I^2> for all three functionals, and
-    the values move by at most twice that times |dq|."""
+    """Each functional is one form, continuous across q = 1: |dS/dq| at
+    q = 1 is at most <I^2> for all three, and within 2e-9 of q = 1 the
+    values move by at most twice that times |dq|."""
 
     @pytest.mark.parametrize("fn", [tsallis, renyi, hybrid])
     @pytest.mark.parametrize("n", [2, 9, 36])
     def test_branches_meet(self, fn, n):
         p = np.random.default_rng(n).dirichlet(np.ones(n))
         second = hartley_moments(p)[1]
-        t = Q_ONE_THRESHOLD
+        t = 1e-9
         for side in (1.0, -1.0):
-            shannon_branch = 1.0 + side * 0.5 * t
-            deformed = 1.0 + side * 2.0 * t
-            gap = abs(fn(p, deformed) - fn(p, shannon_branch))
-            assert gap <= 2.0 * abs(deformed - shannon_branch) * second
+            inner, outer = 1.0 + side * 0.5 * t, 1.0 + side * 2.0 * t
+            gap = abs(fn(p, outer) - fn(p, inner))
+            assert gap <= 2.0 * abs(outer - inner) * second
         assert abs(fn(p, 1.0 + 2.0 * t) - fn(p, 1.0 - 2.0 * t)) <= 2.0 * 4.0 * t * second
+
+    def test_matches_mpmath_near_one(self):
+        # 50-digit references at |q - 1| in 10^U(-12, -2), on both sides of
+        # 1: S_q = sum_k p_k ln_q(1/p_k), R_q = ln(1 + (1 - q)S_q)/(1 - q) and
+        # D_q = expm1((1 - q)a)/(1 - q), a the escort average of ln(1/p)
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for _ in range(200):
+            q = 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -2.0)
+            p = rng.dirichlet(np.ones(rng.integers(2, 7)))
+            with mpmath.workdps(50):
+                c, ps = 1 - mpmath.mpf(q), [mpmath.mpf(v) for v in p]
+                s = sum(v * (v ** (q - 1) - 1) for v in ps) / c
+                weights = [v ** mpmath.mpf(q) for v in ps]
+                a = -sum(w * mpmath.log(v) for w, v in zip(weights, ps)) / sum(weights)
+                pairs = [(tsallis(p, q), s), (renyi(p, q), mpmath.log1p(c * s) / c),
+                         (hybrid(p, q), mpmath.expm1(c * a) / c)]
+                worst = max(worst, *(float(abs(got - ref) / abs(ref)) for got, ref in pairs))
+        assert worst <= 1e-14
 
 
 class TestRowKernels:
@@ -533,8 +551,8 @@ class TestRowKernels:
             a, b = pa[i][pa[i] > 0.0], pb[i][pb[i] > 0.0]
             dists += [a, b, product_distribution(a, b)]
             qs += [q[i]] * 3
-        # and inside the Shannon switch, on both sides of q = 1
-        for dq in (0.5 * Q_ONE_THRESHOLD, -0.5 * Q_ONE_THRESHOLD, 0.0):
+        # and within 1e-9 of q = 1, on both sides, and at q = 1
+        for dq in (5e-10, -5e-10, 0.0):
             dists.append(dists[2])
             qs.append(1.0 + dq)
         _assert_rows_match_1d(dists, qs)
@@ -544,8 +562,8 @@ class TestRowKernels:
         # p and not from log1p
         dists = [np.full(36, 1.0 / 36), np.full(12, 1.0 / 12), np.array([0.5, 0.5])]
         q = np.array([3.0, 2.5, 1.5])
-        excess = _excess_rows(_batch(_padded(dists)), q)
-        assert list(excess <= -0.5) == [True, True, False]
+        z = _partition_rows(_batch(_padded(dists)), q)
+        assert list(z <= 0.5) == [True, True, False]
         _assert_rows_match_1d(dists, q)
 
     def test_hybrid_at_q_one(self):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -21,9 +22,9 @@ from qtherm.qalgebra import (
     q_sub,
 )
 
-# q sampled away from 1: the 1/(1-q) exponents amplify rounding without
-# bound near the classical point, which gets its own limit tests below.
-qs = st.floats(min_value=0.1, max_value=1.9).filter(lambda q: abs(q - 1.0) > 0.05)
+# q across 1 and also within 1e-6 of it, where every law must hold as well
+qs = st.floats(min_value=0.1, max_value=1.9) | st.floats(min_value=1.0 - 1e-6,
+                                                         max_value=1.0 + 1e-6)
 positives = st.floats(min_value=0.7, max_value=2.2)
 small_reals = st.floats(min_value=-0.5, max_value=1.0)
 scales = st.floats(min_value=0.25, max_value=3.0)
@@ -312,9 +313,25 @@ class TestClassicalLimit:
         assert abs(q_exp(x, q) - math.exp(x)) <= 1e-6
         assert abs(q_log(x, q) - math.log(x)) <= 1e-6
 
-    def test_inside_threshold_is_exact_branch(self):
-        assert q_mul(2.0, 3.0, 1.0 + 1e-12) == 6.0
-        assert q_exp(0.7, 1.0 - 1e-12) == math.exp(0.7)
+    def test_matches_mpmath_near_one(self):
+        # 50-digit references of the power forms at |q - 1| in 10^U(-12, -2),
+        # on both sides of 1, where evaluating those forms in floats loses
+        # about eps/|q - 1| of the digits
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for _ in range(200):
+            q = 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -2.0)
+            (x, y), s = rng.uniform(0.5, 2.5, 2), rng.uniform(-0.5, 1.0)
+            with mpmath.workdps(50):
+                c, x_, y_ = 1 - mpmath.mpf(q), mpmath.mpf(x), mpmath.mpf(y)
+                pairs = [
+                    (q_log(x, q), (x_**c - 1) / c),
+                    (q_exp(s, q), (1 + c * mpmath.mpf(s)) ** (1 / c)),
+                    (q_mul(x, y, q), (x_**c + y_**c - 1) ** (1 / c)),
+                    (q_div(x, y, q), (x_**c - y_**c + 1) ** (1 / c)),
+                ]
+                worst = max(worst, *(float(abs(got - ref) / abs(ref)) for got, ref in pairs))
+        assert worst <= 1e-14
 
 
 class TestAssociativity:
