@@ -26,7 +26,6 @@ from . import entropy as ent
 from . import qalgebra as qa
 from .errors import DomainError, DualityRangeWarning
 from .maxent import (
-    Q_ONE_THRESHOLD,
     _affinity_residual,
     solve_maxent,
     solve_maxent_renyi,
@@ -56,7 +55,8 @@ STATIONARITY_TOL = 1e-8
 AFFINITY_TOL = 1e-8
 ORACLE_TOL = 1e-4
 GIBBS_LIMIT_TOL = 1e-6
-THRESHOLD_CONTINUITY_TOL = 1e-8
+Q_ONE_CONTINUITY_TOL = 1e-8
+ALPHA_LIMIT_TOL = 0.01
 BOUND_SLACK = 1e-14
 
 # samples per randomized property; the entropy suite draws whole distributions
@@ -417,17 +417,31 @@ def run_maxent_suite(seed: int) -> list[CheckResult]:
     results.append(_worst("maxent", "shannon-limit stationarity residual",
                           sol_w2.stationarity_residual, STATIONARITY_TOL, 1))
 
-    # the one switch left at q = 1: the trinomial family just outside
-    # Q_ONE_THRESHOLD and the Gibbs kernel just inside it, on both sides
+    # the one switch left at q = 1: the trinomial family at q = 1 +- 2e-9 and
+    # the Gibbs kernel at q = 1
     e30 = np.linspace(0.0, 2.0, 30)
     worst_switch = 0.0
-    for side in (1.0, -1.0):
-        for mode in ({"omega": 0.3}, {"target_mean": 0.8}):
-            deformed = solve_maxent(e30, 1.0 + side * 2.0 * Q_ONE_THRESHOLD, 1.5, **mode)
-            gibbs = solve_maxent(e30, 1.0 + side * 0.5 * Q_ONE_THRESHOLD, 1.5, **mode)
+    for mode in ({"omega": 0.3}, {"target_mean": 0.8}):
+        gibbs = solve_maxent(e30, 1.0, 1.5, **mode)
+        for side in (1.0, -1.0):
+            deformed = solve_maxent(e30, 1.0 + side * 2e-9, 1.5, **mode)
             worst_switch = max(worst_switch, float(np.max(np.abs(deformed.probs - gibbs.probs))))
-    results.append(_worst("maxent", "Gibbs meets trinomial across Q_ONE_THRESHOLD",
-                          worst_switch, THRESHOLD_CONTINUITY_TOL, 4))
+    results.append(_worst("maxent", "Gibbs meets trinomial at q = 1",
+                          worst_switch, Q_ONE_CONTINUITY_TOL, 4))
+
+    # p_alpha approaches the Shannon limit as 1/alpha, and is it once
+    # q_alpha rounds to 1
+    shannon = solve_maxent_shannon_limit(e3, 1.3, target_mean=0.8).probs
+    scaled = []
+    for alpha in (10.0, 1e3, 1e5):
+        p_alpha = solve_maxent(e3, 1.3, alpha, target_mean=0.8).probs
+        scaled.append(alpha * float(np.max(np.abs(p_alpha - shannon))))
+    results.append(_worst("maxent", "alpha * (p_alpha - p_inf) settles as alpha -> inf",
+                          (max(scaled) - min(scaled)) / max(scaled), ALPHA_LIMIT_TOL, 3))
+    rounded = solve_maxent(e3, 1.3, 1e17, target_mean=0.8).probs
+    results.append(CheckResult("maxent", "q_alpha rounded to 1 is the Shannon limit",
+                               bool(np.array_equal(rounded, shannon)),
+                               "alpha = 1e17, bit for bit"))
 
     for name, sol in (
         ("omega = 0 gives uniform", solve_maxent(e3, 1.2, 2.0, 0.0)),

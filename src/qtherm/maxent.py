@@ -12,12 +12,12 @@ b_i = lambda*(E_i - m), m the escort mean and lambda = q(1-q)/(q+alpha-1) *
 Z_{q_alpha}^(alpha-1)/Z_q * Omega (times Z_{q_alpha} for the additive entropy
 of ``solve_maxent_renyi``); then p_i ~ x_i^(alpha/(q-1)).  The alpha -> inf
 member ``solve_maxent_shannon_limit`` has p_i ~ exp(-W(b_i)/(q-1)) with the
-principal Lambert W branch, and q within 1e-9 of 1 is the closed-form Gibbs
-kernel.  So every family maps the two scalars (lambda, m) to p, with each
-level's slope d log p/db at the same b, and one evaluation of each point
-gives both its Newton system and the stationarity residual that certifies
-it.  At b = 0 every family's roots are known exactly (p = 1/n), so the
-uniform start of either mode costs no level map:
+principal Lambert W branch (q = 1: the closed-form Gibbs kernel), which
+the other two take wherever q_alpha is 1.  So every family maps (lambda, m)
+to p, with each level's slope d log p/db at the same b, and one evaluation
+of each point gives both its Newton system and the stationarity residual
+that certifies it.  At b = 0 every family's roots are known exactly (p =
+1/n), so the uniform start of either mode costs no level map:
 
 * fixed Omega: Newton's method on the two equations lambda =
   Omega*coupling(p) and m = <E>_q(p), with p = p(lambda, m) and the exact
@@ -59,10 +59,6 @@ from .entropy import PartitionSum
 from .errors import DomainError, NonConvergenceError, NoRealRootError
 from .trinomial import _branch_roots, _lambert_w0, series_radius, trinomial_b
 
-# Within this distance of q = 1 the trinomial and Lambert W families lose
-# their precision (p ~ x^(alpha/(q-1))), so both solvers take the closed-form
-# Gibbs kernel; the maxent check suite tests that the two meet across it.
-Q_ONE_THRESHOLD = 1e-9
 # Newton steps of a fixed-omega solve, or in lambda of a target-mean solve
 MAX_ITER = 10_000
 # A solve reports converged only at or below this certified residual, a
@@ -107,8 +103,8 @@ def solve_maxent(energies, q: float, alpha: float, omega: float | None = None, *
 
     Exactly one of ``omega`` (fixed Lagrange multiplier) or ``target_mean``
     (the escort mean to reach; omega is solved for) must be given.
-    ``alpha`` must be positive; q within 1e-9 of 1 routes to the
-    Shannon/Gibbs closed form.
+    ``alpha`` must be positive; where q_alpha is 1 (q = 1 among others) the
+    answer is ``solve_maxent_shannon_limit``'s.
 
     At fixed omega the solve is one Newton iteration in the combined
     multiplier and the escort mean, each step damped by a pseudo-time step.
@@ -144,7 +140,9 @@ def _solve_deformed(energies, q, alpha, omega, target_mean, *,
         raise DomainError("q and alpha must be finite")
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha:g}")
-    fam = _Gibbs(e) if abs(q - 1.0) < Q_ONE_THRESHOLD else _Trinomial(e, q, alpha, renyi)
+    q_alpha = transform(q, alpha)
+    # S_1 is Shannon's entropy, whatever q: the alpha -> inf member
+    fam = _shannon(e, q) if q_alpha == 1.0 else _Trinomial(e, q, alpha, q_alpha, renyi)
     return _solve(fam, omega, target_mean)
 
 
@@ -168,8 +166,7 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
     q = float(q)
     if not math.isfinite(q):
         raise DomainError("q must be finite")
-    fam = _Gibbs(e) if abs(q - 1.0) < Q_ONE_THRESHOLD else _Lambert(e, q)
-    return _solve(fam, omega, target_mean)
+    return _solve(_shannon(e, q), omega, target_mean)
 
 
 # --- the families --------------------------------------------------------------
@@ -191,14 +188,9 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
 class _Trinomial:
     """Tsallis and Renyi levels: 1 - x + b*x^alpha = 0, p ~ x^(alpha/(q-1))."""
 
-    def __init__(self, e: np.ndarray, q: float, alpha: float, renyi: bool):
-        self.e, self.q, self.alpha, self.renyi = e, q, alpha, renyi
+    def __init__(self, e: np.ndarray, q: float, alpha: float, q_alpha: float, renyi: bool):
+        self.e, self.q, self.alpha, self.q_alpha, self.renyi = e, q, alpha, q_alpha, renyi
         self.roots = None
-        self.q_alpha = transform(q, alpha)
-        if self.q_alpha == 1.0:
-            raise DomainError(
-                f"q_alpha = 1 + (q - 1)/alpha rounds to 1 at q = {q!r}, alpha = "
-                f"{alpha!r}; take alpha = inf, the Shannon limit")
         # q(1-q)/(q+alpha-1), raising at the rescaled-index pole q_alpha = 0
         self.coupling = trinomial_b(q, alpha, 1.0, 1.0, 1.0, 1.0)
         # b reaches the double root for alpha > 1 and stays below the pole
@@ -303,6 +295,11 @@ class _Gibbs(_Lambert):
         log_p = np.log(p)
         s1 = float(-(p * log_p).sum())
         return 1.0, np.zeros(p.size), -(log_p + s1), s1 - 1.0, PartitionSum(1.0, 1.0)
+
+
+def _shannon(e: np.ndarray, q: float):
+    """The family of the Shannon entropy under the q-escort constraint."""
+    return _Gibbs(e) if q == 1.0 else _Lambert(e, q)
 
 
 def _at_level(err: NoRealRootError, e: np.ndarray) -> NoRealRootError:

@@ -71,12 +71,19 @@ def q_mul(x, y, q):
     power would diverge or turn complex.
     """
     x, y, q, a, b, lx, ly = _q_logs(x, y, q, "q-multiplication")
-    u = (1.0 - q) * (a + b)
+    c = 1.0 - q
+    u = c * (a + b)
     l = _log1p_ratio(u)
-    # e^(a l) e^(b l), each factor its operand times e^(a l - ln x), 1 at q = 1;
-    # e^((a + b) l), 0 or inf, where u overflows
+    # e^(a l) e^(b l), each factor its operand times e^(a l - ln x), 1 at q = 1
     shares = (x * np.exp(a * l - lx)) * (y * np.exp(b * l - ly))
-    return _cut_off(np.where(np.isinf(u), np.exp((a + b) * l), shares), 1.0 + u, q, "q-product")
+    out = np.isinf(u)
+    if out.any():
+        # u overflows where x^c or y^c does: the larger of them, z^c, leaves
+        # the bracket, z^c + w^c - 1 = z^c (1 + (w/z)^c - z^-c)
+        x_out = c * (lx - ly) >= 0.0
+        z, w = np.where(x_out, x, y), np.where(x_out, y, x)
+        shares = np.where(out, _pulled_out(z, (w / z) ** c - z ** -c, c), shares)
+    return _cut_off(shares, 1.0 + u, q, "q-product")
 
 
 @_elementwise
@@ -87,13 +94,29 @@ def q_div(x, y, q):
     convention for division.
     """
     x, y, q, a, b, lx, ly = _q_logs(x, y, q, "q-division")
-    u = (1.0 - q) * (a - b)
-    bad = ~(u > -1.0)
+    c = 1.0 - q
+    u = c * (a - b)
+    bracket = 1.0 + u
+    # u is inf where x^c overflows, nan where y^c does too: x^c leaves the
+    # bracket, x^c - y^c + 1 = x^c (1 - d), d = (y/x)^c - x^-c
+    out = ~(u < np.inf)
+    if out.any():
+        d = (y / x) ** c - x ** -c
+        bracket = np.where(out, (1.0 - d) * np.inf, bracket)
+    bad = ~(bracket > 0.0)
     if bad.any():
-        raise DomainError(f"q-division bracket is not positive ({_first(1.0 + u, bad):g})")
+        raise DomainError(f"q-division bracket is not positive ({_first(bracket, bad):g})")
     # x over x/r, r = x (/)_q y: x/r = y e^(ln(x/y) - ln r) stays in range
     # where x/y need not, and is y at q = 1
-    return x / (y * np.exp((lx - ly) - (a - b) * _log1p_ratio(u)))
+    r = x / (y * np.exp((lx - ly) - (a - b) * _log1p_ratio(u)))
+    return np.where(out, _pulled_out(x, -d, c), r) if out.any() else r
+
+
+def _pulled_out(z, d, c):
+    """(z^c (1 + d))^(1/c) = z (1 + d)^(1/c), for z^c past the float range.
+    The |c| ulps that (w/z)^c in d may be off by, the 1/c power divides back
+    down to about one."""
+    return z * np.exp(np.log1p(d) / c)
 
 
 def _q_logs(x, y, q, what: str):
@@ -207,8 +230,12 @@ def lost_sides(x, y, q, alpha) -> dict:
     exp_{q_alpha}(alpha*x) are positive wherever their brackets are, and one
     that underflows to 0 there has lost every digit: at x = -1e300, q = 1.5,
     alpha = 1e-3 exp_q(x) = 4e-600 comes out 0, while both sides are 0.2515.
-    Such a side says nothing about the law, as an overflowed side says
-    nothing.  The other laws are not listed.
+    So has (exp_q x)^alpha where |alpha|*eps >= 1, for the power multiplies
+    the rounding of exp_q(x) by |alpha|: at x = 1, q = -1e300, alpha =
+    1e300 exp_q(1) = 1 + 7e-298 rounds to 1, and the lhs is 1.0 against
+    1e300.  exp_q(0) = 1 is exact, so x = 0 loses nothing.  Such a side says
+    nothing about the law, as an overflowed side says nothing.  The other
+    laws are not listed.
     """
     x, y, q, alpha = (np.asarray(a, dtype=float) for a in (x, y, q, alpha))
     q_alpha = transform(q, alpha)
@@ -227,10 +254,11 @@ def _sum_lost(u, v, r) -> np.ndarray:
 def _exp_lost(u, r, alpha=1.0) -> np.ndarray:
     """Where exp_r(u)**alpha, evaluated as ``q_exp`` and ``_real_power`` do,
     is 0 although the bracket 1 + (1-r)u is positive, so that its exact
-    value is positive.  The cutoff of a non-positive bracket for r < 1 is
-    exactly 0, not lost."""
+    value is positive, or keeps no digit of a rounded exp_r(u), u != 0.
+    The cutoff of a non-positive bracket for r < 1 is exactly 0, not lost."""
     value, bracket = _exp_q(u, r)
-    return (bracket > 0.0) & (np.float_power(value, alpha) == 0.0)
+    amplified = (np.abs(alpha) * np.finfo(float).eps >= 1.0) & (u != 0.0)
+    return (bracket > 0.0) & ((np.float_power(value, alpha) == 0.0) | amplified)
 
 
 def _both_sides(law: str, *point: float) -> tuple[float, float]:

@@ -78,7 +78,9 @@ ALL_PROPERTIES = [
     ("maxent.n = 3 simplex-grid oracle agreement", "3 samples"),
     ("maxent.shannon-limit solver matches Gibbs near q = 1", "1 samples"),
     ("maxent.shannon-limit stationarity residual", "1 samples"),
-    ("maxent.Gibbs meets trinomial across Q_ONE_THRESHOLD", "4 samples"),
+    ("maxent.Gibbs meets trinomial at q = 1", "4 samples"),
+    ("maxent.alpha * (p_alpha - p_inf) settles as alpha -> inf", "3 samples"),
+    ("maxent.q_alpha rounded to 1 is the Shannon limit", "alpha = 1e17"),
     ("maxent.omega = 0 gives uniform", "1 samples"),
     ("maxent.degenerate spectrum gives uniform", "1 samples"),
     ("maxent.partition-sum Cauchy-Schwarz bound", "10000 samples"),
@@ -89,7 +91,7 @@ def test_all_properties_and_sample_counts():
     results = run_suite("all", 7)
     assert [(f"{r.suite}.{r.name}", r.detail.split(",")[0]) for r in results] \
         == ALL_PROPERTIES
-    assert len(results) == 54
+    assert len(results) == 56
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -432,13 +432,15 @@ class TestMaxentCommand:
 
     @pytest.mark.parametrize("entropy", ["tsallis", "renyi"])
     def test_alpha_rounding_q_alpha_to_one_is_domain_error(self, runner, tmp_path, entropy):
+        # q_alpha = 1 + 0.2/1e300 rounds to 1: the Shannon limit's answer,
+        # as --alpha inf gives
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
-        result = runner.invoke(cli, [
-            "maxent", "--input", path, "--q", "1.2", "--alpha", "1e300",
-            "--omega", "0.3", "--entropy", entropy])
-        assert result.exit_code == 4
-        assert isinstance(result.exception, SystemExit)
-        assert "alpha = inf" in result.output
+        args = ["maxent", "--input", path, "--q", "1.2", "--omega", "0.3",
+                "--entropy", entropy, "--alpha"]
+        result = runner.invoke(cli, args + ["1e300"])
+        limit = runner.invoke(cli, args + ["inf"])
+        assert result.exit_code == 0 and limit.exit_code == 0
+        assert result.stdout == limit.stdout
 
     def test_renyi_functional(self, runner, tmp_path):
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
@@ -581,6 +583,18 @@ class TestAlgebraCheckCommand:
         row = {r["law"]: r for r in _payload(result)["laws"]}["exp-scaling"]
         assert row["lhs"] is None and row["status"] == "domain-mismatch"
         assert row["rhs"] == pytest.approx(0.2515371060307916, rel=1e-12)
+
+    @pytest.mark.parametrize("x,alpha,lhs", [
+        ("1", "1e300", None), ("1", "-1e300", None), ("0", "1e300", 1.0), ("0", "-1e300", 1.0)])
+    def test_power_past_one_over_eps_loses_the_exp_side(self, runner, x, alpha, lhs):
+        # exp_q(1) = 1 + 7e-298 rounds to 1, and (exp_q 1)^alpha keeps none of
+        # that: 1.0 against 1e300 or 1e-300 is no fail.  exp_q(0) = 1 is exact.
+        result = runner.invoke(cli, ["algebra-check", "--x", x, "--y", "2",
+                                     "--q", "-1e300", "--alpha", alpha])
+        assert result.exit_code == 0
+        row = {r["law"]: r for r in _payload(result)["laws"]}["exp-scaling"]
+        assert row["lhs"] == lhs
+        assert row["status"] == ("ok" if x == "0" else "domain-mismatch")
 
     def test_lost_digits_are_undefined(self, runner):
         result = runner.invoke(cli, ["algebra-check", "--x", "1e300", "--y", "-2",

@@ -23,8 +23,8 @@ from qtherm.maxent import (
 E3 = np.array([0.0, 1.0, 2.0])
 E5 = np.array([0.0, 0.5, 1.1, 1.7, 2.3])
 E5_GAPPED = np.array([0.0, 0.0, 2.0, 0.0, 2.0])
-# |q - 1| between the Gibbs threshold 1e-9 and about 1e-6, where the
-# O(1/(q - 1)) terms of the trinomial family cancel
+# |q - 1| from 2e-9 to 1e-6, where the O(1/(q - 1)) terms of the trinomial
+# family cancel
 Q_NEAR_ONE = [1.0 + 1e-7, 1.0 + 1e-8, 1.0 + 2e-9, 1.0 - 2e-9, 1.0 + 1e-6]
 
 # a fuzz failure in target mode at alpha just above 1 (see TestTargetMeanMode)
@@ -256,10 +256,18 @@ class TestSolveMaxent:
     @pytest.mark.parametrize("q,alpha", [(1.2, 1e16), (1.2, 1e300), (0.8, 1e17)])
     @pytest.mark.parametrize("mode", [{"omega": 0.3}, {"target_mean": 0.8}])
     def test_q_alpha_rounded_to_one_is_domain_error(self, solve, q, alpha, mode):
-        # 1 + (q - 1)/alpha rounds to 1 although q does not, which would
-        # leave the entropy prefactor q_alpha/(1 - q_alpha) dividing by 0
-        with pytest.raises(DomainError, match=r"rounds to 1 .* alpha = inf"):
-            solve(E3, q, alpha, **mode)
+        # 1 + (q - 1)/alpha rounds to 1 although q does not; S_1 is Shannon's
+        # entropy, so the answer is the Shannon limit's, bit for bit
+        sol = solve(E3, q, alpha, **mode)
+        limit = solve_maxent_shannon_limit(E3, q, **mode)
+        assert np.array_equal(sol.probs, limit.probs)
+        assert sol.iterations == limit.iterations
+
+    def test_gibbs_kernel_at_q_one(self):
+        # q = 1 takes the closed-form Gibbs weights without a Newton step
+        sol = solve_maxent(E3, 1.0, 2.0, 1.0)
+        assert sol.iterations == 0
+        assert np.max(np.abs(sol.probs - independent_gibbs(E3, 1.0))) <= 1e-14
 
     def test_needs_exactly_one_mode(self):
         with pytest.raises(DomainError):
@@ -477,24 +485,63 @@ def test_carried_failure(monkeypatch, max_iter, solve, message, iterations):
     assert sol.iterations == iterations
 
 
+MODES = [{"omega": 0.3}, {"target_mean": 0.8}]
+FAMILIES_NEAR_ONE = {
+    "tsallis": lambda e, q, **mode: solve_maxent(e, q, 1.5, **mode),
+    "renyi": lambda e, q, **mode: solve_maxent_renyi(e, q, 2.0, **mode),
+    "shannon": lambda e, q, **mode: solve_maxent_shannon_limit(e, q, **mode),
+}
+
+
 class TestContinuityAtQOne:
-    """The trinomial family just outside ``Q_ONE_THRESHOLD`` and the Gibbs
-    kernel just inside it give the same distribution, on both sides of 1."""
+    """The trinomial family at q = 1 +- 2e-9 and the Gibbs kernel at q = 1
+    give the same distribution, on both sides of 1."""
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
-    @pytest.mark.parametrize("mode", [{"omega": 0.3}, {"target_mean": 0.8}])
+    @pytest.mark.parametrize("mode", MODES)
     def test_gibbs_meets_trinomial(self, side, mode):
         e = np.linspace(0.0, 2.0, 30)
         deformed = solve_maxent(e, 1.0 + side * 2e-9, 1.5, **mode)
-        gibbs = solve_maxent(e, 1.0 + side * 5e-10, 1.5, **mode)
+        gibbs = solve_maxent(e, 1.0, 1.5, **mode)
         assert deformed.converged and gibbs.converged
         assert np.max(np.abs(deformed.probs - gibbs.probs)) <= 1e-8
+
+    @pytest.mark.parametrize("delta", [1e-9, -1e-10])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("solve", FAMILIES_NEAR_ONE.values(),
+                             ids=FAMILIES_NEAR_ONE.keys())
+    def test_slope_in_q_is_smooth(self, solve, mode, delta):
+        # the difference quotient (p_delta - p_1)/delta keeps its value at
+        # delta = 1e-7 down to |q - 1| = 1e-10: no window around q = 1 makes
+        # it 0
+        e = np.linspace(0.0, 2.0, 30)
+        p1 = solve(e, 1.0, **mode).probs
+        reference = (solve(e, 1.0 + 1e-7, **mode).probs - p1) / 1e-7
+        slope = (solve(e, 1.0 + delta, **mode).probs - p1) / delta
+        assert np.max(np.abs(slope - reference)) <= 1e-4 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("q", [math.nextafter(1.0, math.inf),
+                                   math.nextafter(1.0, -math.inf)])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("solve,alpha", [
+        (solve_maxent, 1.5), (solve_maxent_renyi, 1.0), (solve_maxent_renyi, 0.5),
+        (lambda e, q, alpha, **mode: solve_maxent_shannon_limit(e, q, **mode), math.inf),
+    ], ids=["tsallis", "renyi", "renyi-half", "shannon"])
+    def test_certifies_one_ulp_from_one(self, solve, alpha, mode, q):
+        e = np.linspace(0.0, 2.0, 30)
+        # q_alpha is not 1 either, so the deformed solvers run their trinomial levels
+        assert math.isinf(alpha) or transform(q, alpha) != 1.0
+        sol = solve(e, q, alpha, **mode)
+        assert sol.converged
+        assert sol.stationarity_residual <= maxent.STOP_RESIDUAL
+        gibbs = solve_maxent(e, 1.0, 1.5, **mode)
+        assert np.max(np.abs(sol.probs - gibbs.probs)) <= 1e-14
 
 
 class TestNewtonJacobian:
     @pytest.mark.parametrize("fam", [
-        _Trinomial(np.linspace(0.0, 2.0, 7), 1.2, 1.5, False),
-        _Trinomial(np.linspace(0.0, 2.0, 7), 0.8, 2.0, True),
+        _Trinomial(np.linspace(0.0, 2.0, 7), 1.2, 1.5, transform(1.2, 1.5), False),
+        _Trinomial(np.linspace(0.0, 2.0, 7), 0.8, 2.0, transform(0.8, 2.0), True),
         _Lambert(np.linspace(0.0, 2.0, 7), 1.3),
     ], ids=["tsallis", "renyi", "shannon"])
     def test_matches_central_differences(self, fam):
@@ -563,9 +610,16 @@ class TestShannonLimit:
         sol = solve_maxent_shannon_limit(E3, 1.0 + 1e-7, 0.4)
         assert np.max(np.abs(sol.probs - independent_gibbs(E3, 0.4))) <= 1e-6
 
-    def test_inside_threshold_is_exact_gibbs(self):
-        sol = solve_maxent_shannon_limit(E3, 1.0 + 1e-10, 0.4)
+    def test_q_one_is_exact_gibbs(self):
+        sol = solve_maxent_shannon_limit(E3, 1.0, 0.4)
         assert np.max(np.abs(sol.probs - independent_gibbs(E3, 0.4))) <= 1e-14
+
+    def test_just_off_q_one_is_deformed(self):
+        # the Lambert W levels at q - 1 = 1e-10, not the Gibbs weights: they
+        # differ from Gibbs's by 1.35e-11, about 0.13*(q - 1)
+        sol = solve_maxent_shannon_limit(E3, 1.0 + 1e-10, 0.4)
+        gap = np.max(np.abs(sol.probs - independent_gibbs(E3, 0.4)))
+        assert 1e-12 <= gap <= 1e-10
 
     def test_two_level_back_substitution(self):
         sol = solve_maxent_shannon_limit(np.array([0.0, 1.0]), 1.3, 0.4)

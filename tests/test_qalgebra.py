@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -332,6 +333,63 @@ class TestClassicalLimit:
                 ]
                 worst = max(worst, *(float(abs(got - ref) / abs(ref)) for got, ref in pairs))
         assert worst <= 1e-14
+
+
+def _mp_mul(x, y, q):
+    c = 1 - mpmath.mpf(q)
+    return (mpmath.mpf(x) ** c + mpmath.mpf(y) ** c - 1) ** (1 / c)
+
+
+def _mp_div(x, y, q):
+    c = 1 - mpmath.mpf(q)
+    return (mpmath.mpf(x) ** c - mpmath.mpf(y) ** c + 1) ** (1 / c)
+
+
+class TestOverflowedPowers:
+    """x^(1-q) or y^(1-q) beyond the float range, with the answer inside it."""
+
+    @pytest.mark.parametrize("fn,mp_fn,x,y,q", [
+        (q_mul, _mp_mul, 1e-300, 3.0, 3.0),
+        (q_mul, _mp_mul, 3.0, 1e-300, 3.0),
+        (q_mul, _mp_mul, 1e300, 1e-300, -3.0),
+        (q_mul, _mp_mul, 1e300, 1e300, -3.0),
+        (q_mul, _mp_mul, 2e300, 1e300, -3.0),
+        (q_mul, _mp_mul, 1e-300, 1e-300, 3.0),
+        (q_div, _mp_div, 1e-300, 3.0, 3.0),
+        (q_div, _mp_div, 1e300, 3.0, -3.0),
+        # y^(1-q) overflows as well, and the bracket stays positive
+        (q_div, _mp_div, 1e-300, 1e-299, 3.0),
+    ])
+    def test_matches_mpmath(self, fn, mp_fn, x, y, q):
+        with mpmath.workdps(50):
+            ref = float(mp_fn(x, y, q))
+        assert abs(fn(x, y, q) - ref) <= 4.0 * math.ulp(ref)
+
+    def test_random_points_match_mpmath(self):
+        # log10 x and the exponent 1 - q drawn so that x^(1-q) overflows; the
+        # division keeps y^(1-q) at most half of x^(1-q), where the answer is
+        # no worse conditioned than its operands
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(300):
+            c = rng.choice([-1.0, 1.0]) * rng.uniform(1.1, 6.0)
+            x = 10.0 ** (np.sign(c) * rng.uniform(310.0 / abs(c), 300.0))
+            y = 10.0 ** rng.uniform(-300.0, 300.0)
+            q = 1.0 - c
+            with mpmath.workdps(60):
+                ref = float(_mp_mul(x, y, q))
+                got = [(q_mul(x, y, q), ref)]
+                if (mpmath.mpf(y) / x) ** c <= 0.5:
+                    got.append((q_div(x, y, q), float(_mp_div(x, y, q))))
+            for value, expected in got:
+                assert sys.float_info.min <= expected < math.inf
+                worst = max(worst, abs(value - expected) / math.ulp(expected))
+        assert worst <= 4.0
+
+    def test_negative_bracket_still_raises(self):
+        # both powers overflow and y^(1-q) is the larger: x^c - y^c + 1 < 0
+        with pytest.raises(DomainError, match="not positive"):
+            q_div(1e-300, 1e-301, 3.0)
 
 
 class TestAssociativity:
