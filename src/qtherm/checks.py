@@ -57,6 +57,7 @@ ORACLE_TOL = 1e-4
 GIBBS_LIMIT_TOL = 1e-6
 Q_ONE_CONTINUITY_TOL = 1e-8
 ALPHA_LIMIT_TOL = 0.01
+REPARAMETRIZATION_TOL = 1e-8
 BOUND_SLACK = 1e-14
 
 # samples per randomized property; the entropy suite draws whole distributions
@@ -378,6 +379,7 @@ def run_maxent_suite(seed: int) -> list[CheckResult]:
     e3 = np.array([0.0, 1.0, 2.0])
     e5 = np.array([0.0, 0.5, 1.1, 1.7, 2.3])
     worst_stat = 0.0
+    worst_reparam = 0.0
     all_converged = True
     for q in (0.8, 1.2):
         for alpha in (0.5, 1.0, 2.0):
@@ -385,10 +387,16 @@ def run_maxent_suite(seed: int) -> list[CheckResult]:
                 sol = solve_maxent(e, q, alpha, omega)
                 all_converged &= sol.converged
                 worst_stat = max(worst_stat, sol.stationarity_residual)
+                # the Renyi coupling is the Tsallis one times Z_{q_alpha}
+                renyi = solve_maxent_renyi(e, q, alpha, omega / sol.z_q_alpha.z)
+                worst_reparam = max(worst_reparam,
+                                    float(np.max(np.abs(renyi.probs - sol.probs))))
     results.append(_worst("maxent", "stationarity residual on (q, alpha) grid",
                           worst_stat, STATIONARITY_TOL, 12))
     results.append(CheckResult("maxent", "all grid solves converged",
                                all_converged, "12 problems"))
+    results.append(_worst("maxent", "Renyi at omega/Z_{q_alpha} is Tsallis at omega",
+                          worst_reparam, REPARAMETRIZATION_TOL, 12))
 
     worst_aff = 0.0
     for q in (0.8, 1.2):

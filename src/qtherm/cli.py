@@ -37,12 +37,7 @@ from .errors import (
     RenormalizationWarning,
 )
 from .fileio import format_float, read_column, read_distribution, read_spectrum
-from .maxent import (
-    _affinity_residual,
-    solve_maxent,
-    solve_maxent_renyi,
-    solve_maxent_shannon_limit,
-)
+from .maxent import _affinity_residual, solve_maxent, solve_maxent_renyi
 from .qalgebra import _rel_gap
 from .trinomial import residual as trinomial_residual
 from .trinomial import solve_trinomial
@@ -232,8 +227,9 @@ def escort(input_path: str, r: float, fmt: str) -> None:
               help="CSV file with one energy level per line (column 'E').")
 @click.option("--q", type=float, required=True, help="Nonadditivity index.")
 @click.option("--alpha", type=float, required=True,
-              help="Positive scale factor, or 'inf' for the Shannon-limit "
-                   "Lambert-W solver.")
+              help="Positive scale factor; 'inf' (or any alpha with "
+                   "q_alpha = 1) gives the Shannon entropy, the Gibbs "
+                   "distribution at q = 1.")
 @click.option("--omega", type=float, default=None,
               help="Fixed Lagrange multiplier for the escort energy constraint.")
 @click.option("--target-mean", type=float, default=None,
@@ -255,13 +251,9 @@ def maxent(input_path: str, q: float, alpha: float, omega: float | None,
     if not alpha > 0.0:
         raise click.UsageError(f"--alpha must be positive (or 'inf'), got {alpha!r}")
     energies = read_spectrum(input_path)
+    solve = solve_maxent_renyi if functional == "renyi" else solve_maxent
     try:
-        if math.isinf(alpha):
-            sol = solve_maxent_shannon_limit(energies, q, omega, target_mean=target_mean)
-        elif functional == "renyi":
-            sol = solve_maxent_renyi(energies, q, alpha, omega, target_mean=target_mean)
-        else:
-            sol = solve_maxent(energies, q, alpha, omega, target_mean=target_mean)
+        sol = solve(energies, q, alpha, omega, target_mean=target_mean)
     except NoRealRootError as err:
         _emit_object({
             "error": str(err),

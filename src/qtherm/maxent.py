@@ -10,14 +10,16 @@ subject to normalization and the q-escort energy constraint.  Stationarity,
 reduces per level to the trinomial 1 - x + b_i*x^alpha = 0 with
 b_i = lambda*(E_i - m), m the escort mean and lambda = q(1-q)/(q+alpha-1) *
 Z_{q_alpha}^(alpha-1)/Z_q * Omega (times Z_{q_alpha} for the additive entropy
-of ``solve_maxent_renyi``); then p_i ~ x_i^(alpha/(q-1)).  The alpha -> inf
-member ``solve_maxent_shannon_limit`` has p_i ~ exp(-W(b_i)/(q-1)) with the
-principal Lambert W branch (q = 1: the closed-form Gibbs kernel), which
-the other two take wherever q_alpha is 1.  So every family maps (lambda, m)
-to p, with each level's slope d log p/db at the same b, and one evaluation
-of each point gives both its Newton system and the stationarity residual
-that certifies it.  At b = 0 every family's roots are known exactly (p =
-1/n), so the uniform start of either mode costs no level map:
+of ``solve_maxent_renyi``); then p_i ~ x_i^(alpha/(q-1)).  Wherever q_alpha
+is 1 (alpha = inf, ``solve_maxent_shannon_limit``, or q = 1 for any alpha)
+the entropy is Shannon's, and one family takes every q: p_i ~
+exp(-W((q-1)b_i)/(q-1)) with the principal Lambert W branch, lambda =
+q*exp(-(q-1)S_1)/Z_q * Omega, and at q = 1 the Gibbs kernel p_i ~ exp(-b_i).
+So both families map (lambda, m) to p, with each level's slope d log p/db
+at the same b, and one evaluation of each point gives both its Newton
+system and the stationarity residual that certifies it.  At b = 0 both
+families' roots are known exactly (p = 1/n), so the uniform start of either
+mode costs no level map:
 
 * fixed Omega: Newton's method on the two equations lambda =
   Omega*coupling(p) and m = <E>_q(p), with p = p(lambda, m) and the exact
@@ -34,9 +36,9 @@ that certifies it.  At b = 0 every family's roots are known exactly (p =
   iteration in lambda, with the exact slope of the escort mean from the same
   slopes, runs from the uniform distribution inside the interval where
   every level keeps a real root (b_i up to (alpha-1)^(alpha-1)/alpha^alpha
-  for alpha > 1, below 1 at alpha = 1, from -1/e for Lambert W, unbounded
-  otherwise), bisecting that bracket where a Newton step would leave it;
-  ``iterations`` counts its steps.  Omega follows from lambda and the final
+  for alpha > 1, below 1 at alpha = 1, (q-1)b_i from -1/e for Lambert W,
+  unbounded otherwise), bisecting that bracket where a Newton step would
+  leave it; ``iterations`` counts its steps.  Omega follows from lambda and the final
   p, and an answer whose coupling lambda/Omega is 0 or not finite raises
   ``NonConvergenceError``.
 
@@ -103,8 +105,9 @@ def solve_maxent(energies, q: float, alpha: float, omega: float | None = None, *
 
     Exactly one of ``omega`` (fixed Lagrange multiplier) or ``target_mean``
     (the escort mean to reach; omega is solved for) must be given.
-    ``alpha`` must be positive; where q_alpha is 1 (q = 1 among others) the
-    answer is ``solve_maxent_shannon_limit``'s.
+    ``alpha`` must be positive, and may be inf; where q_alpha is 1 (alpha =
+    inf, or q = 1 for any alpha) the entropy is Shannon's and the answer is
+    ``solve_maxent_shannon_limit``'s, the Gibbs distribution at q = 1.
 
     At fixed omega the solve is one Newton iteration in the combined
     multiplier and the escort mean, each step damped by a pseudo-time step.
@@ -124,9 +127,11 @@ def solve_maxent_renyi(energies, q: float, alpha: float, omega: float | None = N
 
     The gradient differs from the nonadditive case only by a 1/Z_{q_alpha}
     factor, so the same trinomial reduction applies with b scaled by
-    Z_{q_alpha}.  At alpha = 1 both families coincide up to an omega
-    reparametrization, and at one target mean they give the same
-    distribution.
+    Z_{q_alpha}.  So the two coincide up to the omega reparametrization
+    Omega_Renyi = Omega/Z_{q_alpha}, and at one target mean they give the
+    same distribution.  Where q_alpha is 1 (alpha = inf among others) both
+    entropies are Shannon's and the answer is
+    ``solve_maxent_shannon_limit``'s.
     """
     return _solve_deformed(energies, q, alpha, omega, target_mean, renyi=True)
 
@@ -136,13 +141,14 @@ def _solve_deformed(energies, q, alpha, omega, target_mean, *,
     e = as_spectrum(energies)
     q = float(q)
     alpha = float(alpha)
-    if not (math.isfinite(q) and math.isfinite(alpha)):
-        raise DomainError("q and alpha must be finite")
-    if alpha <= 0.0:
+    if not math.isfinite(q):
+        raise DomainError("q must be finite")
+    if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha:g}")
-    q_alpha = transform(q, alpha)
-    # S_1 is Shannon's entropy, whatever q: the alpha -> inf member
-    fam = _shannon(e, q) if q_alpha == 1.0 else _Trinomial(e, q, alpha, q_alpha, renyi)
+    # alpha = inf sends every q to 1
+    q_alpha = 1.0 if alpha == math.inf else transform(q, alpha)
+    # S_1 is Shannon's entropy, whatever q
+    fam = _Shannon(e, q) if q_alpha == 1.0 else _Trinomial(e, q, alpha, q_alpha, renyi)
     return _solve(fam, omega, target_mean)
 
 
@@ -150,23 +156,22 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
                                target_mean: float | None = None) -> MaxEntSolution:
     """The alpha -> infinity member: Shannon entropy, q-escort constraint.
 
+    ``solve_maxent`` and ``solve_maxent_renyi`` at alpha = inf.
     Stationarity ln p_i + S_1 + q*Omega*DeltaE_i/Z_q * p_i^(q-1) = 0 is
     solved per level through the principal Lambert W branch,
 
-        p_i = exp[-S_1 - W(u_i)/(q-1)],
-        u_i = (q-1) * q * exp(-(q-1) S_1) * Omega * DeltaE_i / Z_q,
+        p_i = exp[-S_1 - W((q-1) b_i)/(q-1)],
+        b_i = q * exp(-(q-1) S_1) * Omega * DeltaE_i / Z_q,
 
-    solved for self-consistency in S_1, Z_q and the escort mean by the same
-    Newton solve (or, with ``target_mean``, by the Newton iteration in the
-    combined multiplier alone).  A failed solve whose first sweep puts a W argument
-    below -1/e raises ``NoRealRootError``, and a q far enough below 1 that
+    whose q = 1 member is the Gibbs distribution p_i ~ exp(-Omega*DeltaE_i),
+    taken in closed form at fixed omega.  It is solved for self-consistency
+    in S_1, Z_q and the escort mean by the same Newton solve (or, with
+    ``target_mean``, by the Newton iteration in the combined multiplier
+    alone).  A failed solve whose first sweep puts a W argument below -1/e
+    raises ``NoRealRootError``, and a q far enough below 1 that
     exp(-(q-1) S_1) overflows raises ``DomainError``.
     """
-    e = as_spectrum(energies)
-    q = float(q)
-    if not math.isfinite(q):
-        raise DomainError("q must be finite")
-    return _solve(_shannon(e, q), omega, target_mean)
+    return _solve_deformed(energies, q, math.inf, omega, target_mean, renyi=False)
 
 
 # --- the families --------------------------------------------------------------
@@ -243,63 +248,43 @@ class _Trinomial:
         return coupling, grad, free, prefactor * z_qa, PartitionSum(z_qa, q_alpha)
 
 
-class _Lambert:
-    """Shannon-limit levels: p ~ exp(-W(b)/(q-1)), W the principal branch."""
-
-    b_range = (-math.exp(-1.0), math.inf)
+class _Shannon:
+    """Shannon levels under the q-escort constraint: p ~ exp(-W((q-1)b)/(q-1)),
+    W the principal branch, continued to the Gibbs kernel p ~ exp(-b) at q = 1."""
 
     def __init__(self, e: np.ndarray, q: float):
         self.e, self.q = e, q
+        # (q-1)b stays at or above the branch point -1/e of W: a lower bound
+        # on b for q > 1, an upper one for q < 1, none at q = 1
+        edge = -math.exp(-1.0) / (q - 1.0) if q != 1.0 else -math.inf
+        self.b_range = (edge, math.inf) if q >= 1.0 else (-math.inf, edge)
 
     def level_map(self, b: np.ndarray):
+        c = self.q - 1.0
+        if c == 0.0:
+            return _normalized(-b), np.full(b.shape, -1.0)
         try:
-            w = _lambert_w0(b)
+            w = _lambert_w0(c * b)
         except NoRealRootError as err:
             raise _at_level(err, self.e) from err
-        # dW/db = exp(-W)/(1 + W), finite at b = 0
-        return _normalized(-w / (self.q - 1.0)), -np.exp(-w) / ((1.0 + w) * (self.q - 1.0))
+        # d log p/db = -exp(-W)/(1 + W), -1 at b = 0
+        return _normalized(-w / c), -np.exp(-w) / (1.0 + w)
 
     def uniform(self):
-        return _uniform(self.e.size), np.full(self.e.size, -1.0 / (self.q - 1.0))
+        return _uniform(self.e.size), np.full(self.e.size, -1.0)
 
     def terms(self, p: np.ndarray, weights: np.ndarray, z_q: float):
         q = self.q
         log_p = np.log(p)
         s1 = float(-(p * log_p).sum())
         try:
-            coupling = (q - 1.0) * q * math.exp(-(q - 1.0) * s1) / z_q
+            coupling = q * math.exp(-(q - 1.0) * s1) / z_q
         except OverflowError:
             raise DomainError(
                 f"exp(-(q - 1)*S_1) in the Shannon-limit coupling overflows at q = "
                 f"{q!r}, S_1 = {s1:.17g}") from None
         grad = (q - 1.0) * p * log_p - q * weights / z_q
         return coupling, grad, -(log_p + s1), s1 - 1.0, PartitionSum(1.0, 1.0)
-
-
-class _Gibbs(_Lambert):
-    """The q -> 1 kernel: p ~ exp(-b), the Boltzmann-Gibbs weights."""
-
-    b_range = (-math.inf, math.inf)
-
-    def __init__(self, e: np.ndarray):
-        super().__init__(e, 1.0)
-
-    def level_map(self, b: np.ndarray):
-        return _normalized(-b), np.full(b.shape, -1.0)
-
-    def uniform(self):
-        return _uniform(self.e.size), np.full(self.e.size, -1.0)
-
-    def terms(self, p: np.ndarray, weights: np.ndarray, z_q: float):
-        # the coupling is 1, whose log has no gradient
-        log_p = np.log(p)
-        s1 = float(-(p * log_p).sum())
-        return 1.0, np.zeros(p.size), -(log_p + s1), s1 - 1.0, PartitionSum(1.0, 1.0)
-
-
-def _shannon(e: np.ndarray, q: float):
-    """The family of the Shannon entropy under the q-escort constraint."""
-    return _Gibbs(e) if q == 1.0 else _Lambert(e, q)
 
 
 def _at_level(err: NoRealRootError, e: np.ndarray) -> NoRealRootError:
@@ -343,7 +328,9 @@ def _solve(fam, omega, target_mean) -> MaxEntSolution:
             omega = float(omega)
             if not math.isfinite(omega):
                 raise DomainError("omega must be finite")
-            if isinstance(fam, _Gibbs):
+            if fam.q == 1.0:
+                # the Gibbs kernel, whose coupling is 1 at any normalized p:
+                # lambda = omega in closed form
                 p = fam.level_map(omega * fam.e)[0]
                 point, iterations, failure = _evaluate(fam, p, omega, omega), 0, None
             else:
@@ -585,10 +572,10 @@ def _solve_for_target(fam, target: float):
             f"[{target + min(g_lo, g_hi):.17g}, {target + max(g_lo, g_hi):.17g}]"
         )
     rising = g_lo < g_hi
-    # lambda is O(q - 1) in every family but the Gibbs kernel, so its step
-    # tolerance shrinks with q - 1
+    # lambda is O(q - 1) in the trinomial family, so its step tolerance
+    # shrinks with q - 1 there
     xtol = 1e-16 * scale
-    if not isinstance(fam, _Gibbs):
+    if isinstance(fam, _Trinomial):
         xtol *= min(1.0, abs(fam.q - 1.0))
     lam = 0.0
     p, slope = fam.uniform()

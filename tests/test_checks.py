@@ -74,6 +74,7 @@ ALL_PROPERTIES = [
     ("maxent.Lambert W anchors W(0) = 0, W(e) = 1", "exact / 1e-14"),
     ("maxent.stationarity residual on (q, alpha) grid", "12 samples"),
     ("maxent.all grid solves converged", "12 problems"),
+    ("maxent.Renyi at omega/Z_{q_alpha} is Tsallis at omega", "12 samples"),
     ("maxent.alpha = 1 roots are q-exponential", "4 samples"),
     ("maxent.n = 3 simplex-grid oracle agreement", "3 samples"),
     ("maxent.shannon-limit solver matches Gibbs near q = 1", "1 samples"),
@@ -91,7 +92,7 @@ def test_all_properties_and_sample_counts():
     results = run_suite("all", 7)
     assert [(f"{r.suite}.{r.name}", r.detail.split(",")[0]) for r in results] \
         == ALL_PROPERTIES
-    assert len(results) == 56
+    assert len(results) == 57
 
 
 @pytest.mark.parametrize("seed", range(10))

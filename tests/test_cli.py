@@ -457,6 +457,17 @@ class TestMaxentCommand:
             "--omega", "0.3"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("mode", [["--omega", "0.4"], ["--target-mean", "0.8"]],
+                             ids=["omega", "target"])
+    def test_alpha_inf_renyi_is_the_shannon_limit(self, runner, tmp_path, mode):
+        # both entropies are Shannon's at alpha = inf
+        path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
+        args = ["maxent", "--input", path, "--q", "1.3", "--alpha", "inf", *mode]
+        tsallis = runner.invoke(cli, args)
+        renyi = runner.invoke(cli, args + ["--entropy", "renyi"])
+        assert tsallis.exit_code == 0 and renyi.exit_code == 0
+        assert renyi.stdout == tsallis.stdout
+
     @pytest.mark.parametrize("offset,omega", [(1e9, "3"), (1e8, "0.3")])
     def test_gibbs_answer_above_the_stop_is_solver_failure(self, runner, tmp_path,
                                                            offset, omega):

@@ -1,18 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtherm import maxent
-from qtherm.checks import simplex_constrained_maximizer
+from qtherm.checks import REPARAMETRIZATION_TOL, simplex_constrained_maximizer
 from qtherm.deformation import transform
 from qtherm.entropy import escort_mean, partition_bound_check
 from qtherm.errors import DomainError, NonConvergenceError, NoRealRootError, QThermError
 from qtherm.maxent import (
     _affinity_residual,
     _evaluate,
-    _Lambert,
+    _Shannon,
     _Trinomial,
     as_spectrum,
     solve_maxent,
@@ -127,7 +128,7 @@ class TestSolveMaxent:
         # the uniform start costs no level map, so a solve of k Newton steps
         # makes k maps plus one per trial point that is not taken
         maps, failed = [], []
-        for family in (_Trinomial, _Lambert):
+        for family in (_Trinomial, _Shannon):
             def recorded(self, b, level_map=family.level_map):
                 maps.append(b)
                 try:
@@ -263,6 +264,24 @@ class TestSolveMaxent:
         assert np.array_equal(sol.probs, limit.probs)
         assert sol.iterations == limit.iterations
 
+    @pytest.mark.parametrize("solve", [solve_maxent, solve_maxent_renyi])
+    @pytest.mark.parametrize("q", [0.8, 1.0, 1.3])
+    @pytest.mark.parametrize("mode", [{"omega": 0.4}, {"target_mean": 0.8}])
+    def test_alpha_inf_is_the_shannon_limit(self, solve, q, mode):
+        # alpha = inf is the group element that sends every q to 1
+        sol = solve(E3, q, math.inf, **mode)
+        limit = solve_maxent_shannon_limit(E3, q, **mode)
+        assert sol.converged
+        assert np.array_equal(sol.probs, limit.probs)
+        assert (sol.iterations, sol.omega, sol.stationarity_residual) == (
+            limit.iterations, limit.omega, limit.stationarity_residual)
+
+    @pytest.mark.parametrize("solve", [solve_maxent, solve_maxent_renyi])
+    @pytest.mark.parametrize("alpha", [math.nan, -math.inf, 0.0])
+    def test_rejects_alpha_outside_the_group(self, solve, alpha):
+        with pytest.raises(DomainError, match="alpha must be positive"):
+            solve(E3, 1.2, alpha, 0.3)
+
     def test_gibbs_kernel_at_q_one(self):
         # q = 1 takes the closed-form Gibbs weights without a Newton step
         sol = solve_maxent(E3, 1.0, 2.0, 1.0)
@@ -346,7 +365,7 @@ class TestTargetMeanMode:
         # before the gap changes sign
         e, target = np.linspace(0.0, 2.0, 30), 1.99
         lams = []
-        for family in (_Trinomial, maxent._Gibbs):
+        for family in (_Trinomial, _Shannon):
             def recorded(self, b, level_map=family.level_map):
                 lams.append(b[0] / (e[0] - target))
                 return level_map(self, b)
@@ -542,7 +561,7 @@ class TestNewtonJacobian:
     @pytest.mark.parametrize("fam", [
         _Trinomial(np.linspace(0.0, 2.0, 7), 1.2, 1.5, transform(1.2, 1.5), False),
         _Trinomial(np.linspace(0.0, 2.0, 7), 0.8, 2.0, transform(0.8, 2.0), True),
-        _Lambert(np.linspace(0.0, 2.0, 7), 1.3),
+        _Shannon(np.linspace(0.0, 2.0, 7), 1.3),
     ], ids=["tsallis", "renyi", "shannon"])
     def test_matches_central_differences(self, fam):
         def system(x):
@@ -651,6 +670,24 @@ class TestShannonLimit:
         with pytest.raises(DomainError, match=r"overflows at q = -10"):
             solve()
 
+    @pytest.mark.parametrize("q,target,span", [
+        (0.8, 0.02, (0.60627300238888349, 1.6125614976731668)),
+        (0.5, 0.1, (0.87255565585723294, 1.2347442389494472)),
+    ])
+    def test_w_edge_is_an_upper_bound_below_q_one(self, q, target, span):
+        # (q - 1)b >= -1/e bounds b from above for q < 1, and the escort
+        # means inside that bound miss a target this low
+        with pytest.raises(DomainError, match="spans only") as excinfo:
+            solve_maxent_shannon_limit(np.linspace(0.0, 2.0, 30), q, target_mean=target)
+        lo, hi = re.search(r"\[(\S+), (\S+)\]$", str(excinfo.value)).groups()
+        assert (float(lo), float(hi)) == pytest.approx(span, rel=1e-12)
+
+    def test_w_edge_admits_the_low_target_above_q_one(self):
+        # for q > 1 the same edge bounds b from below instead
+        sol = solve_maxent_shannon_limit(np.linspace(0.0, 2.0, 30), 1.3, target_mean=0.02)
+        assert sol.converged
+        assert sol.escort_mean == pytest.approx(0.02, abs=1e-12)
+
     def test_five_levels(self):
         sol = solve_maxent_shannon_limit(E5, 0.8, 0.3)
         assert sol.converged
@@ -707,6 +744,19 @@ class TestRenyiVariant:
         s_r = solve_maxent_renyi(E3, 1.2, 2.0, target_mean=0.7)
         assert np.max(np.abs(s_t.probs - s_r.probs)) <= 1e-9
         assert s_t.omega != pytest.approx(s_r.omega, rel=1e-3)
+
+    @pytest.mark.parametrize("e", [E3, E5, np.linspace(0.0, 2.0, 30)],
+                             ids=["E3", "E5", "n30"])
+    @pytest.mark.parametrize("q", [0.6, 0.8, 1.2, 1.5, 2.0])
+    def test_omega_over_z_q_alpha_reproduces_tsallis(self, e, q):
+        # the two couplings differ by the factor Z_{q_alpha}, so Renyi at
+        # omega/Z_{q_alpha}(p_T) has the Tsallis solution p_T at omega;
+        # worst gap 9.6e-10
+        for omega in (-0.5, 0.3, 1.0):
+            for alpha in (0.5, 1.0, 2.0):
+                s_t = solve_maxent(e, q, alpha, omega)
+                s_r = solve_maxent_renyi(e, q, alpha, omega / s_t.z_q_alpha.z)
+                assert np.max(np.abs(s_r.probs - s_t.probs)) <= REPARAMETRIZATION_TOL
 
     def test_against_simplex_oracle(self):
         # maximizing S_{q_a} at the renyi solution's escort mean must
