@@ -38,9 +38,15 @@ mode costs no level map:
   every level keeps a real root (b_i up to (alpha-1)^(alpha-1)/alpha^alpha
   for alpha > 1, below 1 at alpha = 1, (q-1)b_i from -1/e for Lambert W,
   unbounded otherwise), bisecting that bracket where a Newton step would
-  leave it; ``iterations`` counts its steps.  Omega follows from lambda and the final
-  p, and an answer whose coupling lambda/Omega is 0 or not finite raises
-  ``NonConvergenceError``.
+  leave it; ``iterations`` counts its steps.  On a bounded interval the
+  gap runs the way of its slope at the start, so a solve of k steps makes k
+  level maps; both ends are probed, for the attainable range and the gap's
+  direction, only where that slope is 0 or not finite, where a step first
+  would leave the bracket, or where the iteration stops with the gap still
+  open.  An unbounded interval is probed first, doubling its ends until the
+  gap changes sign.  Omega follows from lambda and the final p, and an
+  answer whose coupling lambda/Omega is 0 or not finite raises
+  ``NonConvergenceError``, as does a gap that is not finite at any probe.
 
 Either mode returns its last point with the failure that stopped it, if
 any, and ``_solve`` alone judges it: an answer is converged, and returned,
@@ -50,6 +56,7 @@ and its residual is at most 1e-9; ``NonConvergenceError`` carries any other.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -59,7 +66,7 @@ import numpy as np
 from .deformation import transform
 from .entropy import PartitionSum
 from .errors import DomainError, NonConvergenceError, NoRealRootError
-from .trinomial import _branch_roots, _lambert_w0, series_radius, trinomial_b
+from .trinomial import _CLOSED_FORMS, _branch_roots, _lambert_w0, series_radius, trinomial_b
 
 # Newton steps of a fixed-omega solve, or in lambda of a target-mean solve
 MAX_ITER = 10_000
@@ -186,9 +193,10 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
 # p^q and their sum Z_q, the coupling lambda/Omega of p, the gradient of its
 # log in log p, the entropy part of the stationarity condition, phi and
 # Z_{q_alpha}.  A level map is one call of an array kernel of ``trinomial``
-# over all levels; the branch-root kernel starts from the family's previous
-# roots, which ``uniform`` resets, since successive Newton steps move b only
-# a little.
+# over all levels; for a generic alpha the branch-root kernel starts from
+# the family's previous roots moved along their tangent x'(b) to the new b
+# (which ``uniform`` resets to 1 + b), since successive Newton steps move b
+# only a little.
 
 class _Trinomial:
     """Tsallis and Renyi levels: 1 - x + b*x^alpha = 0, p ~ x^(alpha/(q-1))."""
@@ -196,6 +204,10 @@ class _Trinomial:
     def __init__(self, e: np.ndarray, q: float, alpha: float, q_alpha: float, renyi: bool):
         self.e, self.q, self.alpha, self.q_alpha, self.renyi = e, q, alpha, q_alpha, renyi
         self.roots = None
+        # the last map's b and dx/db, for a tangent predictor of the next
+        # roots; a closed-form root takes no start
+        self.warm = alpha not in _CLOSED_FORMS
+        self.tangent = None
         # q(1-q)/(q+alpha-1), raising at the rescaled-index pole q_alpha = 0
         self.coupling = trinomial_b(q, alpha, 1.0, 1.0, 1.0, 1.0)
         # b reaches the double root for alpha > 1 and stays below the pole
@@ -205,21 +217,33 @@ class _Trinomial:
         self.b_range = (-math.inf, b_max)
 
     def level_map(self, b: np.ndarray):
+        # the tangent step x'(b_last)*(b - b_last) from the last map's roots
+        dx = None
+        if self.tangent is not None:
+            b_last, dx_db = self.tangent
+            dx = dx_db * (b - b_last)
         try:
-            self.roots = _branch_roots(self.alpha, b, self.roots)
+            roots = _branch_roots(self.alpha, b, self.roots, dx)
         except NoRealRootError as err:
             raise _at_level(err, self.e) from err
         # log x = log1p(b*x^alpha) on the trinomial keeps the digits that
         # log(x) loses near x = 1; log(x) keeps those of a root far below 1
-        shift = b * self.roots**self.alpha
-        log_roots = np.log1p(shift, out=np.log(self.roots), where=shift > -0.5)
+        shift = b * roots**self.alpha
+        log_roots = np.log1p(shift, out=np.log(roots), where=shift > -0.5)
         # d log x/db = x^(alpha-1)/(1 - alpha*b*x^(alpha-1)) on the trinomial
-        xa1 = self.roots ** (self.alpha - 1.0)
+        xa1 = roots ** (self.alpha - 1.0)
         power = self.alpha / (self.q - 1.0)
-        return _normalized(power * log_roots), power * xa1 / (1.0 - self.alpha * b * xa1)
+        slope = power * xa1 / (1.0 - self.alpha * b * xa1)
+        self.roots = roots
+        if self.warm:
+            self.tangent = (b, roots * slope / power)
+        return _normalized(power * log_roots), slope
 
     def uniform(self):
         self.roots = np.ones(self.e.size)
+        # at b = 0 every root is 1 with dx/db = 1
+        if self.warm:
+            self.tangent = (0.0, 1.0)
         return _uniform(self.e.size), np.full(self.e.size, self.alpha / (self.q - 1.0))
 
     def terms(self, p: np.ndarray, weights: np.ndarray, z_q: float):
@@ -520,6 +544,15 @@ def _solve_for_target(fam, target: float):
     to lambda, and a Newton step that would leave the bracket bisects it.
     It starts from the uniform distribution, lambda = 0, without a level map.
 
+    On a bounded interval of lambda the gap runs the way of its slope at the
+    start, and each Newton step costs one level map.  Both ends are probed,
+    to tell whether the target is attainable and which way the gap runs
+    there, only where that slope is 0 or not finite, where a Newton step
+    first would leave the bracket, or where the iteration stops on a small
+    step with the gap still open.  An unbounded interval is probed first, by
+    doubling.  A gap that is not finite at any probe raises
+    ``NonConvergenceError``.
+
     Returns the last point, the steps that reached it and ``None``, or the
     failure that stopped it: ``MAX_ITER`` steps or a lost coupling.
     """
@@ -535,7 +568,7 @@ def _solve_for_target(fam, target: float):
             f"({e.min():g}, {e.max():g}) of the spectrum"
         )
     b_min, b_max = fam.b_range
-    lo, hi = _feasible(fam, de)
+    feasible = _feasible(fam, de)
 
     def gap(p: np.ndarray, lam: float):
         """The gap <E>_q - target and the escort weights of p at lambda."""
@@ -543,65 +576,104 @@ def _solve_for_target(fam, target: float):
         z_q = float(weights.sum())
         if z_q == 0.0:
             raise NonConvergenceError(f"the partition sum underflows to 0 at lambda = {lam:g}")
-        return float(np.dot(weights, de)) / z_q, weights / z_q
+        g = float(np.dot(weights, de)) / z_q
+        if not math.isfinite(g):
+            raise NonConvergenceError(f"the escort-mean gap at lambda = {lam:.17g} is {g}")
+        return g, weights / z_q
 
-    def probe(lam: float):
-        """p, its slope, and the gap and escort weights of p at lambda."""
+    def probe(lam: float, family):
+        """p, its slope, and the gap and escort weights of p at lambda, from
+        the level map of ``family``."""
         # np.clip does the same at twice the cost on a short array
-        p, slope = fam.level_map(np.minimum(np.maximum(lam * de, b_min), b_max))
+        p, slope = family.level_map(np.minimum(np.maximum(lam * de, b_min), b_max))
         return (p, slope, *gap(p, lam))
 
     scale = 1.0 / float(np.abs(de).max())
-    unbounded = math.isinf(hi)
-    if unbounded:
-        lo, hi = -scale, scale
-    g_lo, g_hi = probe(lo)[2], probe(hi)[2]
-    # An unbounded interval grows by doubling the end on the target's side
-    # until the gap changes sign, stops moving or overflows.
-    while unbounded and g_lo * g_hi > 0.0 and g_lo != g_hi and math.isfinite(hi - lo):
-        if (g_hi > g_lo) == (g_lo > 0.0):
-            lo *= 2.0
-            g_lo = probe(lo)[2]
-        else:
-            hi *= 2.0
-            g_hi = probe(hi)[2]
-    if not g_lo * g_hi <= 0.0:
-        raise DomainError(
-            f"target mean {target:g} is not attainable: with every level's root "
-            f"real, the escort mean at this target spans only "
-            f"[{target + min(g_lo, g_hi):.17g}, {target + max(g_lo, g_hi):.17g}]"
-        )
-    rising = g_lo < g_hi
+
+    def ends(family):
+        """The feasible interval, or for an unbounded one the part of it that
+        the doubling found, with the gap's direction there, probed with the
+        level maps of ``family``; raises ``DomainError`` where the gap has
+        one sign at both ends."""
+        lo, hi = feasible
+        unbounded = math.isinf(hi)
+        if unbounded:
+            lo, hi = -scale, scale
+        g_lo, g_hi = probe(lo, family)[2], probe(hi, family)[2]
+        # An unbounded interval grows by doubling the end on the target's
+        # side until the gap changes sign, stops moving or overflows.
+        while unbounded and g_lo * g_hi > 0.0 and g_lo != g_hi and math.isfinite(hi - lo):
+            if (g_hi > g_lo) == (g_lo > 0.0):
+                lo *= 2.0
+                g_lo = probe(lo, family)[2]
+            else:
+                hi *= 2.0
+                g_hi = probe(hi, family)[2]
+        if not g_lo * g_hi <= 0.0:
+            raise DomainError(
+                f"target mean {target:g} is not attainable: with every level's root "
+                f"real, the escort mean at this target spans only "
+                f"[{target + min(g_lo, g_hi):.17g}, {target + max(g_lo, g_hi):.17g}]"
+            )
+        return lo, hi, g_lo < g_hi
+
+    def aside():
+        """A copy of the family reset to the uniform start, whose probes of
+        the ends leave the Newton iterates their own warm start."""
+        side = copy.copy(fam)
+        side.uniform()
+        return side
+
     # lambda is O(q - 1) in the trinomial family, so its step tolerance
     # shrinks with q - 1 there
     xtol = 1e-16 * scale
     if isinstance(fam, _Trinomial):
         xtol *= min(1.0, abs(fam.q - 1.0))
+    lo, hi = feasible
+    probed = math.isinf(hi)
+    if probed:
+        # the doubling comes before the uniform start, which resets the family
+        lo, hi, rising = ends(fam)
     lam = 0.0
     p, slope = fam.uniform()
     g, escort = gap(p, lam)
+    # g' = q*sum_i P_i*(E_i - <E>_q)*s_i*(E_i - target), with s = d log p/db
+    dg = fam.q * np.dot(escort * (de - g), slope * de)
+    if not probed:
+        rising = dg > 0.0
+        probed = not (dg != 0.0 and math.isfinite(dg))
+        if probed:
+            lo, hi, rising = ends(aside())
     iterations = 0
     while True:
-        if not math.isfinite(g):
-            raise NonConvergenceError(f"the escort-mean gap at lambda = {lam!r} is {g!r}")
         if (g < 0.0) == rising:
             lo = lam
         else:
             hi = lam
-        # g' = q*sum_i P_i*(E_i - <E>_q)*s_i*(E_i - target), with s = d log p/db
-        step = float(-g / (fam.q * np.dot(escort * (de - g), slope * de)))
+        step = float(-g / dg)
         tol = xtol + _RTOL * abs(lam)
         # the Newton step is tested before the bracket: once lambda is a
         # bracket end, a converged iterate would otherwise bisect
         converged = abs(step) <= tol
-        if not (converged or lo < lam + step < hi):
+        leaves = not (converged or lo < lam + step < hi)
+        # a step out of the bracket, or a stop with the gap still open, may
+        # mean a target beyond reach: the ends tell
+        if not probed and (leaves or (converged and abs(g) * scale > 1e-12)):
+            probed = True
+            end_lo, end_hi, end_rising = ends(aside())
+            if end_rising != rising:
+                # the bracket so far was narrowed the wrong way
+                lo, hi, rising = end_lo, end_hi, end_rising
+                continue
+        if leaves:
             step = 0.5 * (lo + hi) - lam
             converged = abs(step) <= tol
         if converged or iterations == MAX_ITER:
             break
         iterations += 1
         lam += step
-        p, slope, g, escort = probe(lam)
+        p, slope, g, escort = probe(lam, fam)
+        dg = fam.q * np.dot(escort * (de - g), slope * de)
     point = _evaluate(fam, p, lam, None)
     if not converged:
         return point, iterations, f"no convergence after {MAX_ITER} Newton steps in lambda"

@@ -8,7 +8,10 @@ kernel, ``solve_trinomial_array``, solves for a whole vector of b at once:
 * alpha = 1/2:  x = u^2, u = (b + hypot(b, 2))/2    (rationalized for b < 0)
 * alpha = 2:    x = 2/(1 + sqrt(1 - 4b))            (stable minus branch)
 * otherwise:    safeguarded Newton inside closed-form brackets, from the
-                bracket end where f is convex or concave towards the root.
+                bracket end where f is convex or concave towards the root;
+                from a warm start (the roots of nearby b), plain Newton
+                steps first, and the brackets only for the entries that
+                these do not settle on the branch root.
 
 For alpha > 1 the branch ends in a double root at x = alpha/(alpha - 1) when
 b reaches (alpha-1)^(alpha-1)/alpha^alpha; beyond that there is no real root
@@ -39,6 +42,10 @@ from .errors import (
 
 # Cap on the Newton iterations of the branch-root kernel.
 _MAX_STEPS = 200
+# Plain Newton steps from a warm start before an entry takes the bracketed path
+_WARM_STEPS = 4
+# The alpha whose branch root has a closed form, which takes no start
+_CLOSED_FORMS = (0.5, 1.0, 2.0)
 
 
 def residual(alpha: float, b: float, x: float) -> float:
@@ -208,9 +215,15 @@ def solve_trinomial_array(alpha: float, b) -> np.ndarray:
     return _branch_roots(alpha, b, None)
 
 
-def _branch_roots(alpha: float, b, x0) -> np.ndarray:
+def _branch_roots(alpha: float, b, x0, dx=None) -> np.ndarray:
     """Branch roots of every b_i; for generic alpha the iteration starts from
     the roots ``x0`` of nearby coefficients when they are given.
+
+    With ``x0``, plain Newton steps run first from x0, or from x0 + dx where
+    ``dx`` (a predicted step from x0 to the roots at b) is given too.  Only
+    the entries that they do not settle on the branch root take the
+    safeguarded Newton iteration inside closed-form brackets, from x0 held
+    inside the bracket.
 
     A failure shows as a root that is not positive and finite; the first such
     entry is reported as a scalar solve would report it.
@@ -234,11 +247,17 @@ def _branch_roots(alpha: float, b, x0) -> np.ndarray:
             x = u * u
         elif alpha == 2.0:
             x = 2.0 / (1.0 + np.sqrt(1.0 - 4.0 * b))
-        else:
+        elif x0 is None:
             lo, hi, start = _brackets(alpha, b)
-            if x0 is not None:
-                start = np.minimum(np.maximum(x0, lo), hi)
             x = _newton(alpha, b, start, lo, hi)
+        else:
+            x0 = np.asarray(x0, dtype=float).ravel()
+            x, cold = _warm_newton(alpha, b, x0.copy() if dx is None else x0 + dx)
+            if np.count_nonzero(cold):
+                b_cold = b[cold]
+                lo, hi, _ = _brackets(alpha, b_cold)
+                start = np.minimum(np.maximum(x0[cold], lo), hi)
+                x[cold] = _newton(alpha, b_cold, start, lo, hi)
     if x.size and not (x.min() > 0.0 and x.max() < math.inf):
         raise _no_root(alpha, b, x, shape)
     return x.reshape(shape)
@@ -269,6 +288,34 @@ def _defect(alpha: float, b: np.ndarray, x: np.ndarray):
     bxa = b * x**alpha
     f = (1.0 - x) + bxa
     return f, bxa, np.abs(f) > 1e-15 * np.maximum(np.maximum(x, np.abs(bxa)), 1.0)
+
+
+def _warm_newton(alpha: float, b: np.ndarray, x: np.ndarray):
+    """Plain Newton on 1 - x + b*x^alpha from the start x, for at most
+    ``_WARM_STEPS`` steps, each entry stopping once its defect is rounding.
+
+    Returns the iterates, overwriting x, and the mask of those that are not
+    settled on the branch root: not positive and finite, a slope f' =
+    alpha*b*x^(alpha-1) - 1 that is not negative, or a next Newton step
+    above 2e-15*x.  The branch root is the one root with f' < 0; for alpha >
+    1 and b > 0 the other positive root has f' > 0, and a plain Newton step
+    started on it stays there.  Near the fold of alpha > 1, where f' -> 0, a
+    defect at rounding leaves the root uncertain far beyond rounding, and the
+    step test sends such an entry to the bracketed iteration; so does a b at
+    or beyond the critical one.
+    """
+    for _ in range(_WARM_STEPS):
+        f, bxa, rough = _defect(alpha, b, x)
+        if not np.count_nonzero(rough):
+            break
+        np.copyto(x, x - f / (alpha * bxa / x - 1.0), where=rough)
+    else:
+        f, bxa, _ = _defect(alpha, b, x)
+    slope = alpha * bxa / x - 1.0
+    root = (x > 0.0) & (x < math.inf) & (slope < 0.0) & (np.abs(f / slope) <= 2e-15 * x)
+    if alpha > 1.0:
+        root &= b < series_radius(alpha)
+    return x, ~root
 
 
 def _brackets(alpha: float, b: np.ndarray):

@@ -375,10 +375,11 @@ class TestMaxentCommand:
         assert payload["residual"] <= 1e-14
 
     def test_non_finite_gap_is_solver_failure(self, runner, tmp_path, monkeypatch):
-        # the level maps at the two bracket ends are real; every later one is
-        # NaN, and the Newton iteration in lambda, which starts from the
-        # uniform distribution without a map, reports the first of them, its
-        # first probe, as a solver failure
+        # the first two level maps are real and every later one is NaN; the
+        # Newton iteration in lambda, which starts from the uniform
+        # distribution without a map and probes no end of this bounded
+        # interval, reports the first of them, its third step, as a solver
+        # failure
         real = maxent._Trinomial.level_map
         calls = []
 
@@ -396,6 +397,16 @@ class TestMaxentCommand:
         assert result.exit_code == 5
         assert isinstance(result.exception, SystemExit)
         assert re.search(r"escort-mean gap at lambda = -0\.0\d* is nan", result.output)
+
+    def test_overflowing_escort_weights_are_solver_failure(self, runner, tmp_path):
+        # p^q overflows at q = -1000, so the gap is NaN: it exited 4 with the
+        # target "not attainable" over the span [nan, nan]
+        path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
+        result = runner.invoke(cli, [
+            "maxent", "--input", path, "--q", "-1000", "--alpha", "2",
+            "--target-mean", "0.3"])
+        assert result.exit_code == 5
+        assert "escort-mean gap at lambda = 0 is nan" in result.output
 
     def test_omega_and_target_together_is_flag_error(self, runner, tmp_path):
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")

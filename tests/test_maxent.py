@@ -20,6 +20,7 @@ from qtherm.maxent import (
     solve_maxent_renyi,
     solve_maxent_shannon_limit,
 )
+from qtherm.trinomial import series_radius
 
 E3 = np.array([0.0, 1.0, 2.0])
 E5 = np.array([0.0, 0.5, 1.1, 1.7, 2.3])
@@ -31,6 +32,17 @@ Q_NEAR_ONE = [1.0 + 1e-7, 1.0 + 1e-8, 1.0 + 2e-9, 1.0 - 2e-9, 1.0 + 1e-6]
 # a fuzz failure in target mode at alpha just above 1 (see TestTargetMeanMode)
 E18_WIDE = np.round(np.linspace(4006.7, 131073.98, 18), 2)
 Q_FUZZ, ALPHA_FUZZ, TARGET_FUZZ = 1.0000005982085276, 1.011454735190145, 106186.1942746612
+
+
+def _recorded_maps(monkeypatch) -> list:
+    """The b of every level map that the solves after this call make."""
+    maps = []
+    for family in (_Trinomial, _Shannon):
+        def recorded(self, b, level_map=family.level_map):
+            maps.append(b)
+            return level_map(self, b)
+        monkeypatch.setattr(family, "level_map", recorded)
+    return maps
 
 
 def independent_gibbs(e, omega):
@@ -380,6 +392,88 @@ class TestTargetMeanMode:
         assert len(lams) == 8 + sol.iterations
         assert 0.0 not in lams
 
+    @pytest.mark.parametrize("solve", [
+        lambda e: solve_maxent(e, 1.2, 1.5, target_mean=0.8),
+        lambda e: solve_maxent_renyi(e, 0.8, 3.0, target_mean=0.8),
+        lambda e: solve_maxent_shannon_limit(e, 1.3, target_mean=0.8),
+    ], ids=["tsallis", "renyi", "shannon"])
+    def test_bounded_interval_maps_only_the_newton_steps(self, monkeypatch, solve):
+        # the gap runs the way of its slope at the uniform start, so no end
+        # of the bounded interval is probed
+        maps = _recorded_maps(monkeypatch)
+        sol = solve(np.linspace(0.0, 2.0, 30))
+        assert sol.converged
+        assert sol.iterations == 4
+        assert len(maps) == sol.iterations
+
+    def test_zero_slope_at_the_start_probes_the_ends(self):
+        # at q = 0 every escort weight is 1, so the slope of the gap is 0 at
+        # the start and its direction comes from the two ends
+        with pytest.raises(DomainError, match=r"spans only \[") as excinfo:
+            solve_maxent(np.linspace(0.0, 2.0, 5), 0.0, 2.0, target_mean=0.7)
+        span = re.search(r"\[(.*), (.*)\]", str(excinfo.value)).groups()
+        assert [float(x) for x in span] == pytest.approx([1.0, 1.0], abs=1e-12)
+
+    def test_step_out_of_the_bracket_probes_the_ends_once(self, monkeypatch):
+        # the first Newton step leaves the interval below the W edge, so both
+        # ends are probed, once, and the step bisects [0, hi] instead
+        e, q, target = np.linspace(0.0, 2.0, 9), 0.75, 0.65
+        maps = _recorded_maps(monkeypatch)
+        sol = solve_maxent_shannon_limit(e, q, target_mean=target)
+        assert sol.converged
+        assert sol.escort_mean == pytest.approx(target, abs=1e-12)
+        lams = [b[0] / (e[0] - target) for b in maps]
+        edge = math.exp(-1.0) / (1.0 - q)
+        lo, hi = edge / (e[0] - target), edge / (e[-1] - target)
+        assert lams[:3] == pytest.approx([lo, hi, 0.5 * hi], rel=1e-15)
+        assert len(maps) == sol.iterations + 2
+
+    def test_wrong_start_direction_is_mended_by_the_ends(self, monkeypatch):
+        # with the slopes at the start negated, the gap's direction is read
+        # the wrong way round; the first probe of the ends sets it right and
+        # the solve reaches the answer of the true direction
+        e = np.linspace(0.0, 2.0, 30)
+        expected = solve_maxent(e, 1.2, 1.5, target_mean=0.8)
+        real = _Trinomial.uniform
+
+        def uniform(self):
+            p, slope = real(self)
+            return p, -slope
+
+        monkeypatch.setattr(_Trinomial, "uniform", uniform)
+        maps = _recorded_maps(monkeypatch)
+        sol = solve_maxent(e, 1.2, 1.5, target_mean=0.8)
+        assert sol.converged
+        assert sol.probs == pytest.approx(expected.probs, rel=1e-12)
+        assert len(maps) == sol.iterations + 2
+
+    def test_stop_with_the_gap_open_probes_the_ends(self, monkeypatch):
+        # a step tolerance of 1000*|lambda| stops the iteration after one
+        # step with the gap still open; the guard then probes both ends
+        # before the answer is judged
+        monkeypatch.setattr(maxent, "_RTOL", 1e3)
+        e = np.linspace(0.0, 2.0, 30)
+        maps = _recorded_maps(monkeypatch)
+        with pytest.raises(NonConvergenceError, match="does not certify") as excinfo:
+            solve_maxent(e, 1.2, 1.5, target_mean=0.8)
+        assert excinfo.value.solution.iterations == 1
+        b_max = series_radius(1.5)
+        lams = [b[0] / (e[0] - 0.8) for b in maps]
+        assert lams[1:] == pytest.approx([b_max / (e[0] - 0.8), b_max / (e[-1] - 0.8)],
+                                         rel=1e-15)
+
+    @pytest.mark.parametrize("e,q,alpha", [
+        (np.linspace(0.0, 2.0, 3), -1000.0, 2.0),
+        # the doubling of an unbounded interval
+        (np.linspace(0.0, 2.0, 3), -1000.0, 0.5),
+        (np.linspace(0.0, 2.0, 10), -300.0, 1.0),
+    ], ids=["alpha-2", "alpha-half", "alpha-1-n10"])
+    def test_gap_that_is_not_a_number_raises(self, e, q, alpha):
+        # p^q overflows: the gap is NaN at a probe, which read as a target
+        # not attainable with the span [nan, nan]
+        with pytest.raises(NonConvergenceError, match=r"escort-mean gap at lambda = .* is nan"):
+            solve_maxent(e, q, alpha, target_mean=0.3)
+
     def test_non_convergence_carries_last_iterate(self, monkeypatch):
         monkeypatch.setattr(maxent, "MAX_ITER", 2)
         with pytest.raises(NonConvergenceError) as excinfo:
@@ -457,6 +551,42 @@ def test_target_mode_certifies_or_raises(family, n, seed, q, alpha, target):
     assert sol.converged
     assert sol.stationarity_residual <= maxent.STOP_RESIDUAL
     assert abs(sol.escort_mean - target) <= 1e-10 * max(1.0, abs(target))
+
+
+def test_gap_runs_the_way_of_its_slope_at_the_start():
+    # the premise of the target-mode solve on a bounded interval: the sign of
+    # the gap's slope at lambda = 0 is the sign of g(hi) - g(lo) over the
+    # interval; 200 problems of the benchmark's range
+    rng = np.random.default_rng(2025)
+    compared = 0
+    while compared < 200:
+        n = int(rng.integers(2, 60))
+        e = np.sort(rng.uniform(0.0, 2.0, n))
+        e[0], e[-1] = 0.0, 2.0
+        family = rng.choice(["tsallis", "renyi", "shannon"])
+        q = rng.uniform(0.5, 1.5) if family == "shannon" else rng.uniform(-0.5, 3.0)
+        alpha = (10.0 ** rng.uniform(0.0, 1.5) if rng.uniform() < 0.7
+                 else rng.choice([1.0, 1.5, 2.0, 3.0]))
+        de = e - rng.uniform(0.02, 1.98)
+        if family == "shannon" or transform(q, alpha) == 1.0:
+            fam = _Shannon(e, q)
+        else:
+            fam = _Trinomial(e, q, alpha, transform(q, alpha), family == "renyi")
+        b_min, b_max = fam.b_range
+        lo, hi = maxent._feasible(fam, de)
+        p, slope = fam.uniform()
+        escort = p**q / np.sum(p**q)
+        g = np.dot(escort, de)
+        slope_at_start = q * np.dot(escort * (de - g), slope * de)
+        gaps = []
+        with np.errstate(all="ignore"):
+            for lam in (lo, hi):
+                p = fam.level_map(np.clip(lam * de, b_min, b_max))[0]
+                gaps.append(np.dot(p**q, de) / np.sum(p**q))
+        if not np.all(np.isfinite(gaps)) or gaps[0] == gaps[1]:
+            continue
+        assert np.sign(slope_at_start) == np.sign(gaps[1] - gaps[0])
+        compared += 1
 
 
 # Every way a solve ends with a carried solution, as (MAX_ITER or None, the

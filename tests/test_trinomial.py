@@ -27,6 +27,14 @@ from qtherm.trinomial import (
 )
 
 ALPHAS = (0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0)
+# (alpha, b) whose entry 2 is the first without a branch root
+INFEASIBLE = [
+    (2.0, [0.1, -0.5, 0.3, 0.0, 0.5]),
+    (3.0, [0.1, -0.5, 0.2, 0.0, 0.5]),
+    (1.0, [0.1, -0.5, 1.0, 0.0, 1.5]),
+    # roots near 3^1000, beyond the largest float
+    (0.999, [0.1, -0.5, 3.0, 0.0, 5.0]),
+]
 
 
 def bisection_root(alpha, b, lo, hi=None, iterations=200):
@@ -444,19 +452,46 @@ class TestArrayKernels:
                       np.full_like(b, 1e3), cold[::-1].copy()):
             assert _branch_roots(alpha, b, start) == pytest.approx(cold, rel=1e-14)
 
-    @pytest.mark.parametrize("alpha,b", [
-        (2.0, [0.1, -0.5, 0.3, 0.0, 0.5]),
-        (3.0, [0.1, -0.5, 0.2, 0.0, 0.5]),
-        (1.0, [0.1, -0.5, 1.0, 0.0, 1.5]),
-        # roots near 3^1000, beyond the largest float
-        (0.999, [0.1, -0.5, 3.0, 0.0, 5.0]),
-    ])
+    @pytest.mark.parametrize("alpha", (1.5, 3.0, 7.0))
+    def test_warm_start_on_the_second_root_returns_the_branch_root(self, alpha):
+        # for alpha > 1 and b > 0 the trinomial has a second positive root
+        # beyond its minimum, where f' > 0; a plain Newton step started on it
+        # stays there.  At alpha = 3, b = 2/27 it is exactly 3.
+        b = series_radius(alpha) / 2.0
+        x_min = (alpha * b) ** (1.0 / (1.0 - alpha))
+        x_lo = x_min
+        while residual(alpha, b, x_lo * 2.0) < 0.0:
+            x_lo *= 2.0
+        second = brentq(lambda t: residual(alpha, b, t), x_min, 2.0 * x_lo,
+                        xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        if alpha == 3.0:
+            assert second == pytest.approx(3.0, rel=1e-15)
+        cold = solve_trinomial_array(alpha, [b])
+        assert _branch_roots(alpha, [b], [second]) == pytest.approx(cold, rel=1e-14)
+
+    def test_warm_start_whose_step_leaves_the_half_line(self):
+        # just below the minimum of f the Newton step overshoots past 0
+        alpha, b = 1.5, series_radius(1.5) / 2.0
+        start = 0.99 * (alpha * b) ** (1.0 / (1.0 - alpha))
+        step = residual(alpha, b, start) / (alpha * b * start ** (alpha - 1.0) - 1.0)
+        assert start - step < 0.0
+        cold = solve_trinomial_array(alpha, [b])
+        assert _branch_roots(alpha, [b], [start]) == pytest.approx(cold, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha,b", INFEASIBLE)
     def test_first_infeasible_level_is_reported(self, alpha, b):
         with pytest.raises(NoRealRootError) as excinfo:
             solve_trinomial_array(alpha, b)
         assert excinfo.value.level == 2
         assert excinfo.value.b == b[2]
         assert excinfo.value.alpha == alpha
+
+    @pytest.mark.parametrize("alpha,b", INFEASIBLE)
+    def test_first_infeasible_level_is_reported_from_a_warm_start(self, alpha, b):
+        with pytest.raises(NoRealRootError) as excinfo:
+            _branch_roots(alpha, b, np.ones(len(b)))
+        assert excinfo.value.level == 2
+        assert excinfo.value.b == b[2]
 
     def test_scalar_error_names_no_level(self):
         with pytest.raises(NoRealRootError) as excinfo:
