@@ -60,7 +60,9 @@ def _checked(p: np.ndarray) -> np.ndarray:
     bad = (rows < 0.0).any(axis=1)
     if bad.any():
         raise fail("probability vector contains negative entries", bad)
-    total = rows.sum(axis=1)
+    # a sum that overflows is far from 1 and raises below
+    with np.errstate(over="ignore"):
+        total = rows.sum(axis=1)
     gap = np.abs(total - 1.0)
     bad = gap > RENORM_TOL
     if bad.any():
@@ -206,8 +208,15 @@ def _relative_powers(rows: _Rows, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     ref = np.where(r > 0.0, rows.s.max(axis=1),
                    np.where(rows.on, rows.s, np.inf).min(axis=1))
-    ratio = np.where(rows.on, rows.s / ref[:, None], 1.0)
-    return ref, np.where(rows.on, ratio ** r[:, None], 0.0)
+    with np.errstate(over="ignore"):
+        ratio = np.where(rows.on, rows.s / ref[:, None], 1.0)
+    powers = ratio ** r[:, None]
+    over = np.isinf(ratio)
+    if over.any():
+        # a ratio to a subnormal p_ref overflows, and its power r <= 0 is
+        # taken through the logs
+        powers = np.where(over, np.exp(r[:, None] * (rows.log - np.log(ref)[:, None])), powers)
+    return ref, np.where(rows.on, powers, 0.0)
 
 
 def _escort_rows(rows: _Rows, r: np.ndarray) -> np.ndarray:
@@ -319,13 +328,16 @@ def escort(probs, r: float) -> np.ndarray:
 
 
 def escort_mean(probs, levels, r: float) -> float:
-    """Escort average <E>_r = sum_k rho_k(r) E_k of a level vector."""
+    """Escort average <E>_r = sum_k rho_k(r) E_k of a level vector of finite
+    entries."""
     p = as_distribution(probs)
     e = np.asarray(levels, dtype=float)
     if e.shape != p.shape:
         raise DomainError(
             f"levels shape {e.shape} does not match distribution shape {p.shape}"
         )
+    if not np.all(np.isfinite(e)):
+        raise DomainError("levels contain NaN or infinite entries")
     return float(np.dot(escort(p, r), e))
 
 

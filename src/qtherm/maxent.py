@@ -40,13 +40,13 @@ mode costs no level map:
   unbounded otherwise), bisecting that bracket where a Newton step would
   leave it; ``iterations`` counts its steps.  On a bounded interval the
   gap runs the way of its slope at the start, so a solve of k steps makes k
-  level maps; both ends are probed, for the attainable range and the gap's
-  direction, only where that slope is 0 or not finite, where a step first
-  would leave the bracket, or where the iteration stops with the gap still
-  open.  An unbounded interval is probed first, doubling its ends until the
-  gap changes sign.  Omega follows from lambda and the final p, and an
-  answer whose coupling lambda/Omega is 0 or not finite raises
-  ``NonConvergenceError``, as does a gap that is not finite at any probe.
+  level maps; both ends are probed, once, for the attainable range and the
+  gap's direction, only where a step would leave the bracket (as one from a
+  start slope of 0 or NaN does) or where the iteration stops with the gap
+  still open.  An unbounded interval is probed first, doubling its ends
+  until the gap changes sign.  Omega follows from lambda and the final p,
+  and an answer whose coupling lambda/Omega is 0 or not finite raises
+  ``NonConvergenceError``, as does a gap that is not finite at any point.
 
 Either mode returns its last point with the failure that stopped it, if
 any, and ``_solve`` alone judges it: an answer is converged, and returned,
@@ -56,7 +56,6 @@ and its residual is at most 1e-9; ``NonConvergenceError`` carries any other.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -66,7 +65,7 @@ import numpy as np
 from .deformation import transform
 from .entropy import PartitionSum
 from .errors import DomainError, NonConvergenceError, NoRealRootError
-from .trinomial import _CLOSED_FORMS, _branch_roots, _lambert_w0, series_radius, trinomial_b
+from .trinomial import _CLOSED_FORMS, _branch_roots, _coupling, _lambert_w0, series_radius
 
 # Newton steps of a fixed-omega solve, or in lambda of a target-mean solve
 MAX_ITER = 10_000
@@ -185,31 +184,34 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
 #
 # A family holds the spectrum and the indices.  ``q`` is the escort index of
 # the constraint, ``b_range`` the interval of b = lambda*(E_i - m) where every
-# level has a real root, ``level_map(b)`` the normalized distribution p of
-# the coefficients b with its slope, the derivative in b of each level's log
-# weight at that same b, ``uniform()`` the same at b = 0 without a kernel call
-# (p = 1/n with every trinomial root 1 or every W 0, which the kernels return
-# there exactly), and ``terms(p, weights, z_q)``, from p, its escort weights
-# p^q and their sum Z_q, the coupling lambda/Omega of p, the gradient of its
-# log in log p, the entropy part of the stationarity condition, phi and
-# Z_{q_alpha}.  A level map is one call of an array kernel of ``trinomial``
-# over all levels; for a generic alpha the branch-root kernel starts from
-# the family's previous roots moved along their tangent x'(b) to the new b
-# (which ``uniform`` resets to 1 + b), since successive Newton steps move b
-# only a little.
+# level has a real root, ``lam_scale`` the order of lambda, at most 1, in
+# units of the spectrum's inverse width, ``level_map(b)`` the normalized
+# distribution p of the coefficients b with its slope, the derivative in b of
+# each level's log weight at that same b, ``uniform()`` the same at b = 0
+# without a kernel call (p = 1/n with every trinomial root 1 or every W 0,
+# which the kernels return there exactly), and ``terms(p, weights, z_q)``,
+# from p, its escort weights p^q and their sum Z_q, the coupling lambda/Omega
+# of p, the gradient of its log in log p, the entropy part of the
+# stationarity condition, phi and Z_{q_alpha}.  A level map is one call of an
+# array kernel of ``trinomial`` over all levels.  ``start`` is the warm start
+# of the next level map, None for a cold one or a kernel that takes none: for
+# a generic alpha the branch-root kernel starts from the last map's roots
+# moved along their tangent x'(b) to the new b, since successive Newton steps
+# move b only a little, and ``uniform`` resets it to the roots 1 at b = 0,
+# where x'(b) is 1 too.
 
 class _Trinomial:
     """Tsallis and Renyi levels: 1 - x + b*x^alpha = 0, p ~ x^(alpha/(q-1))."""
 
     def __init__(self, e: np.ndarray, q: float, alpha: float, q_alpha: float, renyi: bool):
         self.e, self.q, self.alpha, self.q_alpha, self.renyi = e, q, alpha, q_alpha, renyi
-        self.roots = None
-        # the last map's b and dx/db, for a tangent predictor of the next
-        # roots; a closed-form root takes no start
+        # the last map's roots and (b, dx/db); a closed-form root takes no start
+        self.start = None
         self.warm = alpha not in _CLOSED_FORMS
-        self.tangent = None
         # q(1-q)/(q+alpha-1), raising at the rescaled-index pole q_alpha = 0
-        self.coupling = trinomial_b(q, alpha, 1.0, 1.0, 1.0, 1.0)
+        self.coupling = _coupling(q, alpha)
+        # lambda is O(q - 1), and its step tolerance with it
+        self.lam_scale = min(1.0, abs(q - 1.0))
         # b reaches the double root for alpha > 1 and stays below the pole
         # of x = 1/(1-b) at alpha = 1
         b_max = (series_radius(alpha) if alpha > 1.0 else
@@ -217,13 +219,13 @@ class _Trinomial:
         self.b_range = (-math.inf, b_max)
 
     def level_map(self, b: np.ndarray):
-        # the tangent step x'(b_last)*(b - b_last) from the last map's roots
-        dx = None
-        if self.tangent is not None:
-            b_last, dx_db = self.tangent
+        roots = dx = None
+        if self.start is not None:
+            # the tangent step x'(b_last)*(b - b_last) from the last map's roots
+            roots, (b_last, dx_db) = self.start
             dx = dx_db * (b - b_last)
         try:
-            roots = _branch_roots(self.alpha, b, self.roots, dx)
+            roots = _branch_roots(self.alpha, b, roots, dx)
         except NoRealRootError as err:
             raise _at_level(err, self.e) from err
         # log x = log1p(b*x^alpha) on the trinomial keeps the digits that
@@ -234,16 +236,14 @@ class _Trinomial:
         xa1 = roots ** (self.alpha - 1.0)
         power = self.alpha / (self.q - 1.0)
         slope = power * xa1 / (1.0 - self.alpha * b * xa1)
-        self.roots = roots
         if self.warm:
-            self.tangent = (b, roots * slope / power)
+            self.start = (roots, (b, roots * slope / power))
         return _normalized(power * log_roots), slope
 
     def uniform(self):
-        self.roots = np.ones(self.e.size)
         # at b = 0 every root is 1 with dx/db = 1
         if self.warm:
-            self.tangent = (0.0, 1.0)
+            self.start = (np.ones(self.e.size), (0.0, 1.0))
         return _uniform(self.e.size), np.full(self.e.size, self.alpha / (self.q - 1.0))
 
     def terms(self, p: np.ndarray, weights: np.ndarray, z_q: float):
@@ -275,6 +275,9 @@ class _Trinomial:
 class _Shannon:
     """Shannon levels under the q-escort constraint: p ~ exp(-W((q-1)b)/(q-1)),
     W the principal branch, continued to the Gibbs kernel p ~ exp(-b) at q = 1."""
+
+    start = None
+    lam_scale = 1.0
 
     def __init__(self, e: np.ndarray, q: float):
         self.e, self.q = e, q
@@ -540,18 +543,20 @@ def _feasible(fam, de: np.ndarray) -> tuple[float, float]:
 
 def _solve_for_target(fam, target: float):
     """Safeguarded Newton iteration in lambda for the escort mean, with m
-    pinned to the target: each probe moves the bracket end of its gap's sign
-    to lambda, and a Newton step that would leave the bracket bisects it.
-    It starts from the uniform distribution, lambda = 0, without a level map.
+    pinned to the target: each Newton point moves the bracket end of its
+    gap's sign to lambda, and a Newton step that would leave the bracket
+    bisects it.  It starts from the uniform distribution, lambda = 0, without
+    a level map, and the gap runs the way of its slope there.
 
-    On a bounded interval of lambda the gap runs the way of its slope at the
-    start, and each Newton step costs one level map.  Both ends are probed,
-    to tell whether the target is attainable and which way the gap runs
-    there, only where that slope is 0 or not finite, where a Newton step
-    first would leave the bracket, or where the iteration stops on a small
-    step with the gap still open.  An unbounded interval is probed first, by
-    doubling.  A gap that is not finite at any probe raises
-    ``NonConvergenceError``.
+    Both ends are probed at one site, once, to tell whether the target is
+    attainable and which way the gap runs: where the interval of lambda is
+    unbounded, which the probes double until the gap changes sign, where a
+    Newton step would leave the bracket (as one from a start slope of 0 or
+    NaN does) or where the iteration stops on a small step with the gap
+    still open.  The probes map from the uniform start, and the family's
+    warm start is restored after them, so a bounded solve of k steps that
+    probes nothing makes k level maps.  A gap that is not finite at any
+    point raises ``NonConvergenceError``.
 
     Returns the last point, the steps that reached it and ``None``, or the
     failure that stopped it: ``MAX_ITER`` steps or a lost coupling.
@@ -568,10 +573,12 @@ def _solve_for_target(fam, target: float):
             f"({e.min():g}, {e.max():g}) of the spectrum"
         )
     b_min, b_max = fam.b_range
-    feasible = _feasible(fam, de)
+    lo, hi = feasible = _feasible(fam, de)
+    unbounded = math.isinf(hi)
 
-    def gap(p: np.ndarray, lam: float):
-        """The gap <E>_q - target and the escort weights of p at lambda."""
+    def gap(p: np.ndarray, slope: np.ndarray | None, lam: float):
+        """The gap <E>_q - target of p at lambda and, from the slope of p where
+        it is given, the gap's slope in lambda."""
         weights = p**fam.q
         z_q = float(weights.sum())
         if z_q == 0.0:
@@ -579,71 +586,53 @@ def _solve_for_target(fam, target: float):
         g = float(np.dot(weights, de)) / z_q
         if not math.isfinite(g):
             raise NonConvergenceError(f"the escort-mean gap at lambda = {lam:.17g} is {g}")
-        return g, weights / z_q
+        if slope is None:
+            return g, None
+        # g' = q*sum_i P_i*(E_i - <E>_q)*s_i*(E_i - target), with s = d log p/db
+        return g, fam.q * np.dot(weights / z_q * (de - g), slope * de)
 
-    def probe(lam: float, family):
-        """p, its slope, and the gap and escort weights of p at lambda, from
-        the level map of ``family``."""
+    def probe(lam: float, newton: bool = True):
+        """p, its gap at lambda and, at a Newton point, the gap's slope."""
         # np.clip does the same at twice the cost on a short array
-        p, slope = family.level_map(np.minimum(np.maximum(lam * de, b_min), b_max))
-        return (p, slope, *gap(p, lam))
+        p, slope = fam.level_map(np.minimum(np.maximum(lam * de, b_min), b_max))
+        return (p, *gap(p, slope if newton else None, lam))
 
     scale = 1.0 / float(np.abs(de).max())
 
-    def ends(family):
+    def ends():
         """The feasible interval, or for an unbounded one the part of it that
-        the doubling found, with the gap's direction there, probed with the
-        level maps of ``family``; raises ``DomainError`` where the gap has
-        one sign at both ends."""
-        lo, hi = feasible
-        unbounded = math.isinf(hi)
-        if unbounded:
-            lo, hi = -scale, scale
-        g_lo, g_hi = probe(lo, family)[2], probe(hi, family)[2]
+        the doubling found, with the gap's direction there; raises
+        ``DomainError`` where the gap has one sign at both ends.  The probes
+        map from the uniform start, and the family's start is restored."""
+        start = fam.start
+        if start is not None:
+            fam.uniform()
+        lo, hi = (-scale, scale) if unbounded else feasible
+        g_lo, g_hi = probe(lo, False)[1], probe(hi, False)[1]
         # An unbounded interval grows by doubling the end on the target's
         # side until the gap changes sign, stops moving or overflows.
         while unbounded and g_lo * g_hi > 0.0 and g_lo != g_hi and math.isfinite(hi - lo):
             if (g_hi > g_lo) == (g_lo > 0.0):
                 lo *= 2.0
-                g_lo = probe(lo, family)[2]
+                g_lo = probe(lo, False)[1]
             else:
                 hi *= 2.0
-                g_hi = probe(hi, family)[2]
+                g_hi = probe(hi, False)[1]
         if not g_lo * g_hi <= 0.0:
             raise DomainError(
                 f"target mean {target:g} is not attainable: with every level's root "
                 f"real, the escort mean at this target spans only "
                 f"[{target + min(g_lo, g_hi):.17g}, {target + max(g_lo, g_hi):.17g}]"
             )
+        fam.start = start
         return lo, hi, g_lo < g_hi
 
-    def aside():
-        """A copy of the family reset to the uniform start, whose probes of
-        the ends leave the Newton iterates their own warm start."""
-        side = copy.copy(fam)
-        side.uniform()
-        return side
-
-    # lambda is O(q - 1) in the trinomial family, so its step tolerance
-    # shrinks with q - 1 there
-    xtol = 1e-16 * scale
-    if isinstance(fam, _Trinomial):
-        xtol *= min(1.0, abs(fam.q - 1.0))
-    lo, hi = feasible
-    probed = math.isinf(hi)
-    if probed:
-        # the doubling comes before the uniform start, which resets the family
-        lo, hi, rising = ends(fam)
+    xtol = 1e-16 * scale * fam.lam_scale
     lam = 0.0
     p, slope = fam.uniform()
-    g, escort = gap(p, lam)
-    # g' = q*sum_i P_i*(E_i - <E>_q)*s_i*(E_i - target), with s = d log p/db
-    dg = fam.q * np.dot(escort * (de - g), slope * de)
-    if not probed:
-        rising = dg > 0.0
-        probed = not (dg != 0.0 and math.isfinite(dg))
-        if probed:
-            lo, hi, rising = ends(aside())
+    g, dg = gap(p, slope, lam)
+    rising = dg > 0.0
+    probed = False
     iterations = 0
     while True:
         if (g < 0.0) == rising:
@@ -656,13 +645,13 @@ def _solve_for_target(fam, target: float):
         # bracket end, a converged iterate would otherwise bisect
         converged = abs(step) <= tol
         leaves = not (converged or lo < lam + step < hi)
-        # a step out of the bracket, or a stop with the gap still open, may
-        # mean a target beyond reach: the ends tell
-        if not probed and (leaves or (converged and abs(g) * scale > 1e-12)):
+        # an unbounded bracket, a step out of it or a stop with the gap still
+        # open may mean a target beyond reach: the ends tell
+        if not probed and (unbounded or leaves or (converged and abs(g) * scale > 1e-12)):
             probed = True
-            end_lo, end_hi, end_rising = ends(aside())
-            if end_rising != rising:
-                # the bracket so far was narrowed the wrong way
+            end_lo, end_hi, end_rising = ends()
+            if unbounded or end_rising != rising:
+                # the bracket so far was unbounded or narrowed the wrong way
                 lo, hi, rising = end_lo, end_hi, end_rising
                 continue
         if leaves:
@@ -672,8 +661,7 @@ def _solve_for_target(fam, target: float):
             break
         iterations += 1
         lam += step
-        p, slope, g, escort = probe(lam, fam)
-        dg = fam.q * np.dot(escort * (de - g), slope * de)
+        p, g, dg = probe(lam)
     point = _evaluate(fam, p, lam, None)
     if not converged:
         return point, iterations, f"no convergence after {MAX_ITER} Newton steps in lambda"

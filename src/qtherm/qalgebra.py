@@ -25,10 +25,16 @@ u = 0): one form across q = 1, exact at it and with no digits lost near it.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from .deformation import _elementwise, _finite, _first, transform
 from .errors import DomainError
+
+# exp overflows beyond this
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _expm1_div(z, c):
@@ -48,8 +54,29 @@ def _log1p_ratio(u):
 def q_add(x, y, q):
     """Deformed sum x + y + (1-q)xy; commutative with neutral element 0."""
     x, y, q = _finite("x", x), _finite("y", y), _finite("q", q)
-    # grouped so the result is bitwise symmetric in x and y
-    return x + y + (1.0 - q) * (x * y)
+    total, _, scale = _q_sum(x, y, q)
+    return total * scale
+
+
+def _q_sum(x, y, q):
+    """x + y + (1-q)xy over s, bitwise symmetric in x and y, its three terms
+    over s, and s: 1 where the sum is finite, else 2.
+
+    At s = 2 the halves of x and y keep each term in the float range wherever
+    the sum is, and where x*y overflows the smaller operand takes (1-q)/2
+    first, so that the term is 0 at q = 1.
+    """
+    term = (1.0 - q) * (x * y)
+    total = x + y + term
+    finite = np.isfinite(total)
+    if finite.all():
+        return total, (x, y, term), 1.0
+    half = 0.5 * (1.0 - q)
+    small = np.abs(x) <= np.abs(y)
+    half_term = np.where(small, half * x, half * y) * np.where(small, y, x)
+    x, y = np.where(finite, x, 0.5 * x), np.where(finite, y, 0.5 * y)
+    term = np.where(finite, term, half_term)
+    return x + y + term, (x, y, term), np.where(finite, 1.0, 2.0)
 
 
 @_elementwise
@@ -59,7 +86,15 @@ def q_sub(x, y, q):
     denom = 1.0 + (1.0 - q) * y
     if np.any(denom == 0.0):
         raise DomainError(f"q-subtraction pole: y = 1/(q-1) = {_first(y, denom == 0.0):g}")
-    return (x - y) / denom
+    diff = x - y
+    out = diff / denom
+    off = ~(np.isfinite(diff) & np.isfinite(denom))
+    if off.any():
+        # x - y or the denominator overflows; divided by max(|x|, |y|) neither
+        # does
+        m = np.maximum(np.abs(x), np.abs(y))
+        out = np.where(off, (x / m - y / m) / (1.0 / m + (1.0 - q) * (y / m)), out)
+    return out
 
 
 @_elementwise
@@ -74,8 +109,7 @@ def q_mul(x, y, q):
     c = 1.0 - q
     u = c * (a + b)
     l = _log1p_ratio(u)
-    # e^(a l) e^(b l), each factor its operand times e^(a l - ln x), 1 at q = 1
-    shares = (x * np.exp(a * l - lx)) * (y * np.exp(b * l - ly))
+    shares = _share(x, a * l, lx) * _share(y, b * l, ly)
     out = np.isinf(u)
     if out.any():
         # u overflows where x^c or y^c does: the larger of them, z^c, leaves
@@ -112,6 +146,15 @@ def q_div(x, y, q):
     return np.where(out, _pulled_out(x, -d, c), r) if out.any() else r
 
 
+def _share(z, al, lz):
+    """e^(a l), a factor of q_mul, as its operand z times e^(a l - ln z), 1 at
+    q = 1; for a z so small that e^(-ln z) overflows, e^(a l) itself."""
+    d = al - lz
+    share = z * np.exp(d)
+    tiny = d > _LOG_MAX
+    return np.where(tiny, np.exp(al), share) if tiny.any() else share
+
+
 def _pulled_out(z, d, c):
     """(z^c (1 + d))^(1/c) = z (1 + d)^(1/c), for z^c past the float range.
     The |c| ulps that (w/z)^c in d may be off by, the 1/c power divides back
@@ -129,9 +172,18 @@ def _q_logs(x, y, q, what: str):
 
 
 def _exp_q(x, q):
-    """exp_q(x) before its cutoff, and its bracket 1 + (1-q)x; raises nothing."""
-    u = (1.0 - q) * x
-    return np.exp(x * _log1p_ratio(u)), 1.0 + u
+    """exp_q(x) before its cutoff, and its bracket 1 + (1-q)x; raises nothing.
+
+    Where (1-q)x overflows, log1p of it is ln|1-q| + ln|x|: its 1/(1-q)-th
+    power need not overflow.
+    """
+    c = 1.0 - q
+    u = c * x
+    log = x * _log1p_ratio(u)
+    over = u == np.inf
+    if over.any():
+        log = np.where(over, (np.log(np.abs(c)) + np.log(np.abs(x))) / c, log)
+    return np.exp(log), 1.0 + u
 
 
 def _cut_off(value, bracket, q, what: str) -> np.ndarray:
@@ -246,9 +298,9 @@ def lost_sides(x, y, q, alpha) -> dict:
 
 def _sum_lost(u, v, r) -> np.ndarray:
     """Where u (+)_r v, summed as ``q_add`` sums it, is at most 4 ulps of its terms."""
-    uv = (1.0 - r) * (u * v)
+    total, (u, v, uv), _ = _q_sum(u, v, r)
     terms = np.abs(u) + np.abs(v) + np.abs(uv)
-    return np.abs(u + v + uv) <= 4.0 * np.finfo(float).eps * terms
+    return np.abs(total) <= 4.0 * np.finfo(float).eps * terms
 
 
 def _exp_lost(u, r, alpha=1.0) -> np.ndarray:

@@ -154,8 +154,9 @@ def trinomial_series(alpha: float, b: float, n_max: int = 500,
 
     Truncates once the latest term magnitude drops below ``tol`` or after
     ``n_max`` terms; returns (x, terms_used).  Raises
-    ``DivergentSeriesError`` when |b| is outside the convergence region or
-    when term magnitudes grow three orders in a row.
+    ``DivergentSeriesError`` when |b| is outside the convergence region,
+    when term magnitudes grow three orders in a row or when a term
+    overflows a float.
     """
     alpha = float(alpha)
     b = float(b)
@@ -179,7 +180,11 @@ def trinomial_series(alpha: float, b: float, n_max: int = 500,
     small_streak = 0
     for n in range(1, n_max + 1):
         coeff_sign, log_mag = _log_coefficient(alpha, n)
-        mag = math.exp(log_mag + n * log_abs_b) if coeff_sign != 0.0 else 0.0
+        log_term = log_mag + n * log_abs_b
+        if coeff_sign != 0.0 and log_term >= _LOG_MAX:
+            raise DivergentSeriesError(
+                f"series term {n} overflows a float for alpha = {alpha:g}, b = {b:g}")
+        mag = math.exp(log_term) if coeff_sign != 0.0 else 0.0
         total += coeff_sign * (sign_b**n) * mag
         terms_used = n
         if mag > prev_mag:
@@ -210,8 +215,13 @@ def solve_trinomial_array(alpha: float, b) -> np.ndarray:
     """Branch roots of 1 - x + b_i*x^alpha = 0 for every entry b_i of ``b``.
 
     ``NoRealRootError`` names the first entry without a real branch root in
-    ``level`` (``None`` for a scalar ``b``).
+    ``level`` (``None`` for a scalar ``b``), and a ``b`` that is not finite
+    raises ``DomainError``.
     """
+    b = np.asarray(b, dtype=float)
+    bad = ~np.isfinite(b)
+    if bad.any():
+        raise DomainError(f"b must be finite, got {b[bad][0]!r}")
     return _branch_roots(alpha, b, None)
 
 
@@ -325,12 +335,16 @@ def _brackets(alpha: float, b: np.ndarray):
     ``lo`` is NaN where b has no branch root.
     """
     if alpha < 0.0:
-        # b >= 0: f is convex and decreasing, with the root in
-        # [1 + b(1+b)^alpha, 1 + b]; b < 0: f is concave with its maximum at
-        # x_m, and the branch root lies in [x_m, 1] when f(x_m) >= 0.
+        # b >= 0: f is convex and decreasing, with the root in [lo, 1 + b],
+        # lo the larger of 1 + b(1+b)^alpha and b^(1/(1-alpha)), since x >=
+        # b*x^alpha; the second holds the Newton iteration from lo to a few
+        # steps for large b, where the first would double x at each.  b < 0:
+        # f is concave with its maximum at x_m, and the branch root lies in
+        # [x_m, 1] when f(x_m) >= 0.
         neg = b < 0.0
         x_m = (alpha * b) ** (1.0 / (1.0 - alpha))
-        lo = np.where(neg, x_m, 1.0 + b * (1.0 + b) ** alpha)
+        lo = np.where(neg, x_m, np.maximum(1.0 + b * (1.0 + b) ** alpha,
+                                           b ** (1.0 / (1.0 - alpha))))
         hi = np.where(neg, 1.0, 1.0 + b)
         np.copyto(lo, np.nan,
                   where=neg & ((x_m >= 1.0) | ((1.0 - x_m) + b * x_m**alpha < 0.0)))
@@ -404,20 +418,35 @@ def trinomial_b(q: float, alpha: float, omega: float, delta_e: float,
     b = q(1-q)/(q+alpha-1) * Z_{q_alpha}^(alpha-1)/Z_q * Omega * DeltaE,
     where DeltaE is the level's offset from the escort mean.  The
     denominator q+alpha-1 vanishes exactly when the rescaled index
-    q_alpha would be 0, which is a pole of the reduction.
+    q_alpha would be 0, which is a pole of the reduction.  Partition sums
+    that are not positive and finite, the pole, and a coefficient beyond the
+    float range raise ``DomainError``.
     """
     for name, value in (("q", q), ("alpha", alpha), ("omega", omega),
                         ("delta_e", delta_e)):
         if not math.isfinite(float(value)):
             raise DomainError(f"{name} must be finite, got {value!r}")
-    if z_q <= 0.0 or z_q_alpha <= 0.0:
-        raise DomainError("partition sums must be positive")
+    if not (0.0 < z_q < math.inf and 0.0 < z_q_alpha < math.inf):
+        raise DomainError("partition sums must be positive and finite")
+    try:
+        b = _coupling(q, alpha) * z_q_alpha ** (alpha - 1.0) / z_q * omega * delta_e
+    except OverflowError:
+        b = math.inf
+    if not math.isfinite(b):
+        raise DomainError(f"the trinomial coefficient is not finite for q = {q:g}, "
+                          f"alpha = {alpha:g}, omega = {omega:g}, delta_e = {delta_e:g}, "
+                          f"z_q = {z_q:g}, z_q_alpha = {z_q_alpha:g}")
+    return b
+
+
+def _coupling(q: float, alpha: float) -> float:
+    """q(1-q)/(q+alpha-1), raising ``DomainError`` at the rescaled-index pole."""
     denom = q + alpha - 1.0
     if denom == 0.0:
         raise DomainError(
             f"q + alpha - 1 = 0 (rescaled index pole) for q = {q:g}, alpha = {alpha:g}"
         )
-    return q * (1.0 - q) / denom * z_q_alpha ** (alpha - 1.0) / z_q * omega * delta_e
+    return q * (1.0 - q) / denom
 
 
 # --- Lambert W ---------------------------------------------------------------

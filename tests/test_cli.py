@@ -423,6 +423,16 @@ class TestMaxentCommand:
         assert result.exit_code == 4
         assert "overflows at q = -1e+300" in result.output
 
+    @pytest.mark.parametrize("mode", [["--omega", "0.3"], ["--target-mean", "0.8"]],
+                             ids=["omega", "target"])
+    def test_rescaled_index_pole_is_domain_error(self, runner, tmp_path, mode):
+        # q_alpha = 0 at q = alpha = 0.5
+        path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
+        result = runner.invoke(cli, ["maxent", "--input", path, "--q", "0.5",
+                                     "--alpha", "0.5", *mode])
+        assert result.exit_code == 4
+        assert "rescaled index pole" in result.output
+
     def test_alpha_inf_selects_lambert_solver(self, runner, tmp_path):
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
         result = runner.invoke(cli, [
@@ -503,6 +513,13 @@ class TestTrinomialCommand:
     def test_no_real_root_is_solver_failure(self, runner):
         result = runner.invoke(cli, ["trinomial", "--alpha", "2", "--b", "0.3"])
         assert result.exit_code == 5
+
+    def test_negative_alpha_large_b_solves(self, runner):
+        # the root of 1 - x + b/x = 0 is (1 + sqrt(1 + 4b))/2 = 1e154; from
+        # the lower bound 1 + b/(1 + b) alone each Newton step only doubles x
+        result = runner.invoke(cli, ["trinomial", "--alpha", "-1", "--b", "1e308"])
+        assert result.exit_code == 0
+        assert _payload(result)["x"] == pytest.approx(1e154, rel=1e-15)
 
 
 class TestHeatbathCommand:
@@ -657,6 +674,14 @@ class TestAlgebraCheckCommand:
             "algebra-check", "--x", "1", "--y", "2", "--q", "1", "--alpha", "2"])
         assert result.exit_code == 0
         assert [row["status"] for row in _payload(result)["laws"]] == ["ok"] * 6
+
+    def test_add_law_where_x_times_y_overflows(self, runner):
+        # at q = 1 both sides are 4e160, although (1 - q)*(x*y) taken as
+        # written is 0*inf = nan
+        result = runner.invoke(cli, [
+            "algebra-check", "--x", "1e160", "--y", "1e160", "--q", "1", "--alpha", "2"])
+        add = _payload(result)["laws"][0]
+        assert add == {"law": "add", "lhs": 4e160, "rhs": 4e160, "status": "ok"}
 
     @pytest.mark.parametrize("q,alpha", [("0", "1e300"), ("1.5", "1e17")])
     def test_q_alpha_rounded_to_one_is_domain_error(self, runner, q, alpha):

@@ -191,6 +191,12 @@ class TestEscort:
         assert escort([0.9, 0.1], -2000.0).tolist() == [0.0, 1.0]
         assert escort([0.9, 0.1], 3000.0).tolist() == [1.0, 0.0]
 
+    def test_subnormal_entry_at_order_near_zero(self):
+        # p/p_min overflows for p_min = 5e-324, where inf**(-1e-12) = 0 would
+        # give the escort [1, 0]; p^r is 1 to 1e-9 for both entries
+        assert escort([5e-324, 1.0], -1e-12) == pytest.approx([0.5, 0.5], rel=1e-9)
+        assert escort([5e-324, 1.0], -1.0).tolist() == [1.0, 5e-324]
+
     def test_zero_entry_at_extreme_order_warns_nothing(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

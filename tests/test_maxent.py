@@ -642,6 +642,16 @@ FAMILIES_NEAR_ONE = {
 }
 
 
+
+@pytest.mark.parametrize("mode", MODES, ids=["omega", "target"])
+@pytest.mark.parametrize("solve", [solve_maxent, solve_maxent_renyi], ids=["tsallis", "renyi"])
+def test_rescaled_index_pole_is_domain_error(solve, mode):
+    # q + alpha - 1 = 0 at q = alpha = 0.5: q_alpha = 0, a pole of the
+    # trinomial coupling q(1-q)/(q+alpha-1), in either mode
+    assert transform(0.5, 0.5) == 0.0
+    with pytest.raises(DomainError, match="rescaled index pole"):
+        solve(np.linspace(0.0, 2.0, 5), 0.5, 0.5, **mode)
+
 class TestContinuityAtQOne:
     """The trinomial family at q = 1 +- 2e-9 and the Gibbs kernel at q = 1
     give the same distribution, on both sides of 1."""

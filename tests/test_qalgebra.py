@@ -117,6 +117,11 @@ class TestOperators:
             assert q_mul(x, y, q) == q_mul(y, x, q)
 
 
+    def test_sub_where_the_denominator_overflows(self):
+        # 1 + (1-q)*y = 1e310 overflows, which would make the quotient 0
+        expected = 1e-2 * (1.0 - 1e-8) / (1.0 + 1e-10)
+        assert q_sub(1e308, 1e300, -1e10) == pytest.approx(expected, rel=1e-14)
+
 class TestExpLog:
     def test_exp_classical(self):
         assert q_exp(0.7, 1.0) == pytest.approx(math.exp(0.7), rel=1e-15)
@@ -131,6 +136,16 @@ class TestExpLog:
         # for q > 1 the base 1+(1-q)x turns non-positive at large x
         with pytest.raises(DomainError):
             q_exp(3.0, 2.0)
+
+    @pytest.mark.parametrize("x,q,expected", [
+        (-3.0, 1e308, 1.0),
+        (-1e308, 3.0, 7.071067811865475e-155),
+        (1e308, -1.0, 1.4142135623730951e154),
+    ])
+    def test_exp_where_the_bracket_overflows(self, x, q, expected):
+        # (1-q)x overflows while [1+(1-q)x]^(1/(1-q)) does not, so x*L((1-q)x)
+        # is no use there; exp of a log near 355 keeps about 13 digits
+        assert q_exp(x, q) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_exp_at_zero(self):
         for q in (0.2, 1.0, 1.7):
