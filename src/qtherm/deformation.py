@@ -16,6 +16,7 @@ element outside the domain raises ``DomainError`` for the whole call.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -75,9 +76,21 @@ def transform(q, alpha):
     out = np.where(alpha == 1.0, q, 1.0 + (q - 1.0) / alpha)
     overflow = np.isinf(out)
     if overflow.any():
-        raise DomainError(f"q_alpha overflows: 1 + ({_first(q, overflow)!r} - 1)"
-                          f"/{_first(alpha, overflow)!r}")
+        raise _overflow(_first(q, overflow), _first(alpha, overflow))
     return out
+
+
+def _rescaled_index(q: float, alpha: float) -> float:
+    """``transform`` of one finite q and one finite, nonzero alpha in plain
+    floats, bit for bit, without the cost of the array machinery."""
+    out = q if alpha == 1.0 else 1.0 + (q - 1.0) / alpha
+    if math.isinf(out):
+        raise _overflow(q, alpha)
+    return out
+
+
+def _overflow(q: float, alpha: float) -> DomainError:
+    return DomainError(f"q_alpha overflows: 1 + ({q!r} - 1)/{alpha!r}")
 
 
 @_elementwise

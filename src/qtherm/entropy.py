@@ -318,7 +318,11 @@ def escort(probs, r: float) -> np.ndarray:
 
     Requires a finite r, and a strictly positive vector when r <= 0.
     """
-    p = as_distribution(probs)
+    return _escort(as_distribution(probs), r)
+
+
+def _escort(p: np.ndarray, r: float) -> np.ndarray:
+    """``escort`` of a vector that ``as_distribution`` has validated."""
     r = float(r)
     if not math.isfinite(r):
         raise DomainError(f"r must be finite, got {r!r}")
@@ -338,7 +342,7 @@ def escort_mean(probs, levels, r: float) -> float:
         )
     if not np.all(np.isfinite(e)):
         raise DomainError("levels contain NaN or infinite entries")
-    return float(np.dot(escort(p, r), e))
+    return float(np.dot(_escort(p, r), e))
 
 
 def hartley_moments(probs) -> tuple[float, float]:

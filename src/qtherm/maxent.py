@@ -62,10 +62,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deformation import transform
+from .deformation import _rescaled_index
 from .entropy import PartitionSum
 from .errors import DomainError, NonConvergenceError, NoRealRootError
-from .trinomial import _CLOSED_FORMS, _branch_roots, _coupling, _lambert_w0, series_radius
+from .trinomial import _CLOSED_FORMS, _coupling, _lambert_w0, _roots, series_radius
 
 # Newton steps of a fixed-omega solve, or in lambda of a target-mean solve
 MAX_ITER = 10_000
@@ -85,7 +85,7 @@ def as_spectrum(levels) -> np.ndarray:
         raise DomainError(f"expected a 1-D energy spectrum, got shape {e.shape}")
     if e.size < 2:
         raise DomainError("energy spectrum needs at least two levels")
-    if not np.all(np.isfinite(e)):
+    if not np.isfinite(e).all():
         raise DomainError("energy spectrum contains NaN or infinite entries")
     return e
 
@@ -152,7 +152,7 @@ def _solve_deformed(energies, q, alpha, omega, target_mean, *,
     if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha:g}")
     # alpha = inf sends every q to 1
-    q_alpha = 1.0 if alpha == math.inf else transform(q, alpha)
+    q_alpha = 1.0 if alpha == math.inf else _rescaled_index(q, alpha)
     # S_1 is Shannon's entropy, whatever q
     fam = _Shannon(e, q) if q_alpha == 1.0 else _Trinomial(e, q, alpha, q_alpha, renyi)
     return _solve(fam, omega, target_mean)
@@ -210,6 +210,10 @@ class _Trinomial:
         self.warm = alpha not in _CLOSED_FORMS
         # q(1-q)/(q+alpha-1), raising at the rescaled-index pole q_alpha = 0
         self.coupling = _coupling(q, alpha)
+        if not math.isfinite(self.coupling):
+            # q(1-q) overflows for |q| above about 1.3e154
+            raise DomainError(f"the coupling q(1 - q)/(q + alpha - 1) overflows at "
+                              f"q = {q:g}, alpha = {alpha:g}")
         # lambda is O(q - 1), and its step tolerance with it
         self.lam_scale = min(1.0, abs(q - 1.0))
         # b reaches the double root for alpha > 1 and stays below the pole
@@ -225,7 +229,7 @@ class _Trinomial:
             roots, (b_last, dx_db) = self.start
             dx = dx_db * (b - b_last)
         try:
-            roots = _branch_roots(self.alpha, b, roots, dx)
+            roots = _roots(self.alpha, b, roots, dx, self.b_range[1])
         except NoRealRootError as err:
             raise _at_level(err, self.e) from err
         # log x = log1p(b*x^alpha) on the trinomial keeps the digits that
@@ -347,8 +351,9 @@ def _solve(fam, omega, target_mean) -> MaxEntSolution:
     if (omega is None) == (target_mean is None):
         raise DomainError("exactly one of omega and target_mean must be given")
     # a level or a partition sum that underflows to 0 divides to inf or nan
-    # on its way to the verdict below, which reports it
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # on its way to the verdict below, which reports it; the kernels run
+    # inside this block and open none of their own
+    with np.errstate(all="ignore"):
         if target_mean is not None:
             point, iterations, failure = _solve_for_target(fam, float(target_mean))
         else:
@@ -533,12 +538,13 @@ def _newton_point(fam, lam: float, m: float, omega: float) -> _Point | None:
     return point
 
 
-def _feasible(fam, de: np.ndarray) -> tuple[float, float]:
+def _feasible(fam, de) -> tuple[float, float]:
     """The interval of lambda where every level's b = lambda*de keeps a real
-    root; ``de`` must have both signs."""
+    root; ``de`` must have both signs, and its two extremes alone will do."""
     b_min, b_max = fam.b_range
-    return (max(b_max / de.min(), b_min / de.max()),
-            min(b_max / de.max(), b_min / de.min()))
+    de_min, de_max = min(de), max(de)
+    return (max(b_max / de_min, b_min / de_max),
+            min(b_max / de_max, b_min / de_min))
 
 
 def _solve_for_target(fam, target: float):
@@ -565,15 +571,16 @@ def _solve_for_target(fam, target: float):
         raise DomainError("target mean must be finite")
     e = fam.e
     de = e - target
-    if not np.any(de):
+    de_min, de_max = float(de.min()), float(de.max())
+    if de_min == 0.0 == de_max:
         return _evaluate(fam, _uniform(e.size), 0.0, 0.0), 0, None
-    if not de.min() < 0.0 < de.max():
+    if not de_min < 0.0 < de_max:
         raise DomainError(
             f"target mean {target:g} outside the attainable range "
             f"({e.min():g}, {e.max():g}) of the spectrum"
         )
     b_min, b_max = fam.b_range
-    lo, hi = feasible = _feasible(fam, de)
+    lo, hi = feasible = _feasible(fam, (de_min, de_max))
     unbounded = math.isinf(hi)
 
     def gap(p: np.ndarray, slope: np.ndarray | None, lam: float):
@@ -593,11 +600,17 @@ def _solve_for_target(fam, target: float):
 
     def probe(lam: float, newton: bool = True):
         """p, its gap at lambda and, at a Newton point, the gap's slope."""
-        # np.clip does the same at twice the cost on a short array
-        p, slope = fam.level_map(np.minimum(np.maximum(lam * de, b_min), b_max))
+        # b held inside b_range; np.clip does the same at twice the cost on a
+        # short array, and an infinite end holds nothing
+        b = lam * de
+        if b_min > -math.inf:
+            b = np.maximum(b, b_min)
+        if b_max < math.inf:
+            b = np.minimum(b, b_max)
+        p, slope = fam.level_map(b)
         return (p, *gap(p, slope if newton else None, lam))
 
-    scale = 1.0 / float(np.abs(de).max())
+    scale = 1.0 / max(-de_min, de_max)
 
     def ends():
         """The feasible interval, or for an unbounded one the part of it that

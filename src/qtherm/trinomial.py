@@ -10,8 +10,10 @@ kernel, ``solve_trinomial_array``, solves for a whole vector of b at once:
 * otherwise:    safeguarded Newton inside closed-form brackets, from the
                 bracket end where f is convex or concave towards the root;
                 from a warm start (the roots of nearby b), plain Newton
-                steps first, and the brackets only for the entries that
-                these do not settle on the branch root.
+                steps first, one power per step, until every step is at
+                rounding; an entry is settled on the branch root where its
+                last step is at rounding with f' < 0 and b below the
+                critical b, and only the others take the brackets.
 
 For alpha > 1 the branch ends in a double root at x = alpha/(alpha - 1) when
 b reaches (alpha-1)^(alpha-1)/alpha^alpha; beyond that there is no real root
@@ -42,8 +44,9 @@ from .errors import (
 
 # Cap on the Newton iterations of the branch-root kernel.
 _MAX_STEPS = 200
-# Plain Newton steps from a warm start before an entry takes the bracketed path
-_WARM_STEPS = 4
+# Plain Newton steps from a warm start; an entry whose last one is not at
+# rounding takes the bracketed path
+_WARM_STEPS = 5
 # The alpha whose branch root has a closed form, which takes no start
 _CLOSED_FORMS = (0.5, 1.0, 2.0)
 
@@ -225,15 +228,24 @@ def solve_trinomial_array(alpha: float, b) -> np.ndarray:
     return _branch_roots(alpha, b, None)
 
 
-def _branch_roots(alpha: float, b, x0, dx=None) -> np.ndarray:
+def _branch_roots(alpha: float, b, x0, dx=None, b_c=None) -> np.ndarray:
+    """``_roots`` with NumPy's floating-point warnings off, for a caller that
+    has not turned them off itself."""
+    with np.errstate(all="ignore"):
+        return _roots(alpha, b, x0, dx, b_c)
+
+
+def _roots(alpha: float, b, x0, dx=None, b_c=None) -> np.ndarray:
     """Branch roots of every b_i; for generic alpha the iteration starts from
-    the roots ``x0`` of nearby coefficients when they are given.
+    the roots ``x0`` of nearby coefficients when they are given.  The caller
+    holds NumPy's floating-point warnings off.
 
     With ``x0``, plain Newton steps run first from x0, or from x0 + dx where
     ``dx`` (a predicted step from x0 to the roots at b) is given too.  Only
     the entries that they do not settle on the branch root take the
     safeguarded Newton iteration inside closed-form brackets, from x0 held
-    inside the bracket.
+    inside the bracket.  ``b_c`` is the critical b for alpha > 1 and inf
+    below; where it is not given, it is computed (``series_radius``).
 
     A failure shows as a root that is not positive and finite; the first such
     entry is reported as a scalar solve would report it.
@@ -246,28 +258,29 @@ def _branch_roots(alpha: float, b, x0, dx=None) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     shape = b.shape
     b = b.ravel()
-    with np.errstate(all="ignore"):
-        if alpha == 1.0:
-            x = 1.0 / (1.0 - b)
-        elif alpha == 0.5:
-            # u = sqrt(x) solves u^2 - b*u - 1 = 0; each sign of b takes the
-            # form without cancellation, and hypot does not overflow b*b
-            root = np.hypot(b, 2.0)
-            u = np.where(b < 0.0, 2.0 / (root - b), 0.5 * (b + root))
-            x = u * u
-        elif alpha == 2.0:
-            x = 2.0 / (1.0 + np.sqrt(1.0 - 4.0 * b))
-        elif x0 is None:
-            lo, hi, start = _brackets(alpha, b)
-            x = _newton(alpha, b, start, lo, hi)
-        else:
-            x0 = np.asarray(x0, dtype=float).ravel()
-            x, cold = _warm_newton(alpha, b, x0.copy() if dx is None else x0 + dx)
-            if np.count_nonzero(cold):
-                b_cold = b[cold]
-                lo, hi, _ = _brackets(alpha, b_cold)
-                start = np.minimum(np.maximum(x0[cold], lo), hi)
-                x[cold] = _newton(alpha, b_cold, start, lo, hi)
+    if alpha == 1.0:
+        x = 1.0 / (1.0 - b)
+    elif alpha == 0.5:
+        # u = sqrt(x) solves u^2 - b*u - 1 = 0; each sign of b takes the
+        # form without cancellation, and hypot does not overflow b*b
+        root = np.hypot(b, 2.0)
+        u = np.where(b < 0.0, 2.0 / (root - b), 0.5 * (b + root))
+        x = u * u
+    elif alpha == 2.0:
+        x = 2.0 / (1.0 + np.sqrt(1.0 - 4.0 * b))
+    elif x0 is None:
+        lo, hi, start = _brackets(alpha, b)
+        x = _newton(alpha, b, start, lo, hi)
+    else:
+        x0 = np.asarray(x0, dtype=float).ravel()
+        if b_c is None:
+            b_c = series_radius(alpha) if alpha > 1.0 else math.inf
+        x, cold = _warm_newton(alpha, b, x0 if dx is None else x0 + dx, b_c)
+        if cold.any():
+            b_cold = b[cold]
+            lo, hi, _ = _brackets(alpha, b_cold)
+            start = np.minimum(np.maximum(x0[cold], lo), hi)
+            x[cold] = _newton(alpha, b_cold, start, lo, hi)
     if x.size and not (x.min() > 0.0 and x.max() < math.inf):
         raise _no_root(alpha, b, x, shape)
     return x.reshape(shape)
@@ -300,32 +313,37 @@ def _defect(alpha: float, b: np.ndarray, x: np.ndarray):
     return f, bxa, np.abs(f) > 1e-15 * np.maximum(np.maximum(x, np.abs(bxa)), 1.0)
 
 
-def _warm_newton(alpha: float, b: np.ndarray, x: np.ndarray):
-    """Plain Newton on 1 - x + b*x^alpha from the start x, for at most
-    ``_WARM_STEPS`` steps, each entry stopping once its defect is rounding.
+def _warm_newton(alpha: float, b: np.ndarray, x: np.ndarray, b_c: float):
+    """Plain Newton on f = 1 - x + b*x^alpha from the start x, for at most
+    ``_WARM_STEPS`` steps and until every step is at most 2e-15*x.
 
-    Returns the iterates, overwriting x, and the mask of those that are not
-    settled on the branch root: not positive and finite, a slope f' =
-    alpha*b*x^(alpha-1) - 1 that is not negative, or a next Newton step
-    above 2e-15*x.  The branch root is the one root with f' < 0; for alpha >
-    1 and b > 0 the other positive root has f' > 0, and a plain Newton step
-    started on it stays there.  Near the fold of alpha > 1, where f' -> 0, a
-    defect at rounding leaves the root uncertain far beyond rounding, and the
-    step test sends such an entry to the bracketed iteration; so does a b at
-    or beyond the critical one.
+    One pass per step takes x^alpha once, and from it f, the slope f' =
+    alpha*b*x^alpha/x - 1 and the step f/f' (x^(alpha-1) in place of
+    x^alpha/x would lose digits of f where x is far below 1).  Returns the
+    iterates and the mask of those that are not settled on the branch root:
+    a last step above 2e-15*x (as a step that is NaN, or that leaves the
+    positive half-line, is), a slope at it that is not negative and finite,
+    an iterate that is not finite, or a b at or beyond the critical ``b_c``
+    (inf for alpha < 1).  An infinite slope, as where a root underflows into
+    the subnormal range, makes a step of 0 from any x.  The branch root is
+    the one root with f' < 0; for alpha > 1 and b > 0 the other positive
+    root has f' > 0, and a plain Newton step started on it stays there.
+    Near the fold of alpha > 1, where f' -> 0, the rounding of f moves the
+    step by more than 2e-15*x, which sends such an entry to the bracketed
+    iteration.
     """
     for _ in range(_WARM_STEPS):
-        f, bxa, rough = _defect(alpha, b, x)
-        if not np.count_nonzero(rough):
+        bxa = b * x**alpha
+        slope = alpha * bxa / x - 1.0
+        step = ((1.0 - x) + bxa) / slope
+        x = x - step
+        settled = np.abs(step) <= 2e-15 * x
+        if settled.all():
             break
-        np.copyto(x, x - f / (alpha * bxa / x - 1.0), where=rough)
-    else:
-        f, bxa, _ = _defect(alpha, b, x)
-    slope = alpha * bxa / x - 1.0
-    root = (x > 0.0) & (x < math.inf) & (slope < 0.0) & (np.abs(f / slope) <= 2e-15 * x)
-    if alpha > 1.0:
-        root &= b < series_radius(alpha)
-    return x, ~root
+    settled &= (-math.inf < slope) & (slope < 0.0) & (x < math.inf)
+    if b_c < math.inf:
+        settled &= b < b_c
+    return x, ~settled
 
 
 def _brackets(alpha: float, b: np.ndarray):

@@ -433,6 +433,16 @@ class TestMaxentCommand:
         assert result.exit_code == 4
         assert "rescaled index pole" in result.output
 
+    @pytest.mark.parametrize("mode", [["--omega", "0.3"], ["--target-mean", "0.8"]],
+                             ids=["omega", "target"])
+    def test_coupling_overflow_is_domain_error(self, runner, tmp_path, mode):
+        # q(1-q) overflows at |q| = 1e200
+        path = _write(tmp_path, "e.csv", "E\n0\n0.5\n1\n1.5\n2\n")
+        result = runner.invoke(cli, ["maxent", "--input", path, "--q", "-1e200",
+                                     "--alpha", "2", *mode])
+        assert result.exit_code == 4
+        assert "the coupling q(1 - q)/(q + alpha - 1) overflows" in result.output
+
     def test_alpha_inf_selects_lambert_solver(self, runner, tmp_path):
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
         result = runner.invoke(cli, [

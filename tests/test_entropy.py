@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qtherm import entropy
 from qtherm.checks import _draw
 from qtherm.deformation import transform
 from qtherm.entropy import (
@@ -228,6 +229,33 @@ class TestEscort:
             e = rng.normal(size=4)
             m = escort_mean(p, e, rng.uniform(0.2, 3.0))
             assert e.min() - 1e-12 <= m <= e.max() + 1e-12
+
+    @pytest.mark.parametrize("probs,levels,r,message", [
+        ([0.5, math.nan], [0.0, 1.0], 1.0, "NaN or infinite"),
+        ([0.5, 0.6], [0.0, 1.0], 1.0, "sum to 1.1"),
+        ([0.5, 0.5], [0.0, 1.0, 2.0], 1.0, "does not match"),
+        ([0.5, 0.5], [0.0, math.inf], 1.0, "levels contain"),
+        ([0.5, 0.5], [0.0, 1.0], math.nan, "r must be finite"),
+        ([1.0, 0.0], [0.0, 1.0], -1.0, "zero probability"),
+        ([0.5, 0.5 + 1e-10], [0.0, 1.0], 2.0, None),
+    ])
+    def test_mean_validates_the_distribution_once(self, monkeypatch, probs, levels, r,
+                                                  message):
+        # one validation per call, with the errors and the renormalization
+        # of escort's own
+        if message is None:
+            with pytest.warns(RenormalizationWarning):
+                expected = float(np.dot(escort(probs, r), levels))
+        calls = []
+        real = entropy._checked
+        monkeypatch.setattr(entropy, "_checked", lambda p: calls.append(p) or real(p))
+        if message is None:
+            with pytest.warns(RenormalizationWarning):
+                assert escort_mean(probs, levels, r) == expected
+        else:
+            with pytest.raises(DomainError, match=message):
+                escort_mean(probs, levels, r)
+        assert len(calls) == 1
 
 
 class TestHartleyAndQuasiAdditivity:

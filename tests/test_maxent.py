@@ -652,6 +652,36 @@ def test_rescaled_index_pole_is_domain_error(solve, mode):
     with pytest.raises(DomainError, match="rescaled index pole"):
         solve(np.linspace(0.0, 2.0, 5), 0.5, 0.5, **mode)
 
+
+@pytest.mark.parametrize("mode", MODES, ids=["omega", "target"])
+@pytest.mark.parametrize("solve", [solve_maxent, solve_maxent_renyi], ids=["tsallis", "renyi"])
+def test_coupling_overflow_is_domain_error(solve, mode):
+    # q(1-q) overflows beyond |q| of about 1.3e154, where the escort weight
+    # p^q of any p < 1 overflows or underflows anyway
+    with pytest.raises(DomainError, match=r"the coupling q\(1 - q\)/\(q \+ alpha - 1\) "
+                                          r"overflows at q = -1e\+200, alpha = 2"):
+        solve(np.linspace(0.0, 2.0, 5), -1e200, 2.0, **mode)
+
+
+def test_rescaled_index_is_transform_bit_for_bit():
+    # q_alpha is formed in plain floats on the solve path; it must be
+    # transform's value, also where it rounds to 1 (the Shannon family)
+    for q in (-0.5, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.2, 2.5):
+        for alpha in (0.3, 1.0, 2.0, 7.0, 1e5, 1e300):
+            sol = solve_maxent(E5, q, alpha, 0.3)
+            assert sol.z_q_alpha.q_used == transform(q, alpha), (q, alpha)
+
+
+@pytest.mark.parametrize("q,alpha", [(1.5, 1e-310), (0.5, 5e-324), (3.0, 1e-308)])
+def test_rescaled_index_overflow_is_transforms_domain_error(q, alpha):
+    with pytest.raises(DomainError) as expected:
+        transform(q, alpha)
+    for mode in MODES:
+        with pytest.raises(DomainError) as raised:
+            solve_maxent(E5, q, alpha, **mode)
+        assert str(raised.value) == str(expected.value)
+
+
 class TestContinuityAtQOne:
     """The trinomial family at q = 1 +- 2e-9 and the Gibbs kernel at q = 1
     give the same distribution, on both sides of 1."""

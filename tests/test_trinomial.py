@@ -493,6 +493,64 @@ class TestArrayKernels:
         assert excinfo.value.level == 2
         assert excinfo.value.b == b[2]
 
+    @pytest.mark.parametrize("alpha", (0.3, 0.7, 1.5, 3.0, 10.0))
+    def test_warm_and_cold_paths_agree(self, alpha):
+        # b from -50 up to 1e-12 below the critical b (or to 50 for alpha <
+        # 1), warm starts from the roots at nearby b, with and without the
+        # tangent step.  The bound is 4 ulps, widened where f is flat by the
+        # interval around the root on which the bracketed iteration's stop
+        # (a defect within 1e-15 of the largest term) holds.
+        if alpha > 1.0:
+            b_c = series_radius(alpha)
+            b = np.concatenate([np.linspace(-50.0, 0.99 * b_c, 400),
+                                b_c * (1.0 - np.geomspace(1e-2, 1e-12, 60))])
+        else:
+            b = np.linspace(-50.0, 50.0, 400)
+        cold = _branch_roots(alpha, b, None)
+        bxa = b * cold**alpha
+        flat = 2e-15 * np.maximum(np.maximum(cold, np.abs(bxa)), 1.0) / np.abs(
+            alpha * bxa / cold - 1.0)
+        bound = 4.0 * np.spacing(cold) + flat
+        for rel in (1e-6, 1e-3, 1e-2):
+            for side in (1.0, -1.0):
+                b0 = b - side * rel * np.maximum(np.abs(b), 1e-3)
+                if alpha > 1.0:
+                    b0 = np.minimum(b0, b_c * (1.0 - 1e-12))
+                x0 = _branch_roots(alpha, b0, None)
+                xa1 = x0 ** (alpha - 1.0)
+                tangent = xa1 * x0 / (1.0 - alpha * b0 * xa1) * (b - b0)
+                for dx in (None, tangent):
+                    warm = _branch_roots(alpha, b, x0, dx)
+                    assert np.all(np.abs(warm - cold) <= bound), (rel, side, dx is None)
+
+    @pytest.mark.parametrize("alpha", (1.5, 3.0, 10.0))
+    @pytest.mark.parametrize("beyond", (2.0**-52, 1e-12, 1e-3, 1.0))
+    def test_warm_and_cold_paths_raise_alike_beyond_the_critical_b(self, alpha, beyond):
+        b_c = series_radius(alpha)
+        b = np.array([0.5 * b_c, -1.0, b_c * (1.0 + beyond), 0.9 * b_c, 2.0 * b_c])
+        assert b[2] > b_c
+        near = np.array([0.5 * b_c, -1.0, b_c * (1.0 - 1e-9), 0.9 * b_c, 0.99 * b_c])
+        errors = []
+        for x0 in (None, _branch_roots(alpha, near, None), np.ones(5)):
+            with pytest.raises(NoRealRootError) as excinfo:
+                _branch_roots(alpha, b, x0)
+            errors.append((excinfo.value.level, excinfo.value.b, str(excinfo.value)))
+        assert errors[0][0] == 2
+        assert errors[1:] == errors[:1] * 2
+
+    def test_warm_start_towards_a_subnormal_root(self):
+        # the root |b|^(-1/alpha) at alpha = 0.2 falls from 8.4e-310 to
+        # 2.9e-311 in the subnormal range as b doubles; there b*x^alpha/x
+        # overflows and a Newton step from the old root is 0, which must not
+        # settle it
+        alpha = 0.20550586730444473
+        b = -6.582018232e63
+        x0 = solve_trinomial_array(alpha, [0.5 * b])
+        cold = solve_trinomial_array(alpha, [b])
+        assert cold[0] == pytest.approx((-b) ** (-1.0 / alpha), rel=1e-10, abs=0.0)
+        assert x0[0] > 20.0 * cold[0]
+        assert _branch_roots(alpha, [b], x0) == pytest.approx(cold, rel=1e-10, abs=0.0)
+
     def test_scalar_error_names_no_level(self):
         with pytest.raises(NoRealRootError) as excinfo:
             solve_trinomial(3.0, 0.2)
