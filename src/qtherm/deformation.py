@@ -81,8 +81,9 @@ def transform(q, alpha):
 
 
 def _rescaled_index(q: float, alpha: float) -> float:
-    """``transform`` of one finite q and one finite, nonzero alpha in plain
-    floats, bit for bit, without the cost of the array machinery."""
+    """``transform`` of one finite q and one nonzero alpha in plain floats,
+    bit for bit, without the cost of the array machinery; unlike
+    ``transform`` it takes alpha = inf too, which sends q to 1."""
     out = q if alpha == 1.0 else 1.0 + (q - 1.0) / alpha
     if math.isinf(out):
         raise _overflow(q, alpha)

@@ -152,7 +152,7 @@ def _solve_deformed(energies, q, alpha, omega, target_mean, *,
     if not alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {alpha:g}")
     # alpha = inf sends every q to 1
-    q_alpha = 1.0 if alpha == math.inf else _rescaled_index(q, alpha)
+    q_alpha = _rescaled_index(q, alpha)
     # S_1 is Shannon's entropy, whatever q
     fam = _Shannon(e, q) if q_alpha == 1.0 else _Trinomial(e, q, alpha, q_alpha, renyi)
     return _solve(fam, omega, target_mean)
@@ -538,11 +538,11 @@ def _newton_point(fam, lam: float, m: float, omega: float) -> _Point | None:
     return point
 
 
-def _feasible(fam, de) -> tuple[float, float]:
-    """The interval of lambda where every level's b = lambda*de keeps a real
-    root; ``de`` must have both signs, and its two extremes alone will do."""
+def _feasible(fam, de_min: float, de_max: float) -> tuple[float, float]:
+    """The interval of lambda where every level's b = lambda*(E_i - target)
+    keeps a real root, from the extremes ``de_min`` < 0 < ``de_max`` of E_i -
+    target."""
     b_min, b_max = fam.b_range
-    de_min, de_max = min(de), max(de)
     return (max(b_max / de_min, b_min / de_max),
             min(b_max / de_max, b_min / de_min))
 
@@ -580,7 +580,7 @@ def _solve_for_target(fam, target: float):
             f"({e.min():g}, {e.max():g}) of the spectrum"
         )
     b_min, b_max = fam.b_range
-    lo, hi = feasible = _feasible(fam, (de_min, de_max))
+    lo, hi = feasible = _feasible(fam, de_min, de_max)
     unbounded = math.isinf(hi)
 
     def gap(p: np.ndarray, slope: np.ndarray | None, lam: float):

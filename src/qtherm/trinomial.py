@@ -228,14 +228,16 @@ def solve_trinomial_array(alpha: float, b) -> np.ndarray:
     return _branch_roots(alpha, b, None)
 
 
-def _branch_roots(alpha: float, b, x0, dx=None, b_c=None) -> np.ndarray:
+def _branch_roots(alpha: float, b, x0, dx=None) -> np.ndarray:
     """``_roots`` with NumPy's floating-point warnings off, for a caller that
     has not turned them off itself."""
+    # _roots reports an alpha that is not finite
+    b_c = series_radius(alpha) if 1.0 < alpha < math.inf else math.inf
     with np.errstate(all="ignore"):
         return _roots(alpha, b, x0, dx, b_c)
 
 
-def _roots(alpha: float, b, x0, dx=None, b_c=None) -> np.ndarray:
+def _roots(alpha: float, b, x0, dx, b_c: float) -> np.ndarray:
     """Branch roots of every b_i; for generic alpha the iteration starts from
     the roots ``x0`` of nearby coefficients when they are given.  The caller
     holds NumPy's floating-point warnings off.
@@ -245,7 +247,7 @@ def _roots(alpha: float, b, x0, dx=None, b_c=None) -> np.ndarray:
     the entries that they do not settle on the branch root take the
     safeguarded Newton iteration inside closed-form brackets, from x0 held
     inside the bracket.  ``b_c`` is the critical b for alpha > 1 and inf
-    below; where it is not given, it is computed (``series_radius``).
+    below.
 
     A failure shows as a root that is not positive and finite; the first such
     entry is reported as a scalar solve would report it.
@@ -273,8 +275,6 @@ def _roots(alpha: float, b, x0, dx=None, b_c=None) -> np.ndarray:
         x = _newton(alpha, b, start, lo, hi)
     else:
         x0 = np.asarray(x0, dtype=float).ravel()
-        if b_c is None:
-            b_c = series_radius(alpha) if alpha > 1.0 else math.inf
         x, cold = _warm_newton(alpha, b, x0 if dx is None else x0 + dx, b_c)
         if cold.any():
             b_cold = b[cold]
@@ -401,27 +401,29 @@ def _newton(alpha: float, b: np.ndarray, x: np.ndarray, lo: np.ndarray,
 
     Each step moves the bracket end on the iterate's side of the root; a
     step that leaves the bracket or is not finite bisects it geometrically.
-    An entry stops once its defect is rounding or its step is at most
-    2e-15*x, so each entry iterates as it would alone.  Overwrites x, lo
-    and hi; raises ``NonConvergenceError`` if an entry is still moving after
-    ``_MAX_STEPS`` steps.
+    An entry stops after a step of at most 2e-15*x, or after one last
+    step from a defect that is rounding, so each entry iterates as it
+    would alone.  Overwrites x, lo and hi; raises ``NonConvergenceError``
+    if an entry is still moving after ``_MAX_STEPS`` steps.
     """
     moving = np.ones(x.size, dtype=bool)
     for _ in range(_MAX_STEPS):
         f, bxa, rough = _defect(alpha, b, x)
-        moving &= rough
-        if not np.count_nonzero(moving):
-            return x
         above = f < 0.0
         np.copyto(hi, x, where=above)
         np.copyto(lo, x, where=~above)
         x_new = x - f / (alpha * bxa / x - 1.0)
-        wild = moving & ~((x_new > lo) & (x_new < hi))
+        inside = (x_new > lo) & (x_new < hi)
+        wild = moving & rough & ~inside
         if np.count_nonzero(wild):
             np.copyto(x_new, np.sqrt(lo) * np.sqrt(hi), where=wild)
         step = np.abs(x_new - x)
-        np.copyto(x, x_new, where=moving)
-        moving &= step > 2e-15 * x
+        # an entry whose defect is at rounding takes this last step where it
+        # stays inside the bracket, and stops
+        np.copyto(x, x_new, where=moving & (rough | inside))
+        moving &= rough & (step > 2e-15 * x)
+        if not np.count_nonzero(moving):
+            return x
     i = int(np.argmax(moving))
     raise NonConvergenceError(
         f"no branch root after {_MAX_STEPS} Newton steps "

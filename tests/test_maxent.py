@@ -573,7 +573,7 @@ def test_gap_runs_the_way_of_its_slope_at_the_start():
         else:
             fam = _Trinomial(e, q, alpha, transform(q, alpha), family == "renyi")
         b_min, b_max = fam.b_range
-        lo, hi = maxent._feasible(fam, de)
+        lo, hi = maxent._feasible(fam, de.min(), de.max())
         p, slope = fam.uniform()
         escort = p**q / np.sum(p**q)
         g = np.dot(escort, de)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -493,13 +494,13 @@ class TestArrayKernels:
         assert excinfo.value.level == 2
         assert excinfo.value.b == b[2]
 
-    @pytest.mark.parametrize("alpha", (0.3, 0.7, 1.5, 3.0, 10.0))
-    def test_warm_and_cold_paths_agree(self, alpha):
-        # b from -50 up to 1e-12 below the critical b (or to 50 for alpha <
-        # 1), warm starts from the roots at nearby b, with and without the
-        # tangent step.  The bound is 4 ulps, widened where f is flat by the
-        # interval around the root on which the bracketed iteration's stop
-        # (a defect within 1e-15 of the largest term) holds.
+    @staticmethod
+    def warm_and_cold_roots(alpha):
+        """b from -50 up to 1e-12 below the critical b (or to 50 for alpha <
+        1); the cold roots at b, the warm roots from the roots at nearby b,
+        with and without the tangent step, and the condition number kappa =
+        max(x, |b x^alpha|, 1)/(x |f'(x)|) of each root: an ulp of the
+        largest term of f moves the root by kappa ulps."""
         if alpha > 1.0:
             b_c = series_radius(alpha)
             b = np.concatenate([np.linspace(-50.0, 0.99 * b_c, 400),
@@ -508,9 +509,9 @@ class TestArrayKernels:
             b = np.linspace(-50.0, 50.0, 400)
         cold = _branch_roots(alpha, b, None)
         bxa = b * cold**alpha
-        flat = 2e-15 * np.maximum(np.maximum(cold, np.abs(bxa)), 1.0) / np.abs(
-            alpha * bxa / cold - 1.0)
-        bound = 4.0 * np.spacing(cold) + flat
+        kappa = np.maximum(np.maximum(cold, np.abs(bxa)), 1.0) / (
+            cold * np.abs(alpha * bxa / cold - 1.0))
+        warm = []
         for rel in (1e-6, 1e-3, 1e-2):
             for side in (1.0, -1.0):
                 b0 = b - side * rel * np.maximum(np.abs(b), 1e-3)
@@ -519,9 +520,35 @@ class TestArrayKernels:
                 x0 = _branch_roots(alpha, b0, None)
                 xa1 = x0 ** (alpha - 1.0)
                 tangent = xa1 * x0 / (1.0 - alpha * b0 * xa1) * (b - b0)
-                for dx in (None, tangent):
-                    warm = _branch_roots(alpha, b, x0, dx)
-                    assert np.all(np.abs(warm - cold) <= bound), (rel, side, dx is None)
+                warm += [_branch_roots(alpha, b, x0, dx) for dx in (None, tangent)]
+        return b, cold, warm, kappa
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.7, 1.5, 3.0, 10.0))
+    def test_warm_and_cold_paths_agree(self, alpha):
+        # a flat 4 ulps wherever kappa <= 2; the tails of alpha < 1 and the
+        # fold of alpha > 1, where kappa is larger, are checked against
+        # 40-digit roots below
+        b, cold, warm, kappa = self.warm_and_cold_roots(alpha)
+        tame = kappa <= 2.0
+        assert tame.sum() > 0.5 * b.size
+        for x in warm:
+            assert np.all(np.abs(x - cold)[tame] <= 4.0 * np.spacing(cold[tame]))
+
+    @pytest.mark.parametrize("alpha", (0.3, 0.7, 1.5, 3.0, 10.0))
+    def test_ill_conditioned_roots_are_within_kappa_ulps(self, alpha):
+        # where kappa > 2, up to kappa ~ 1e6 within 1e-12 of the fold, every
+        # root of either path is within 4 + kappa ulps of the 40-digit root
+        b, cold, warm, kappa = self.warm_and_cold_roots(alpha)
+        ill = kappa > 2.0
+        assert ill.sum() >= 60
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            exact = np.array([float(mpmath.findroot(
+                lambda t: 1 - t + mpmath.mpf(b_i) * t**a, mpmath.mpf(x_i)))
+                for b_i, x_i in zip(b[ill], cold[ill])])
+        bound = (4.0 + kappa[ill]) * np.spacing(exact)
+        for x in [cold] + warm:
+            assert np.all(np.abs(x[ill] - exact) <= bound)
 
     @pytest.mark.parametrize("alpha", (1.5, 3.0, 10.0))
     @pytest.mark.parametrize("beyond", (2.0**-52, 1e-12, 1e-3, 1.0))
