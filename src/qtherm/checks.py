@@ -36,7 +36,6 @@ from .trinomial import (
     lambert_w_array,
     residual as trinomial_residual,
     series_coefficient,
-    series_radius,
     solve_trinomial_array,
     trinomial_series,
 )

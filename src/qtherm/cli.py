@@ -252,6 +252,8 @@ def maxent(input_path: str, q: float, alpha: float, omega: float | None,
         raise click.UsageError(f"--alpha must be positive (or 'inf'), got {alpha!r}")
     energies = read_spectrum(input_path)
     solve = solve_maxent_renyi if functional == "renyi" else solve_maxent
+    # a solver failure emits its diagnostics here, and exits 5 through
+    # _exit_codes
     try:
         sol = solve(energies, q, alpha, omega, target_mean=target_mean)
     except NoRealRootError as err:
@@ -261,13 +263,11 @@ def maxent(input_path: str, q: float, alpha: float, omega: float | None,
             "b": err.b,
             "converged": False,
         }, fmt)
-        click.echo(f"error: {err}", err=True)
-        sys.exit(EXIT_SOLVER_FAILURE)
+        raise
     except NonConvergenceError as err:
         if err.solution is not None:
             _emit_maxent(err.solution, energies, fmt)
-        click.echo(f"error: {err}", err=True)
-        sys.exit(EXIT_SOLVER_FAILURE)
+        raise
     _emit_maxent(sol, energies, fmt)
     if alpha == 1.0:
         # alpha = 1 solutions form a q-exponential family: p^(1-q) affine in E

@@ -214,8 +214,11 @@ def _relative_powers(rows: _Rows, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     over = np.isinf(ratio)
     if over.any():
         # a ratio to a subnormal p_ref overflows, and its power r <= 0 is
-        # taken through the logs
-        powers = np.where(over, np.exp(r[:, None] * (rows.log - np.log(ref)[:, None])), powers)
+        # taken through the logs, where r times the log ratio may overflow
+        # to -inf, whose exp is the power 0
+        with np.errstate(over="ignore"):
+            powers = np.where(over, np.exp(r[:, None] * (rows.log - np.log(ref)[:, None])),
+                              powers)
     return ref, np.where(rows.on, powers, 0.0)
 
 
@@ -233,7 +236,10 @@ def _hybrid_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:
         raise rows.fail(f"hybrid entropy requires q >= 1/2, got q = {q[bad][0]:g} "
                         f"(maximality fails below)", bad)
     a = -(_escort_rows(rows, q) * rows.log).sum(axis=1)
-    return _expm1_div(a, 1.0 - q)  # log_q(exp(a)) = a E((1-q)a)
+    # log_q(exp(a)) = a E((1-q)a); (1-q)a may overflow to -inf, where
+    # expm1 is -1 and the value 1/(q-1)
+    with np.errstate(over="ignore"):
+        return _expm1_div(a, 1.0 - q)
 
 
 def _avg_hybrid_rows(rows: _Rows, q: np.ndarray) -> np.ndarray:

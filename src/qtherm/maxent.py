@@ -65,7 +65,8 @@ import numpy as np
 from .deformation import _rescaled_index
 from .entropy import PartitionSum
 from .errors import DomainError, NonConvergenceError, NoRealRootError
-from .trinomial import _CLOSED_FORMS, _coupling, _lambert_w0, _roots, series_radius
+from .trinomial import (_BRANCH_POINT, _CLOSED_FORMS, _coupling, _lambert_w0, _real_root_edge,
+                        _roots)
 
 # Newton steps of a fixed-omega solve, or in lambda of a target-mean solve
 MAX_ITER = 10_000
@@ -182,51 +183,47 @@ def solve_maxent_shannon_limit(energies, q: float, omega: float | None = None, *
 
 # --- the families --------------------------------------------------------------
 #
-# A family holds the spectrum and the indices.  ``q`` is the escort index of
-# the constraint, ``b_range`` the interval of b = lambda*(E_i - m) where every
-# level has a real root, ``lam_scale`` the order of lambda, at most 1, in
-# units of the spectrum's inverse width, ``level_map(b)`` the normalized
+# A family holds the spectrum and the indices, and nothing else: it is not
+# changed after ``__init__``.  ``q`` is the escort index of the constraint,
+# ``b_range`` the interval of b = lambda*(E_i - m) where every level has a
+# real root, ``lam_scale`` the order of lambda, at most 1, in units of the
+# spectrum's inverse width, ``level_map(b, start)`` the normalized
 # distribution p of the coefficients b with its slope, the derivative in b of
-# each level's log weight at that same b, ``uniform()`` the same at b = 0
-# without a kernel call (p = 1/n with every trinomial root 1 or every W 0,
-# which the kernels return there exactly), and ``terms(p, weights, z_q)``,
-# from p, its escort weights p^q and their sum Z_q, the coupling lambda/Omega
-# of p, the gradient of its log in log p, the entropy part of the
-# stationarity condition, phi and Z_{q_alpha}.  A level map is one call of an
-# array kernel of ``trinomial`` over all levels.  ``start`` is the warm start
-# of the next level map, None for a cold one or a kernel that takes none: for
-# a generic alpha the branch-root kernel starts from the last map's roots
-# moved along their tangent x'(b) to the new b, since successive Newton steps
-# move b only a little, and ``uniform`` resets it to the roots 1 at b = 0,
-# where x'(b) is 1 too.
+# each level's log weight at that same b, and the warm start of a next map,
+# ``uniform()`` the same at b = 0 without a kernel call (p = 1/n with every
+# trinomial root 1 or every W 0, which the kernels return there exactly), and
+# ``terms(p, weights, z_q)``, from p, its escort weights p^q and their sum
+# Z_q, the coupling lambda/Omega of p, the gradient of its log in log p, the
+# entropy part of the stationarity condition, phi and Z_{q_alpha}.  A level
+# map is one call of an array kernel of ``trinomial`` over all levels.  A
+# warm start is None for a cold map or a kernel that takes none; for a
+# generic alpha it is a map's roots with their b and tangent x'(b), from
+# which the branch-root kernel starts at the roots moved along the tangent
+# to the new b, since successive Newton steps move b only a little.  The
+# caller threads it from one map to the next: ``uniform`` gives the roots 1
+# at b = 0, where x'(b) is 1 too.
 
 class _Trinomial:
     """Tsallis and Renyi levels: 1 - x + b*x^alpha = 0, p ~ x^(alpha/(q-1))."""
 
     def __init__(self, e: np.ndarray, q: float, alpha: float, q_alpha: float, renyi: bool):
         self.e, self.q, self.alpha, self.q_alpha, self.renyi = e, q, alpha, q_alpha, renyi
-        # the last map's roots and (b, dx/db); a closed-form root takes no start
-        self.start = None
+        # a closed-form root takes no start
         self.warm = alpha not in _CLOSED_FORMS
         # q(1-q)/(q+alpha-1), raising at the rescaled-index pole q_alpha = 0
+        # and where it overflows
         self.coupling = _coupling(q, alpha)
-        if not math.isfinite(self.coupling):
-            # q(1-q) overflows for |q| above about 1.3e154
-            raise DomainError(f"the coupling q(1 - q)/(q + alpha - 1) overflows at "
-                              f"q = {q:g}, alpha = {alpha:g}")
         # lambda is O(q - 1), and its step tolerance with it
         self.lam_scale = min(1.0, abs(q - 1.0))
         # b reaches the double root for alpha > 1 and stays below the pole
         # of x = 1/(1-b) at alpha = 1
-        b_max = (series_radius(alpha) if alpha > 1.0 else
-                 math.nextafter(1.0, 0.0) if alpha == 1.0 else math.inf)
-        self.b_range = (-math.inf, b_max)
+        self.b_range = (-math.inf, _real_root_edge(alpha))
 
-    def level_map(self, b: np.ndarray):
+    def level_map(self, b: np.ndarray, start):
         roots = dx = None
-        if self.start is not None:
-            # the tangent step x'(b_last)*(b - b_last) from the last map's roots
-            roots, (b_last, dx_db) = self.start
+        if start is not None:
+            # the tangent step x'(b_last)*(b - b_last) from the start's roots
+            roots, b_last, dx_db = start
             dx = dx_db * (b - b_last)
         try:
             roots = _roots(self.alpha, b, roots, dx, self.b_range[1])
@@ -240,15 +237,13 @@ class _Trinomial:
         xa1 = roots ** (self.alpha - 1.0)
         power = self.alpha / (self.q - 1.0)
         slope = power * xa1 / (1.0 - self.alpha * b * xa1)
-        if self.warm:
-            self.start = (roots, (b, roots * slope / power))
-        return _normalized(power * log_roots), slope
+        start = (roots, b, roots * slope / power) if self.warm else None
+        return _normalized(power * log_roots), slope, start
 
     def uniform(self):
         # at b = 0 every root is 1 with dx/db = 1
-        if self.warm:
-            self.start = (np.ones(self.e.size), (0.0, 1.0))
-        return _uniform(self.e.size), np.full(self.e.size, self.alpha / (self.q - 1.0))
+        start = (np.ones(self.e.size), 0.0, 1.0) if self.warm else None
+        return _uniform(self.e.size), np.full(self.e.size, self.alpha / (self.q - 1.0)), start
 
     def terms(self, p: np.ndarray, weights: np.ndarray, z_q: float):
         q_alpha = self.q_alpha
@@ -280,29 +275,29 @@ class _Shannon:
     """Shannon levels under the q-escort constraint: p ~ exp(-W((q-1)b)/(q-1)),
     W the principal branch, continued to the Gibbs kernel p ~ exp(-b) at q = 1."""
 
-    start = None
     lam_scale = 1.0
 
     def __init__(self, e: np.ndarray, q: float):
         self.e, self.q = e, q
         # (q-1)b stays at or above the branch point -1/e of W: a lower bound
         # on b for q > 1, an upper one for q < 1, none at q = 1
-        edge = -math.exp(-1.0) / (q - 1.0) if q != 1.0 else -math.inf
+        edge = _BRANCH_POINT / (q - 1.0) if q != 1.0 else -math.inf
         self.b_range = (edge, math.inf) if q >= 1.0 else (-math.inf, edge)
 
-    def level_map(self, b: np.ndarray):
+    def level_map(self, b: np.ndarray, start):
+        # Lambert W takes no start
         c = self.q - 1.0
         if c == 0.0:
-            return _normalized(-b), np.full(b.shape, -1.0)
+            return _normalized(-b), np.full(b.shape, -1.0), None
         try:
             w = _lambert_w0(c * b)
         except NoRealRootError as err:
             raise _at_level(err, self.e) from err
         # d log p/db = -exp(-W)/(1 + W), -1 at b = 0
-        return _normalized(-w / c), -np.exp(-w) / (1.0 + w)
+        return _normalized(-w / c), -np.exp(-w) / (1.0 + w), None
 
     def uniform(self):
-        return _uniform(self.e.size), np.full(self.e.size, -1.0)
+        return _uniform(self.e.size), np.full(self.e.size, -1.0), None
 
     def terms(self, p: np.ndarray, weights: np.ndarray, z_q: float):
         q = self.q
@@ -363,7 +358,7 @@ def _solve(fam, omega, target_mean) -> MaxEntSolution:
             if fam.q == 1.0:
                 # the Gibbs kernel, whose coupling is 1 at any normalized p:
                 # lambda = omega in closed form
-                p = fam.level_map(omega * fam.e)[0]
+                p = fam.level_map(omega * fam.e, None)[0]
                 point, iterations, failure = _evaluate(fam, p, omega, omega), 0, None
             else:
                 point, iterations, failure = _fixed_omega(fam, omega)
@@ -412,8 +407,8 @@ class _Point(NamedTuple):
 def _evaluate(fam, p: np.ndarray, lam: float, omega: float | None,
               newton_at=None) -> _Point:
     """The certificate of p at this omega and, where ``newton_at`` = (slope,
-    m) is given, F and its Jacobian at (lambda, m), for p, slope =
-    fam.level_map(lambda*(E - m)).
+    m) is given, F and its Jacobian at (lambda, m), for the p and slope of
+    fam.level_map(lambda*(E - m), start), whatever its warm start.
 
     ``omega`` None is lambda over the coupling of p, as in target mode.  A
     lost coupling, 0 or not finite, leaves no omega: its answer is reported
@@ -464,21 +459,24 @@ def _fixed_omega(fam, omega: float):
     map and is certified first.  Each step solves (J + I/dt) d = -F with the
     exact Jacobian J and is taken only where every level keeps a real root
     and F and J are finite; m is not held inside the spectrum.  A solve of k
-    steps makes k level maps plus one per rejected trial point.  The
-    pseudo-time step dt (pseudo-transient continuation) starts at 3: it
-    halves on a step that is not taken and grows by the fall of the scaled
-    |F| on one that is, so the steps follow the damped fixed-point flow until
-    F is small and are Newton steps from there.  A step that cannot be taken
-    even with dt below the square root of the float precision stalls the
-    solve: it raises the kernel's ``NoRealRootError`` where the first sweep
-    Omega*coupling(uniform) has a level without a real root.
+    steps makes k level maps plus one per rejected trial point.  Every trial
+    point maps from the warm start of the last point taken, so a rejected
+    trial's roots seed nothing.  The pseudo-time step dt (pseudo-transient
+    continuation) starts at 3: it halves on a step that is not taken and
+    grows by the fall of the scaled |F| on one that is, so the steps follow
+    the damped fixed-point flow until F is small and are Newton steps from
+    there.  A step that cannot be taken even with dt below the square root
+    of the float precision stalls the solve: it raises the kernel's
+    ``NoRealRootError`` where the first sweep Omega*coupling(uniform) has a
+    level without a real root.
 
     Returns the last point, the Newton steps that reached it and ``None``,
     or the failure that stopped it: a stall, a step that no longer moves x
     or ``MAX_ITER`` steps.
     """
     e = fam.e
-    p, slope = fam.uniform()
+    # start is the warm start of the last point taken
+    p, slope, start = fam.uniform()
     point = _evaluate(fam, p, 0.0, omega, (slope, None))
     lam, m = 0.0, point.escort_mean
     f0, f1 = point.f
@@ -502,7 +500,7 @@ def _fixed_omega(fam, omega: float):
             det = a00 * a11 - j01 * j10
             step0 = (j01 * f1 - a11 * f0) / det
             step1 = (j10 * f0 - a00 * f1) / det
-            trial = _newton_point(fam, lam + step0, m + step1, omega)
+            trial = _newton_point(fam, lam + step0, m + step1, omega, start)
             if trial is not None:
                 break
             dt *= 0.5
@@ -510,14 +508,14 @@ def _fixed_omega(fam, omega: float):
             # moves x by no more than that: the iteration is stuck
             if not dt >= math.ulp(1.0) ** 0.5:
                 # the kernel names the first level without a real root
-                fam.level_map(sweep[0] * (e - sweep[1]))
+                fam.level_map(sweep[0] * (e - sweep[1]), start)
                 return point, iterations - 1, (f"the Newton step stalls at step {iterations} "
                                                f"(residual {point.residual:.3g})")
         if lam + step0 == lam and m + step1 == m:
             return point, iterations - 1, (f"the Newton step no longer moves (lambda, m) at "
                                            f"step {iterations} (residual {point.residual:.3g})")
         lam, m = lam + step0, m + step1
-        point = trial
+        point, start = trial
         f0, f1 = point.f
         new_norm = np.hypot(f0 / scale0, f1 / scale1)
         dt *= norm / new_norm
@@ -525,17 +523,18 @@ def _fixed_omega(fam, omega: float):
     return point, iterations, None
 
 
-def _newton_point(fam, lam: float, m: float, omega: float) -> _Point | None:
-    """The point at (lambda, m), or ``None`` where some level has no real
-    root or b, F or J is not finite."""
+def _newton_point(fam, lam: float, m: float, omega: float, start):
+    """The point at (lambda, m), its level map warm-started from ``start``,
+    with the warm start that its own roots give a next map; or ``None``
+    where some level has no real root or b, F or J is not finite."""
     try:
-        p, slope = fam.level_map(lam * (fam.e - m))
+        p, slope, start = fam.level_map(lam * (fam.e - m), start)
     except (NoRealRootError, DomainError):  # the kernels' error for a b not finite
         return None
     point = _evaluate(fam, p, lam, omega, (slope, m))
     if not all(map(math.isfinite, point.f + point.jac)):
         return None
-    return point
+    return point, start
 
 
 def _feasible(fam, de_min: float, de_max: float) -> tuple[float, float]:
@@ -559,10 +558,12 @@ def _solve_for_target(fam, target: float):
     unbounded, which the probes double until the gap changes sign, where a
     Newton step would leave the bracket (as one from a start slope of 0 or
     NaN does) or where the iteration stops on a small step with the gap
-    still open.  The probes map from the uniform start, and the family's
-    warm start is restored after them, so a bounded solve of k steps that
-    probes nothing makes k level maps.  A gap that is not finite at any
-    point raises ``NonConvergenceError``.
+    still open.  Two warm starts are threaded, both begun at the uniform
+    start: one from each Newton point to the next, and one through the end
+    probes in the order they are made, so the probes leave the Newton
+    iteration's maps as they are.  A bounded solve of k steps that probes
+    nothing makes k level maps.  A gap that is not finite at any point
+    raises ``NonConvergenceError``.
 
     Returns the last point, the steps that reached it and ``None``, or the
     failure that stopped it: ``MAX_ITER`` steps or a lost coupling.
@@ -598,8 +599,9 @@ def _solve_for_target(fam, target: float):
         # g' = q*sum_i P_i*(E_i - <E>_q)*s_i*(E_i - target), with s = d log p/db
         return g, fam.q * np.dot(weights / z_q * (de - g), slope * de)
 
-    def probe(lam: float, newton: bool = True):
-        """p, its gap at lambda and, at a Newton point, the gap's slope."""
+    def probe(lam: float, start, newton: bool = True):
+        """p, its gap at lambda, at a Newton point the gap's slope, and the
+        warm start of a next map; the map starts from ``start``."""
         # b held inside b_range; np.clip does the same at twice the cost on a
         # short array, and an infinite end holds nothing
         b = lam * de
@@ -607,42 +609,41 @@ def _solve_for_target(fam, target: float):
             b = np.maximum(b, b_min)
         if b_max < math.inf:
             b = np.minimum(b, b_max)
-        p, slope = fam.level_map(b)
-        return (p, *gap(p, slope if newton else None, lam))
+        p, slope, start = fam.level_map(b, start)
+        return (p, *gap(p, slope if newton else None, lam), start)
 
     scale = 1.0 / max(-de_min, de_max)
 
     def ends():
         """The feasible interval, or for an unbounded one the part of it that
         the doubling found, with the gap's direction there; raises
-        ``DomainError`` where the gap has one sign at both ends.  The probes
-        map from the uniform start, and the family's start is restored."""
-        start = fam.start
-        if start is not None:
-            fam.uniform()
+        ``DomainError`` where the gap has one sign at both ends.  The first
+        probe maps from the uniform start, and each later one from the one
+        before."""
         lo, hi = (-scale, scale) if unbounded else feasible
-        g_lo, g_hi = probe(lo, False)[1], probe(hi, False)[1]
+        _, g_lo, _, start = probe(lo, uniform_start, False)
+        _, g_hi, _, start = probe(hi, start, False)
         # An unbounded interval grows by doubling the end on the target's
         # side until the gap changes sign, stops moving or overflows.
         while unbounded and g_lo * g_hi > 0.0 and g_lo != g_hi and math.isfinite(hi - lo):
             if (g_hi > g_lo) == (g_lo > 0.0):
                 lo *= 2.0
-                g_lo = probe(lo, False)[1]
+                _, g_lo, _, start = probe(lo, start, False)
             else:
                 hi *= 2.0
-                g_hi = probe(hi, False)[1]
+                _, g_hi, _, start = probe(hi, start, False)
         if not g_lo * g_hi <= 0.0:
             raise DomainError(
                 f"target mean {target:g} is not attainable: with every level's root "
                 f"real, the escort mean at this target spans only "
                 f"[{target + min(g_lo, g_hi):.17g}, {target + max(g_lo, g_hi):.17g}]"
             )
-        fam.start = start
         return lo, hi, g_lo < g_hi
 
     xtol = 1e-16 * scale * fam.lam_scale
     lam = 0.0
-    p, slope = fam.uniform()
+    p, slope, start = fam.uniform()
+    uniform_start = start
     g, dg = gap(p, slope, lam)
     rising = dg > 0.0
     probed = False
@@ -674,7 +675,7 @@ def _solve_for_target(fam, target: float):
             break
         iterations += 1
         lam += step
-        p, g, dg = probe(lam)
+        p, g, dg, start = probe(lam, start)
     point = _evaluate(fam, p, lam, None)
     if not converged:
         return point, iterations, f"no convergence after {MAX_ITER} Newton steps in lambda"

@@ -17,7 +17,9 @@ kernel, ``solve_trinomial_array``, solves for a whole vector of b at once:
 
 For alpha > 1 the branch ends in a double root at x = alpha/(alpha - 1) when
 b reaches (alpha-1)^(alpha-1)/alpha^alpha; beyond that there is no real root
-and ``NoRealRootError`` is raised for the first such entry.
+and ``NoRealRootError`` is raised for the first such entry.  ``_real_root_edge``
+is the one source of that edge, the largest b with a real branch root, for
+the kernel and for the MaxEnt families alike.
 ``lambert_w_array`` evaluates the principal Lambert W branch (the
 alpha -> inf member) by two Halley steps from a close start (Corless et
 al., Adv. Comput. Math. 5 (1996)).  The scalar ``solve_trinomial`` and
@@ -73,6 +75,15 @@ def series_radius(alpha: float) -> float:
         return 1.0
     log_ratio = math.log1p(-1.0 / alpha) if alpha > 1.0 else math.log(1.0 / alpha - 1.0)
     return math.exp((alpha - 1.0) * log_ratio - math.log(alpha))
+
+
+def _real_root_edge(alpha: float) -> float:
+    """The end of the b where the branch root is real: the critical b for
+    alpha > 1, the last float below the pole of x = 1/(1 - b) at alpha = 1,
+    and none (inf) below."""
+    if alpha > 1.0:
+        return series_radius(alpha)
+    return math.nextafter(1.0, 0.0) if alpha == 1.0 else math.inf
 
 
 def series_coefficient(alpha: float, n: int) -> float:
@@ -230,33 +241,30 @@ def solve_trinomial_array(alpha: float, b) -> np.ndarray:
 
 def _branch_roots(alpha: float, b, x0, dx=None) -> np.ndarray:
     """``_roots`` with NumPy's floating-point warnings off, for a caller that
-    has not turned them off itself."""
-    # _roots reports an alpha that is not finite
-    b_c = series_radius(alpha) if 1.0 < alpha < math.inf else math.inf
-    with np.errstate(all="ignore"):
-        return _roots(alpha, b, x0, dx, b_c)
-
-
-def _roots(alpha: float, b, x0, dx, b_c: float) -> np.ndarray:
-    """Branch roots of every b_i; for generic alpha the iteration starts from
-    the roots ``x0`` of nearby coefficients when they are given.  The caller
-    holds NumPy's floating-point warnings off.
-
-    With ``x0``, plain Newton steps run first from x0, or from x0 + dx where
-    ``dx`` (a predicted step from x0 to the roots at b) is given too.  Only
-    the entries that they do not settle on the branch root take the
-    safeguarded Newton iteration inside closed-form brackets, from x0 held
-    inside the bracket.  ``b_c`` is the critical b for alpha > 1 and inf
-    below.
-
-    A failure shows as a root that is not positive and finite; the first such
-    entry is reported as a scalar solve would report it.
-    """
+    has not turned them off itself; here alone alpha is checked."""
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be finite, got {alpha!r}")
     if alpha == 0.0:
         raise DomainError("alpha must be nonzero")
+    with np.errstate(all="ignore"):
+        return _roots(alpha, b, x0, dx, _real_root_edge(alpha))
+
+
+def _roots(alpha: float, b, x0, dx, b_c: float) -> np.ndarray:
+    """Branch roots of every b_i for a finite nonzero alpha; for generic alpha
+    the iteration starts from the roots ``x0`` of nearby coefficients when
+    they are given.  The caller holds NumPy's floating-point warnings off.
+
+    With ``x0``, plain Newton steps run first from x0, or from x0 + dx where
+    ``dx`` (a predicted step from x0 to the roots at b) is given too.  Only
+    the entries that they do not settle on the branch root take the
+    safeguarded Newton iteration inside closed-form brackets, from x0 held
+    inside the bracket.  ``b_c`` is ``_real_root_edge(alpha)``.
+
+    A failure shows as a root that is not positive and finite; the first such
+    entry is reported as a scalar solve would report it.
+    """
     b = np.asarray(b, dtype=float)
     shape = b.shape
     b = b.ravel()
@@ -271,22 +279,22 @@ def _roots(alpha: float, b, x0, dx, b_c: float) -> np.ndarray:
     elif alpha == 2.0:
         x = 2.0 / (1.0 + np.sqrt(1.0 - 4.0 * b))
     elif x0 is None:
-        lo, hi, start = _brackets(alpha, b)
+        lo, hi, start = _brackets(alpha, b, b_c)
         x = _newton(alpha, b, start, lo, hi)
     else:
         x0 = np.asarray(x0, dtype=float).ravel()
         x, cold = _warm_newton(alpha, b, x0 if dx is None else x0 + dx, b_c)
         if cold.any():
             b_cold = b[cold]
-            lo, hi, _ = _brackets(alpha, b_cold)
+            lo, hi, _ = _brackets(alpha, b_cold, b_c)
             start = np.minimum(np.maximum(x0[cold], lo), hi)
             x[cold] = _newton(alpha, b_cold, start, lo, hi)
     if x.size and not (x.min() > 0.0 and x.max() < math.inf):
-        raise _no_root(alpha, b, x, shape)
+        raise _no_root(alpha, b, x, shape, b_c)
     return x.reshape(shape)
 
 
-def _no_root(alpha: float, b: np.ndarray, x: np.ndarray, shape) -> QThermError:
+def _no_root(alpha: float, b: np.ndarray, x: np.ndarray, shape, b_c: float) -> QThermError:
     """The error of the first entry whose root is not positive and finite."""
     i = int(np.argmin((x > 0.0) & (x < math.inf)))
     b_i = float(b[i])
@@ -299,18 +307,11 @@ def _no_root(alpha: float, b: np.ndarray, x: np.ndarray, shape) -> QThermError:
     elif x[i] == math.inf:
         why = "the branch root overflows"
     elif alpha > 1.0:
-        why = f"no real branch root beyond the critical b = {series_radius(alpha):g}"
+        why = f"no real branch root beyond the critical b = {b_c:g}"
     else:
         why = "no real branch root"
     return NoRealRootError(f"{why} (alpha = {alpha:g}, b = {b_i:g})", alpha=alpha,
                            b=b_i, level=i if shape else None)
-
-
-def _defect(alpha: float, b: np.ndarray, x: np.ndarray):
-    """1 - x + b*x^alpha, b*x^alpha, and where the defect is more than rounding."""
-    bxa = b * x**alpha
-    f = (1.0 - x) + bxa
-    return f, bxa, np.abs(f) > 1e-15 * np.maximum(np.maximum(x, np.abs(bxa)), 1.0)
 
 
 def _warm_newton(alpha: float, b: np.ndarray, x: np.ndarray, b_c: float):
@@ -346,9 +347,10 @@ def _warm_newton(alpha: float, b: np.ndarray, x: np.ndarray, b_c: float):
     return x, ~settled
 
 
-def _brackets(alpha: float, b: np.ndarray):
+def _brackets(alpha: float, b: np.ndarray, b_c: float):
     """Closed-form [lo, hi] around each branch root, and the end of it from
-    which Newton converges monotonically (f is convex or concave there).
+    which Newton converges monotonically (f is convex or concave there);
+    ``b_c`` is ``_real_root_edge(alpha)``.
 
     ``lo`` is NaN where b has no branch root.
     """
@@ -388,7 +390,6 @@ def _brackets(alpha: float, b: np.ndarray):
     # has the sign of b - b_c, b_c the critical b: the double root there (up
     # to rounding), no root beyond.  Taking that sign from b itself neither
     # overflows x_m^alpha as alpha -> 1+ nor amplifies the rounding of x_m.
-    b_c = series_radius(alpha)
     f_hi = np.where(pos, b - b_c, (1.0 - hi) + b * hi**alpha)
     np.copyto(lo, hi, where=f_hi >= 0.0)
     np.copyto(lo, np.nan, where=b > b_c)
@@ -408,7 +409,10 @@ def _newton(alpha: float, b: np.ndarray, x: np.ndarray, lo: np.ndarray,
     """
     moving = np.ones(x.size, dtype=bool)
     for _ in range(_MAX_STEPS):
-        f, bxa, rough = _defect(alpha, b, x)
+        bxa = b * x**alpha
+        f = (1.0 - x) + bxa
+        # where the defect is more than rounding
+        rough = np.abs(f) > 1e-15 * np.maximum(np.maximum(x, np.abs(bxa)), 1.0)
         above = f < 0.0
         np.copyto(hi, x, where=above)
         np.copyto(lo, x, where=~above)
@@ -439,8 +443,8 @@ def trinomial_b(q: float, alpha: float, omega: float, delta_e: float,
     where DeltaE is the level's offset from the escort mean.  The
     denominator q+alpha-1 vanishes exactly when the rescaled index
     q_alpha would be 0, which is a pole of the reduction.  Partition sums
-    that are not positive and finite, the pole, and a coefficient beyond the
-    float range raise ``DomainError``.
+    that are not positive and finite, the pole, and a coupling or a
+    coefficient beyond the float range raise ``DomainError``.
     """
     for name, value in (("q", q), ("alpha", alpha), ("omega", omega),
                         ("delta_e", delta_e)):
@@ -460,13 +464,19 @@ def trinomial_b(q: float, alpha: float, omega: float, delta_e: float,
 
 
 def _coupling(q: float, alpha: float) -> float:
-    """q(1-q)/(q+alpha-1), raising ``DomainError`` at the rescaled-index pole."""
+    """q(1-q)/(q+alpha-1), raising ``DomainError`` at the rescaled-index pole
+    and where it is not finite."""
     denom = q + alpha - 1.0
     if denom == 0.0:
         raise DomainError(
             f"q + alpha - 1 = 0 (rescaled index pole) for q = {q:g}, alpha = {alpha:g}"
         )
-    return q * (1.0 - q) / denom
+    coupling = q * (1.0 - q) / denom
+    if not math.isfinite(coupling):
+        # q(1-q) overflows for |q| above about 1.3e154
+        raise DomainError(f"the coupling q(1 - q)/(q + alpha - 1) overflows at "
+                          f"q = {q:g}, alpha = {alpha:g}")
+    return coupling
 
 
 # --- Lambert W ---------------------------------------------------------------

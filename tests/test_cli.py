@@ -383,10 +383,10 @@ class TestMaxentCommand:
         real = maxent._Trinomial.level_map
         calls = []
 
-        def level_map(fam, b):
+        def level_map(fam, b, start):
             calls.append(b)
-            p, slope = real(fam, b)
-            return (p if len(calls) <= 2 else p * math.nan), slope
+            p, slope, start = real(fam, b, start)
+            return (p if len(calls) <= 2 else p * math.nan), slope, start
 
         monkeypatch.setattr(maxent._Trinomial, "level_map", level_map)
         path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
@@ -546,6 +546,11 @@ class TestHeatbathCommand:
     def test_too_small_is_domain_error(self, runner):
         result = runner.invoke(cli, ["heatbath", "--n", "1"])
         assert result.exit_code == 4
+
+    def test_csv_writes_an_int_as_is(self, runner):
+        result = runner.invoke(cli, ["heatbath", "--n", "3", "--alpha", "2", "--format", "csv"])
+        assert result.exit_code == 0
+        assert result.output == "n,q,alpha,n_rescaled,q_rescaled\n3,1.5,2,5,1.25\n"
 
 
 class TestAlgebraCheckCommand:
@@ -733,9 +738,15 @@ _EXTREMES = ["0", "-0", "1", "-1", "0.5", "1e-320", "1e300", "-1e300", "inf", "-
 
 def test_exit_codes_over_extreme_values(runner, tmp_path):
     # every command exits with a documented code and no traceback, i.e. no
-    # exception but the SystemExit that carries the code
+    # exception but the SystemExit that carries the code; under the suite's
+    # error::RuntimeWarning filter a NumPy warning is such a traceback
     path = _write(tmp_path, "e.csv", "E\n0\n1\n2\n")
+    # a uniform distribution whose entropy ln 8 times 1 - q overflows at
+    # q = 1e308, and one with a subnormal entry, whose ratios to it overflow
+    dists = [_write(tmp_path, "u8.csv", "p\n" + "0.125\n" * 8),
+             _write(tmp_path, "sub.csv", "p\n5e-324\n1\n")]
     grid = list(itertools.product(_EXTREMES, _EXTREMES))
+    indices = _EXTREMES + ["1e308", "-1e308"]
     runs = ([["transform", "--q", q, "--alpha", a] for q, a in grid]
             + [["trinomial", "--alpha", a, "--b", b] for a, b in grid]
             + [["heatbath", "--n", "2", "--alpha", a] for a in _EXTREMES]
@@ -743,8 +754,12 @@ def test_exit_codes_over_extreme_values(runner, tmp_path):
                for q, a in grid]
             + [["algebra-check", "--x", x, "--y", y, "--q", "0.5", "--alpha", "2"]
                for x, y in grid]
-            + [["maxent", "--input", path, "--q", q, "--alpha", "inf", mode, v]
-               for q, v in grid for mode in ("--omega", "--target-mean")])
+            + [["maxent", "--input", path, "--q", q, "--alpha", alpha, mode, v]
+               for alpha in ("0.5", "1", "1.5", "2", "inf") for q, v in grid
+               for mode in ("--omega", "--target-mean")]
+            + [["escort", "--input", p, "--r", r] for p in dists for r in indices]
+            + [["entropy", "--input", p, "--kind", kind, "--q", q] for p in dists
+               for kind in ("tsallis", "renyi", "hybrid", "avg-hybrid") for q in indices])
     crashed = []
     for args in runs:
         result = runner.invoke(cli, args)

@@ -3,7 +3,10 @@
 Every call returns a finite float, or +-inf where its exact value lies
 beyond the float range, or raises a ``QThermError``.  A NaN or infinite
 argument always raises.  No call returns NaN, an infinity that the exact
-value does not reach, or raises any other exception.
+value does not reach, or raises any other exception; under the suite's
+``error::RuntimeWarning`` filter a NumPy warning is such an exception.  The
+entropy functionals take each of ``DISTRIBUTIONS`` with every index of the
+grid.
 """
 
 import itertools
@@ -15,6 +18,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qtherm import entropy as ent
 from qtherm import qalgebra as qa
 from qtherm.entropy import escort_mean
 from qtherm.errors import QThermError, RenormalizationWarning
@@ -27,6 +31,12 @@ EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, -3.0, 100.0, 1e6, 1e17, 1e-12, 1e-
 # seeded draws from EDGES for a function of more than two arguments; one of
 # at most two takes every combination
 DRAWS = 1500
+# the distributions of the entropy functionals: two levels, one of them
+# subnormal, tiny or 0, and uniform ones whose entropy is large enough that
+# (1 - q) times it overflows at q = 1e308 (8 levels), or at the average
+# hybrid's index (1e308 + 1)/2 (1000 levels)
+DISTRIBUTIONS = [[0.5, 0.5], [0.25, 0.75], [5e-324, 1.0], [1e-300, 1.0], [0.0, 1.0],
+                 [0.125] * 8, [1e-3] * 1000]
 
 
 def _power(base, exponent):
@@ -67,6 +77,14 @@ API = {
     "trinomial_series": (lambda alpha, b: trinomial_series(alpha, b)[0], 2, None),
     "solve_trinomial": (solve_trinomial, 2, None),
     "lambert_w": (lambert_w, 1, None),
+    # arity None: a distribution and an index
+    "partition_sum": (ent.partition_sum, None, None),
+    "tsallis": (ent.tsallis, None, None),
+    "renyi": (ent.renyi, None, None),
+    "hybrid": (ent.hybrid, None, None),
+    "avg_hybrid": (ent.avg_hybrid, None, None),
+    # the largest escort weight, NaN if any weight is
+    "escort": (lambda p, r: float(np.max(ent.escort(p, r))), None, None),
 }
 
 # calls where the formulas taken as written overflow or lose the answer
@@ -79,6 +97,11 @@ REPRODUCERS = {
                     (0.0, 0.0, 1.0, 1.0, 1.0, 5e-324), (1e308, -1.0, 1.0, 1.0, 1.0, 1e308)],
     "trinomial_series": [(-1.0, 1e308), (-3.0, 1e100)],
     "solve_trinomial": [(-1.0, 1e200), (-2.0, 1e300), (-1.0, 1e308)],
+    # a power of a ratio to a subnormal entry, and (1 - q) times the hybrid
+    # entropy's exponent, overflow to -inf on their way to the right value
+    "escort": [([5e-324, 1.0], -1e308)],
+    "hybrid": [([0.125] * 8, 1e308)],
+    "avg_hybrid": [([1e-3] * 1000, 1e308)],
 }
 
 
@@ -91,7 +114,7 @@ def _violation(name: str, args):
         return None
     except Exception as err:  # noqa: BLE001 - any other exception breaks it
         return f"raises {type(err).__name__}: {err}"
-    if not all(map(math.isfinite, args)):
+    if not all(np.isfinite(arg).all() for arg in args):
         return f"returns {value!r} for an argument that is not finite"
     if not isinstance(value, float):
         return f"returns {type(value).__name__}"
@@ -106,7 +129,9 @@ def _violation(name: str, args):
 
 def _calls(name: str):
     arity = API[name][1]
-    if arity <= 2:
+    if arity is None:
+        calls = list(itertools.product(DISTRIBUTIONS, EDGES))
+    elif arity <= 2:
         calls = list(itertools.product(EDGES, repeat=arity))
     else:
         rng = np.random.default_rng(sum(map(ord, name)))

@@ -38,9 +38,9 @@ def _recorded_maps(monkeypatch) -> list:
     """The b of every level map that the solves after this call make."""
     maps = []
     for family in (_Trinomial, _Shannon):
-        def recorded(self, b, level_map=family.level_map):
+        def recorded(self, b, start, level_map=family.level_map):
             maps.append(b)
-            return level_map(self, b)
+            return level_map(self, b, start)
         monkeypatch.setattr(family, "level_map", recorded)
     return maps
 
@@ -63,6 +63,10 @@ class TestSpectrumValidation:
 
     def test_allows_degenerate(self):
         assert as_spectrum([2.0, 2.0]).tolist() == [2.0, 2.0]
+
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(DomainError, match=r"1-D energy spectrum, got shape \(2, 3\)"):
+            as_spectrum(np.ones((2, 3)))
 
 
 class TestSolveMaxent:
@@ -141,10 +145,10 @@ class TestSolveMaxent:
         # makes k maps plus one per trial point that is not taken
         maps, failed = [], []
         for family in (_Trinomial, _Shannon):
-            def recorded(self, b, level_map=family.level_map):
+            def recorded(self, b, start, level_map=family.level_map):
                 maps.append(b)
                 try:
-                    return level_map(self, b)
+                    return level_map(self, b, start)
                 except NoRealRootError:
                     failed.append(b)
                     raise
@@ -154,6 +158,46 @@ class TestSolveMaxent:
         assert len(failed) == rejected
         assert len(maps) == sol.iterations + rejected
         assert all(np.any(b) for b in maps)
+
+    def test_trial_with_non_finite_newton_system_is_rejected(self, monkeypatch):
+        # a NaN coupling at the first trial point makes F not finite: the
+        # trial is rejected, the step retried with half the pseudo-time step
+        # from the uniform start's roots, not from the rejected trial's, and
+        # the solve still certifies with one extra level map
+        e = np.linspace(0.0, 2.0, 30)
+        maps, starts = [], []
+        real_map, real_terms = _Trinomial.level_map, _Trinomial.terms
+
+        def level_map(self, b, start):
+            maps.append(b)
+            starts.append(start)
+            return real_map(self, b, start)
+
+        def terms(self, p, weights, z_q):
+            coupling, *rest = real_terms(self, p, weights, z_q)
+            return (math.nan if len(maps) == 1 else coupling), *rest
+
+        monkeypatch.setattr(_Trinomial, "level_map", level_map)
+        plain = solve_maxent(e, 1.2, 1.5, 0.3)
+        assert len(maps) == plain.iterations
+        maps.clear()
+        starts.clear()
+        monkeypatch.setattr(_Trinomial, "terms", terms)
+        sol = solve_maxent(e, 1.2, 1.5, 0.3)
+        assert sol.converged
+        assert len(maps) == sol.iterations + 1
+        assert starts[1] is starts[0]
+        assert sol.probs == pytest.approx(plain.probs, rel=1e-9)
+
+    def test_level_map_of_non_finite_b_is_domain_error(self):
+        # the kernel's error for a b that is not finite, which a Newton point
+        # takes for a trial point that is not taken
+        fam = _Trinomial(E3, 1.2, 1.5, transform(1.2, 1.5), False)
+        with np.errstate(all="ignore"):
+            for b in ([0.1, math.inf, 0.2], [0.1, math.nan, 0.2]):
+                with pytest.raises(DomainError, match="b must be finite"):
+                    fam.level_map(np.array(b), None)
+            assert maxent._newton_point(fam, math.inf, 1.0, 0.3, None) is None
 
     @pytest.mark.parametrize("q", [0.8, 1.2])
     def test_alpha_one_is_q_exponential(self, q):
@@ -378,9 +422,9 @@ class TestTargetMeanMode:
         e, target = np.linspace(0.0, 2.0, 30), 1.99
         lams = []
         for family in (_Trinomial, _Shannon):
-            def recorded(self, b, level_map=family.level_map):
+            def recorded(self, b, start, level_map=family.level_map):
                 lams.append(b[0] / (e[0] - target))
-                return level_map(self, b)
+                return level_map(self, b, start)
             monkeypatch.setattr(family, "level_map", recorded)
         sol = solve_maxent(e, q, alpha, target_mean=target)
         assert sol.converged
@@ -437,8 +481,8 @@ class TestTargetMeanMode:
         real = _Trinomial.uniform
 
         def uniform(self):
-            p, slope = real(self)
-            return p, -slope
+            p, slope, start = real(self)
+            return p, -slope, start
 
         monkeypatch.setattr(_Trinomial, "uniform", uniform)
         maps = _recorded_maps(monkeypatch)
@@ -574,14 +618,14 @@ def test_gap_runs_the_way_of_its_slope_at_the_start():
             fam = _Trinomial(e, q, alpha, transform(q, alpha), family == "renyi")
         b_min, b_max = fam.b_range
         lo, hi = maxent._feasible(fam, de.min(), de.max())
-        p, slope = fam.uniform()
+        p, slope, start = fam.uniform()
         escort = p**q / np.sum(p**q)
         g = np.dot(escort, de)
         slope_at_start = q * np.dot(escort * (de - g), slope * de)
         gaps = []
         with np.errstate(all="ignore"):
             for lam in (lo, hi):
-                p = fam.level_map(np.clip(lam * de, b_min, b_max))[0]
+                p, _, start = fam.level_map(np.clip(lam * de, b_min, b_max), start)
                 gaps.append(np.dot(p**q, de) / np.sum(p**q))
         if not np.all(np.isfinite(gaps)) or gaps[0] == gaps[1]:
             continue
@@ -734,8 +778,11 @@ class TestNewtonJacobian:
         _Shannon(np.linspace(0.0, 2.0, 7), 1.3),
     ], ids=["tsallis", "renyi", "shannon"])
     def test_matches_central_differences(self, fam):
+        start = None
+
         def system(x):
-            p, slope = fam.level_map(x[0] * (fam.e - x[1]))
+            nonlocal start
+            p, slope, start = fam.level_map(x[0] * (fam.e - x[1]), start)
             point = _evaluate(fam, p, x[0], 0.3, (slope, x[1]))
             return np.array(point.f), np.reshape(point.jac, (2, 2))
 
