@@ -472,8 +472,9 @@ def run_maxent_suite(seed: int) -> list[CheckResult]:
     return results
 
 
-# points of the oracle's first p1 grid, and the rounds that refine it
-_ORACLE_COARSE = 241
+# points of the oracle's first scan along the constraint segment, and the
+# rounds that refine it
+_ORACLE_COARSE = 2001
 _ORACLE_ROUNDS = 5
 
 
@@ -482,80 +483,51 @@ def simplex_constrained_maximizer(e, q: float, alpha: float,
     """Brute-force oracle for 3-level problems.
 
     Maximizes the rescaled nonadditive entropy over the 2-simplex with the
-    q-escort mean pinned to ``target_mean``: scans p1, solves the
-    constraint for p2 by bisection along each sign change, evaluates the
-    entropy, and refines the p1 grid around the best point.  Shares no
-    code with the trinomial-based solver.
+    q-escort mean pinned to ``target_mean``.  The constraint is linear in
+    the escort rho = p^q/Z_q, so the feasible set is a segment in rho whose
+    ends lie on two edges of the simplex, and p = rho^(1/q)/sum(rho^(1/q))
+    on it.  The oracle scans the segment for the highest entropy and
+    refines the scan around the best point.  Meant for q_alpha > 0, where
+    the maximum is interior; shares no code with the trinomial-based
+    solver but ``transform``.
     """
     e = np.asarray(e, dtype=float)
     if e.size != 3:
         raise DomainError("oracle is specific to 3-level spectra")
     q_alpha = dfm.transform(q, alpha)
-    e1, e2, e3 = float(e[0]), float(e[1]), float(e[2])
-    # float_power is the C library's pow, as for Python floats
-    power = np.float_power
+    if q == 0.0 or q_alpha == 1.0:
+        # the escort is uniform at q = 0, and the entropy below is 0/0 at
+        # q_alpha = 1
+        raise DomainError(f"oracle needs q != 0 and q_alpha != 1, got q = {q:g}, "
+                          f"q_alpha = {q_alpha:g}")
+    ends = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if e[i] != e[j] and 0.0 <= (r := (target_mean - e[j]) / (e[i] - e[j])) <= 1.0:
+            # the end on the edge where the third level's escort weight is 0;
+            # a target at a level's energy gives that vertex from two edges
+            rho = [0.0, 0.0, 0.0]
+            rho[i], rho[j] = r, 1.0 - r
+            if rho not in ends:
+                ends.append(rho)
+    if len(ends) != 2:
+        raise DomainError("oracle found no feasible point on the constraint")
+    a, b = np.array(ends)
 
-    def entropy_of(p1, p2, p3):
-        z = power(p1, q_alpha) + power(p2, q_alpha) + power(p3, q_alpha)
-        return (z - 1.0) / (1.0 - q_alpha)
-
-    def mean_gap(p1, p2):
-        p3 = 1.0 - p1 - p2
-        w1, w2, w3 = power(p1, q), power(p2, q), power(p3, q)
-        return (w1 * e1 + w2 * e2 + w3 * e3) / (w1 + w2 + w3) - target_mean
+    def best_on(s: np.ndarray) -> tuple[float, np.ndarray]:
+        """The point (s, p) of highest entropy; ties go to the first."""
+        p = np.float_power(a + s[:, None] * (b - a), 1.0 / q)
+        p /= p.sum(axis=1, keepdims=True)
+        entropy = (np.float_power(p, q_alpha).sum(axis=1) - 1.0) / (1.0 - q_alpha)
+        i = int(np.argmax(entropy))
+        return float(s[i]), p[i]
 
     eps = 1e-12
-
-    def best_on_grid(p1: np.ndarray) -> tuple[float, float, float]:
-        """The highest-entropy point (s, p1, p2) over all slices p1 at once;
-        ties go to the first slice and the first root in scan order."""
-        p1 = p1[1.0 - p1 - eps > eps]
-        scan = np.linspace(eps, 1.0 - p1 - eps, 121, axis=-1)
-        gaps = mean_gap(p1[:, None], scan)
-        hit = gaps[:, :-1] == 0.0
-        rows, cols = np.nonzero(hit | (gaps[:, :-1] * gaps[:, 1:] < 0.0))
-        if rows.size == 0:
-            return -math.inf, math.nan, math.nan
-        p1 = p1[rows]
-        done = hit[rows, cols]
-        lo, g_lo = scan[rows, cols], gaps[rows, cols]
-        hi = np.where(done, lo, scan[rows, cols + 1])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            g_mid = mean_gap(p1, mid)
-            exact = ~done & (g_mid == 0.0)
-            done |= exact
-            lower = ~done & (g_lo * g_mid < 0.0)
-            upper = ~done & ~lower | exact
-            hi = np.where(lower | exact, mid, hi)
-            lo = np.where(upper, mid, lo)
-            g_lo = np.where(upper, g_mid, g_lo)
-        p2 = 0.5 * (lo + hi)
-        s = entropy_of(p1, p2, 1.0 - p1 - p2)
-        best = int(np.argmax(s))
-        return float(s[best]), float(p1[best]), float(p2[best])
-
-    lo, hi = eps, 1.0 - 2.0 * eps
-    best_s = -math.inf
-    best_p = None
-    spacing = (hi - lo) / (_ORACLE_COARSE - 1)
-    grid = np.linspace(lo, hi, _ORACLE_COARSE)
-    for round_idx in range(_ORACLE_ROUNDS + 1):
-        s, p1, p2 = best_on_grid(grid)
-        if s > best_s:
-            best_s, best_p = s, (p1, p2)
-        if best_p is None:
-            raise DomainError("oracle found no feasible point on the constraint")
-        if round_idx == _ORACLE_ROUNDS:
-            break
-        center = best_p[0]
-        span = 2.0 * spacing
-        lo = max(eps, center - span)
-        hi = min(1.0 - 2.0 * eps, center + span)
-        grid = np.linspace(lo, hi, 41)
-        spacing = (hi - lo) / 40.0
-    p1, p2 = best_p
-    return np.array([p1, p2, 1.0 - p1 - p2])
+    s = np.linspace(eps, 1.0 - eps, _ORACLE_COARSE)
+    for _ in range(_ORACLE_ROUNDS):
+        center, _ = best_on(s)
+        span = 2.0 * (s[1] - s[0])
+        s = np.linspace(max(eps, center - span), min(1.0 - eps, center + span), 41)
+    return best_on(s)[1]
 
 
 SUITES = {

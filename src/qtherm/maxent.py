@@ -331,10 +331,20 @@ def _uniform(n: int) -> np.ndarray:
 
 def _affinity_residual(p: np.ndarray, e: np.ndarray, q: float) -> float:
     """Max deviation of p^(1-q) from the best affine fit in E; at alpha = 1
-    the solutions form a q-exponential family, where it is 0 to rounding."""
-    y = p ** (1.0 - q)
-    coeffs = np.polyfit(e, y, 1)
-    return float(np.max(np.abs(np.polyval(coeffs, e) - y)))
+    the solutions form a q-exponential family, where it is 0 to rounding.
+
+    The line is fitted in closed form on E mapped to [-1, 1], which no
+    spectrum in the float range overflows; a flat spectrum has slope 0."""
+    with np.errstate(all="ignore"):
+        y = p ** (1.0 - q)
+        dy = y - y.mean()
+        lo, hi = e.min(), e.max()
+        half = hi / 2 - lo / 2
+        if half == 0.0:
+            return float(np.max(np.abs(dy)))
+        x = (e - (hi / 2 + lo / 2)) / half
+        dx = x - x.mean()
+        return float(np.max(np.abs(dx @ dy / (dx @ dx) * dx - dy)))
 
 
 # --- the core --------------------------------------------------------------------

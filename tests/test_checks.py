@@ -9,7 +9,12 @@ from qtherm.checks import (
     run_group_suite,
     run_maxent_suite,
     run_suite,
+    simplex_constrained_maximizer,
 )
+from qtherm.errors import DomainError
+from qtherm.maxent import _affinity_residual, solve_maxent
+
+E3 = np.array([0.0, 1.0, 2.0])
 
 GROUP_PROPERTIES = [
     "composition", "associativity", "neutral element", "unit invariant",
@@ -123,3 +128,46 @@ def test_entropy_and_maxent_suites_pass(seed):
     assert [(f"{r.suite}.{r.name}", r.detail.split(",")[0]) for r in results] \
         == [row for row in ALL_PROPERTIES if row[0].split(".")[0] in ("entropy", "maxent")]
     assert [r.name for r in results if not r.passed] == []
+
+
+class TestSimplexOracle:
+    def test_close_levels(self):
+        # two levels 0.03 apart: the 2-D grid scan missed by 8.2e-4 here
+        e = np.array([0.0, 1.97, 2.0])
+        sol = solve_maxent(e, 2.03, 1.0, 1.0)
+        p = simplex_constrained_maximizer(e, 2.03, 1.0, sol.escort_mean)
+        assert np.max(np.abs(p - sol.probs)) <= 1e-6
+
+    @pytest.mark.parametrize("q", [0.6, 0.8, 1.2, 1.7])
+    @pytest.mark.parametrize("target", [0.5, 0.8, 1.3])
+    def test_alpha_one_maximizer_is_q_exponential(self, q, target):
+        # at alpha = 1 the maximizer's p^(1-q) is affine in E, with no
+        # solver involved
+        p = simplex_constrained_maximizer(E3, q, 1.0, target)
+        assert _affinity_residual(p, E3, q) <= 1e-7
+
+    def test_degenerate_levels_share_probability(self):
+        for q, alpha, target in ((1.2, 2.0, 1.0), (0.7, 0.5, 0.4), (2.0, 3.0, 1.9)):
+            p = simplex_constrained_maximizer([0.0, 0.0, 2.0], q, alpha, target)
+            assert abs(p[0] - p[1]) <= 1e-6
+            assert p.sum() == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("target", [0.0, 2.0, -1.0, 3.0, np.inf, np.nan])
+    def test_target_outside_open_spectrum_is_domain_error(self, target):
+        with pytest.raises(DomainError, match="no feasible point"):
+            simplex_constrained_maximizer(E3, 1.2, 2.0, target)
+
+    def test_flat_spectrum_is_domain_error(self):
+        with pytest.raises(DomainError, match="no feasible point"):
+            simplex_constrained_maximizer([1.0, 1.0, 1.0], 1.2, 2.0, 1.0)
+
+    @pytest.mark.parametrize("q,alpha", [(0.0, 2.0), (1.0, 2.0), (1.3, 1e17)])
+    def test_uniform_escort_or_shannon_index_is_domain_error(self, q, alpha):
+        # the escort is uniform at q = 0; at q_alpha = 1 the entropy is 0/0
+        with pytest.raises(DomainError, match="q != 0 and q_alpha != 1"):
+            simplex_constrained_maximizer(E3, q, alpha, 0.8)
+
+    @pytest.mark.parametrize("e", [[0.0, 2.0], [0.0, 1.0, 1.5, 2.0]])
+    def test_other_sizes_are_domain_error(self, e):
+        with pytest.raises(DomainError, match="3-level"):
+            simplex_constrained_maximizer(e, 1.2, 2.0, 0.8)

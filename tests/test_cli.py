@@ -745,6 +745,10 @@ def test_exit_codes_over_extreme_values(runner, tmp_path):
     # q = 1e308, and one with a subnormal entry, whose ratios to it overflow
     dists = [_write(tmp_path, "u8.csv", "p\n" + "0.125\n" * 8),
              _write(tmp_path, "sub.csv", "p\n5e-324\n1\n")]
+    # a spectrum whose width overflows and a flat one, where the alpha = 1
+    # q-exponential check fits a line
+    spectra = [_write(tmp_path, "wide.csv", "E\n1e300\n-1e300\n0\n"),
+               _write(tmp_path, "flat.csv", "E\n5\n5\n5\n")]
     grid = list(itertools.product(_EXTREMES, _EXTREMES))
     indices = _EXTREMES + ["1e308", "-1e308"]
     runs = ([["transform", "--q", q, "--alpha", a] for q, a in grid]
@@ -757,6 +761,10 @@ def test_exit_codes_over_extreme_values(runner, tmp_path):
             + [["maxent", "--input", path, "--q", q, "--alpha", alpha, mode, v]
                for alpha in ("0.5", "1", "1.5", "2", "inf") for q, v in grid
                for mode in ("--omega", "--target-mean")]
+            + [["maxent", "--input", e, "--q", q, "--alpha", alpha, mode, v, *flag]
+               for e in spectra for alpha in ("1", "2", "inf") for q, v in grid
+               for mode in ("--omega", "--target-mean")
+               for flag in (["--entropy", "renyi"], ["--format", "csv"])]
             + [["escort", "--input", p, "--r", r] for p in dists for r in indices]
             + [["entropy", "--input", p, "--kind", kind, "--q", q] for p in dists
                for kind in ("tsallis", "renyi", "hybrid", "avg-hybrid") for q in indices])

@@ -6,9 +6,11 @@ argument always raises.  No call returns NaN, an infinity that the exact
 value does not reach, or raises any other exception; under the suite's
 ``error::RuntimeWarning`` filter a NumPy warning is such an exception.  The
 entropy functionals take each of ``DISTRIBUTIONS`` with every index of the
-grid.
+grid.  The MaxEnt solvers return a solution whose every field is finite, or
+raise a ``QThermError``, on each of ``SPECTRA``.
 """
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from qtherm import entropy as ent
+from qtherm import maxent
 from qtherm import qalgebra as qa
 from qtherm.entropy import escort_mean
 from qtherm.errors import QThermError, RenormalizationWarning
@@ -147,4 +150,55 @@ def test_edge_grid_keeps_the_result_contract(name):
         warnings.simplefilter("ignore", RenormalizationWarning)
         broken = [(args, why) for args in _calls(name)
                   if (why := _violation(name, args)) is not None]
+    assert broken == []
+
+
+# the MaxEnt solvers' q, and their omega or target mean, over these values,
+# and alpha over ALPHAS, on spectra whose width overflows, that are flat,
+# whose levels are subnormal apart and whose width is small against its level
+SOLVER_EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-320, 1e300, -1e300, math.inf, -math.inf,
+                math.nan, 1.0 + 1e-10, 2.0]
+ALPHAS = [0.5, 1.0, 1.5, 2.0, 3.0, 1e-320, 1e300, math.inf, -1.0, math.nan, 0.0]
+SPECTRA = [[0.0, 1.0, 2.0], [1e300, -1e300, 0.0], [5.0, 5.0, 5.0], [0.0, 1e-300, 2e-300],
+           [-1e6, -1e6 + 0.003]]
+# seeded (q, alpha, value) draws per solver and mode; the Shannon limit takes
+# every (q, value)
+SOLVER_DRAWS = 600
+
+
+def _solver_calls(index: int):
+    """(function, q and alpha, keyword) for one spectrum, in both modes."""
+    rng = np.random.default_rng(index)
+    calls = [(maxent.solve_maxent_shannon_limit, (q,), {mode: value})
+             for q, value in itertools.product(SOLVER_EDGES, repeat=2)
+             for mode in ("omega", "target_mean")]
+    for fn in (maxent.solve_maxent, maxent.solve_maxent_renyi):
+        for mode in ("omega", "target_mean"):
+            calls += [(fn, (SOLVER_EDGES[i], ALPHAS[j]), {mode: SOLVER_EDGES[k]})
+                      for i, j, k in zip(rng.integers(0, len(SOLVER_EDGES), SOLVER_DRAWS),
+                                         rng.integers(0, len(ALPHAS), SOLVER_DRAWS),
+                                         rng.integers(0, len(SOLVER_EDGES), SOLVER_DRAWS))]
+    return calls
+
+
+@pytest.mark.parametrize("index", range(len(SPECTRA)))
+def test_maxent_solvers_keep_the_result_contract(index, monkeypatch):
+    # stalled solves stop sooner; a solve that stops raises NonConvergenceError
+    monkeypatch.setattr(maxent, "MAX_ITER", 200)
+    broken = []
+    for fn, args, kwargs in _solver_calls(index):
+        call = (fn.__name__, *args, kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                sol = fn(SPECTRA[index], *args, **kwargs)
+            except QThermError:
+                continue
+            except Exception as err:  # noqa: BLE001 - any other exception breaks it
+                broken.append((call, f"raises {type(err).__name__}: {err}"))
+                continue
+        fields = [np.asarray(getattr(sol, f.name), dtype=float)
+                  for f in dataclasses.fields(sol)]
+        if not all(np.isfinite(value).all() for value in fields):
+            broken.append((call, f"returns {sol}"))
     assert broken == []
