@@ -26,10 +26,11 @@ mode costs no level map:
   Jacobian from the level map's slopes.  It starts from the uniform
   distribution and stops once the answer is converged; ``iterations``
   counts Newton steps, and a solve of k steps makes k level maps plus one
-  per rejected trial point.  Each step is damped by a
-  pseudo-time step (pseudo-transient continuation), which carries it across
-  folds of |F| where det J changes sign, and is taken only where every level
-  keeps a real root and F is finite; m may leave the spectrum on the way.  A
+  per rejected trial point.  Its steps are undamped while each lowers |F|;
+  from the first that does not, each is damped by a pseudo-time step
+  (pseudo-transient continuation), which carries it across folds of |F|
+  where det J changes sign.  A step is taken only where every level keeps
+  a real root and F is finite; m may leave the spectrum on the way.  A
   solve that stalls raises the kernel's ``NoRealRootError`` where the first
   sweep Omega*coupling(uniform) leaves some level's real-root region;
 * target escort mean: m is pinned to the target and a safeguarded Newton
@@ -117,7 +118,8 @@ def solve_maxent(energies, q: float, alpha: float, omega: float | None = None, *
     ``solve_maxent_shannon_limit``'s, the Gibbs distribution at q = 1.
 
     At fixed omega the solve is one Newton iteration in the combined
-    multiplier and the escort mean, each step damped by a pseudo-time step.
+    multiplier and the escort mean, damped by a pseudo-time step from the
+    first undamped step that does not lower its residual.
     Raises ``NoRealRootError`` (with the first offending level) when that
     solve stalls and its first sweep from the uniform distribution leaves
     some level's real-root region, ``NonConvergenceError`` (carrying the
@@ -472,17 +474,20 @@ def _fixed_omega(fam, omega: float):
     steps makes k level maps plus one per rejected trial point.  Every trial
     point maps from the warm start of the last point taken, so a rejected
     trial's roots seed nothing.  The pseudo-time step dt (pseudo-transient
-    continuation) starts at 3: it halves on a step that is not taken and
-    grows by the fall of the scaled |F| on one that is, so the steps follow
-    the damped fixed-point flow until F is small and are Newton steps from
-    there.  A step that cannot be taken even with dt below the square root
-    of the float precision stalls the solve: it raises the kernel's
-    ``NoRealRootError`` where the first sweep Omega*coupling(uniform) has a
-    level without a real root.
+    continuation) starts at inf, so the steps are Newton steps, and an
+    undamped step is taken only where it also lowers the scaled |F|.  The
+    first step not taken is retried from the same point at dt = 3, after
+    which dt halves on a step that is not taken and grows by the fall of
+    the scaled |F| on one that is: the steps follow the damped fixed-point
+    flow until F is small and are Newton steps again from there.  A step
+    that cannot be taken even with dt below the square root of the float
+    precision stalls the solve: it raises the kernel's ``NoRealRootError``
+    where the first sweep Omega*coupling(uniform) has a level without a
+    real root.
 
     Returns the last point, the Newton steps that reached it and ``None``,
-    or the failure that stopped it: a stall, a step that no longer moves x
-    or ``MAX_ITER`` steps.
+    or the failure that stopped it: a stall, a step within 4 ulps of x or
+    ``MAX_ITER`` steps.
     """
     e = fam.e
     # start is the warm start of the last point taken
@@ -494,9 +499,9 @@ def _fixed_omega(fam, omega: float):
     # width, so the scaled |F| is 1 at the start
     scale0, scale1 = abs(f0), e.max() - e.min()
     sweep = (lam - f0, m)
-    # J = [[1, 0], [c, 1]] at the uniform start, so the first step moves
-    # lambda by dt/(1 + dt) of the sweep: three quarters at dt = 3
-    dt = 3.0
+    # J = [[1, 0], [c, 1]] at the uniform start, so the first, undamped step
+    # is the sweep itself
+    dt = math.inf
     norm = 1.0
     iterations = 0
     while not (point.converged or point.underflow):
@@ -512,8 +517,13 @@ def _fixed_omega(fam, omega: float):
             step1 = (j10 * f0 - a00 * f1) / det
             trial = _newton_point(fam, lam + step0, m + step1, omega, start)
             if trial is not None:
-                break
-            dt *= 0.5
+                f0_new, f1_new = trial[0].f
+                new_norm = np.hypot(f0_new / scale0, f1_new / scale1)
+                # an undamped step is taken only where it lowers |F|
+                if dt < math.inf or new_norm < norm:
+                    break
+            # the first step not taken falls back to dt = 3
+            dt = 3.0 if dt == math.inf else 0.5 * dt
             # a pseudo-time step below the square root of the float precision
             # moves x by no more than that: the iteration is stuck
             if not dt >= math.ulp(1.0) ** 0.5:
@@ -521,13 +531,13 @@ def _fixed_omega(fam, omega: float):
                 fam.level_map(sweep[0] * (e - sweep[1]), start)
                 return point, iterations - 1, (f"the Newton step stalls at step {iterations} "
                                                f"(residual {point.residual:.3g})")
-        if lam + step0 == lam and m + step1 == m:
+        # at the rounding floor an undamped step can cycle within a few ulps
+        if abs(step0) <= 4.0 * math.ulp(lam) and abs(step1) <= 4.0 * math.ulp(m):
             return point, iterations - 1, (f"the Newton step no longer moves (lambda, m) at "
                                            f"step {iterations} (residual {point.residual:.3g})")
         lam, m = lam + step0, m + step1
         point, start = trial
-        f0, f1 = point.f
-        new_norm = np.hypot(f0 / scale0, f1 / scale1)
+        f0, f1 = f0_new, f1_new
         dt *= norm / new_norm
         norm = new_norm
     return point, iterations, None

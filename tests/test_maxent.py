@@ -34,13 +34,19 @@ E18_WIDE = np.round(np.linspace(4006.7, 131073.98, 18), 2)
 Q_FUZZ, ALPHA_FUZZ, TARGET_FUZZ = 1.0000005982085276, 1.011454735190145, 106186.1942746612
 
 
-def _recorded_maps(monkeypatch) -> list:
-    """The b of every level map that the solves after this call make."""
+def _recorded_maps(monkeypatch, failed: list | None = None) -> list:
+    """The b of every level map that the solves after this call make; those
+    of the maps that raise ``NoRealRootError`` also go to ``failed``."""
     maps = []
     for family in (_Trinomial, _Shannon):
         def recorded(self, b, start, level_map=family.level_map):
             maps.append(b)
-            return level_map(self, b, start)
+            try:
+                return level_map(self, b, start)
+            except NoRealRootError:
+                if failed is not None:
+                    failed.append(b)
+                raise
         monkeypatch.setattr(family, "level_map", recorded)
     return maps
 
@@ -127,41 +133,58 @@ class TestSolveMaxent:
     @pytest.mark.parametrize("n", [3, 3000, 30000])
     @pytest.mark.parametrize("alpha", [0.7, 1.5, 2.0])
     @pytest.mark.parametrize("q", [0.8, 1.2])
-    def test_newton_steps_bounded(self, q, alpha, n):
-        # a work count, never a timing
+    def test_newton_steps_bounded(self, monkeypatch, q, alpha, n):
+        # a work count, never a timing: every undamped step is taken
+        maps = _recorded_maps(monkeypatch)
         sol = solve_maxent(np.linspace(0.0, 2.0, n), q, alpha, 0.3)
         assert sol.converged
-        assert sol.iterations <= 10
+        assert sol.iterations <= 4
+        assert len(maps) == sol.iterations
 
-    @pytest.mark.parametrize("solve,rejected", [
-        (lambda: solve_maxent(np.linspace(0.0, 2.0, 30), 1.2, 1.5, 0.3), 0),
-        # each of these takes one trial point where a level has no real root
-        (lambda: solve_maxent(E3, 3.0, 2.0, -5.0), 1),
-        (lambda: solve_maxent_renyi(E3, 3.0, 2.0, -20.0), 1),
-        (lambda: solve_maxent_shannon_limit(E3, 2.0, 5.0), 1),
+    @pytest.mark.parametrize("solve,rejected,refused", [
+        (lambda: solve_maxent(np.linspace(0.0, 2.0, 30), 1.2, 1.5, 0.3), 0, 0),
+        # each of these refuses its undamped first trial, which raises |F|,
+        # and takes one trial point where a level has no real root
+        (lambda: solve_maxent(E3, 3.0, 2.0, -5.0), 1, 1),
+        (lambda: solve_maxent_renyi(E3, 3.0, 2.0, -20.0), 1, 1),
+        (lambda: solve_maxent_shannon_limit(E3, 2.0, 5.0), 1, 1),
     ], ids=["tsallis", "tsallis-rejected", "renyi-rejected", "shannon-rejected"])
-    def test_one_level_map_per_step_and_rejected_trial(self, monkeypatch, solve, rejected):
+    def test_one_level_map_per_step_and_rejected_trial(self, monkeypatch, solve, rejected,
+                                                       refused):
         # the uniform start costs no level map, so a solve of k Newton steps
-        # makes k maps plus one per trial point that is not taken
-        maps, failed = [], []
-        for family in (_Trinomial, _Shannon):
-            def recorded(self, b, start, level_map=family.level_map):
-                maps.append(b)
-                try:
-                    return level_map(self, b, start)
-                except NoRealRootError:
-                    failed.append(b)
-                    raise
-            monkeypatch.setattr(family, "level_map", recorded)
+        # makes k maps plus one per trial point that is not taken: one where
+        # a level has no real root, or an undamped one that does not lower |F|
+        failed = []
+        maps = _recorded_maps(monkeypatch, failed)
         sol = solve()
         assert sol.converged
         assert len(failed) == rejected
-        assert len(maps) == sol.iterations + rejected
+        assert len(maps) == sol.iterations + rejected + refused
         assert all(np.any(b) for b in maps)
+
+    def test_refused_undamped_step_falls_back_to_the_damped_step(self, monkeypatch):
+        # the full first sweep from the uniform start raises |F| here: the
+        # step is retried from the same point with the pseudo-time step
+        # dt = 3, solving (J + I/3) d = -F, and the solve certifies
+        failed = []
+        maps = _recorded_maps(monkeypatch, failed)
+        sol = solve_maxent(E3, 3.0, 2.0, -5.0)
+        assert sol.converged
+        assert len(maps) == sol.iterations + len(failed) + 1
+        fam = _Trinomial(E3, 3.0, 2.0, transform(3.0, 2.0), False)
+        p, slope, _ = fam.uniform()
+        start = _evaluate(fam, p, 0.0, -5.0, (slope, None))
+        m = start.escort_mean
+        jac, f = np.reshape(start.jac, (2, 2)), np.array(start.f)
+        # the undamped first step moves lambda to the sweep Omega*coupling
+        for trial, dt in zip(maps, (math.inf, 3.0)):
+            d_lam, d_m = np.linalg.solve(jac + np.eye(2) / dt, -f)
+            assert trial == pytest.approx(d_lam * (E3 - (m + d_m)), rel=1e-12)
+        assert np.linalg.solve(jac, -f)[0] == pytest.approx(-f[0], rel=1e-14)
 
     def test_trial_with_non_finite_newton_system_is_rejected(self, monkeypatch):
         # a NaN coupling at the first trial point makes F not finite: the
-        # trial is rejected, the step retried with half the pseudo-time step
+        # trial is rejected, the step retried with the pseudo-time step 3
         # from the uniform start's roots, not from the rejected trial's, and
         # the solve still certifies with one extra level map
         e = np.linspace(0.0, 2.0, 30)
@@ -301,7 +324,7 @@ class TestSolveMaxent:
         # 1e-8.  Centring the spectrum before the solve (ROADMAP item 2)
         # would certify this input and turn this test around.
         with pytest.raises(NonConvergenceError,
-                           match=r"no longer moves \(lambda, m\) at step 11") as excinfo:
+                           match=r"no longer moves \(lambda, m\) at step 3") as excinfo:
             solve_maxent_renyi(-1e6 + np.linspace(0.0, 0.005, 300), 1.0 + 9e-7, 0.04, -305.0)
         assert not excinfo.value.solution.converged
 
@@ -638,7 +661,7 @@ def test_gap_runs_the_way_of_its_slope_at_the_start():
 CARRIED_FAILURES = {
     "no-longer-moves": (None, lambda: solve_maxent_renyi(
         -1e6 + np.linspace(0.0, 0.005, 300), 1.0 + 9e-7, 0.04, -305.0),
-        "the Newton step no longer moves (lambda, m) at step 11 (residual", 10),
+        "the Newton step no longer moves (lambda, m) at step 3 (residual", 2),
     # every level keeps a real root on the first sweep, so no NoRealRootError
     "stall": (None, lambda: solve_maxent_renyi(np.array([-0.6, 1.0, 2.6]), 0.6, 2.0, 1.0),
               "the Newton step stalls at step 14 (residual", 13),
